@@ -120,19 +120,17 @@ def alignment_loss(triplet_features, p: BridgeParams) -> Tensor:
 
     pooled_refs = [_pooled(f_r_bar) for f_r_bar, _, _ in triplets]
     # per-query and per-candidate projections are reused across the B x B chains
-    q_refs = [l2_normalize_rows(matmul(f_r_bar, p.w_ref.tensor)) for f_r_bar, _, _ in triplets]
-    k_texts = [l2_normalize_rows(matmul(f_c, p.w_text.tensor)) for _, f_c, _ in triplets]
+    a_r2cs = [attend_ref_to_text(f_r_bar, f_c, p) for f_r_bar, f_c, _ in triplets]
     q_texts = [l2_normalize_rows(matmul(f_c, p.w_text_query.tensor)) for _, f_c, _ in triplets]
     k_targets = [l2_normalize_rows(matmul(f_t, p.w_target.tensor)) for _, _, f_t in triplets]
     v_targets = [matmul(f_t, p.w_value.tensor) for _, _, f_t in triplets]
 
     rows = []
     for i in range(b):
-        a_r2c = matmul(q_refs[i], transpose(k_texts[i]))
         sims = []
         for j in range(b):
             a_c2t = matmul(q_texts[i], transpose(k_targets[j]))
-            a_r2t = softmax_rows(scalar_mul(matmul(a_r2c, a_c2t), 1.0 / math.sqrt(dim)))
+            a_r2t = hinge_attention(a_r2cs[i], a_c2t, dim)
             pooled_bridge = _pooled(matmul(a_r2t, v_targets[j]))
             sims.append(matmul(pooled_refs[i], transpose(pooled_bridge)))
         rows.append(concat(sims, axis=1) if b > 1 else sims[0])

@@ -136,11 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
         ("gradcheck", "finite-difference check of every trainable gradient"),
     ):
         p = sub.add_parser(name, help=help_text)
+        if name == "gradcheck":
+            # gradcheck_config pins its own geometry, so it takes no config
+            p.add_argument("--corrupt", help=argparse.SUPPRESS)
+            continue
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
                        help="override one config entry, e.g. --set training.epochs=5")
-        if name == "gradcheck":
-            p.add_argument("--corrupt", help=argparse.SUPPRESS)
     return parser
 
 
@@ -148,7 +150,7 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     if args.command == "gradcheck":
-        return cmd_gradcheck(corrupt=getattr(args, "corrupt", None))
+        return cmd_gradcheck(corrupt=args.corrupt)
     cfg = _resolve_config(args)
     if args.command == "synth":
         return cmd_synth(cfg)

@@ -11,23 +11,19 @@ explicitly shared.
 from __future__ import annotations
 
 import logging
-import math
 
 import numpy as np
 
+from .encoders import Attention
 from .objective import in_batch_nll, stack_rows
 from .tensor import (
-    Param,
     Tensor,
     add,
-    concat,
     l2_normalize_rows,
     matmul,
     mean_axis,
     scalar_mul,
-    slice_cols,
     slice_rows,
-    softmax_rows,
     transpose,
 )
 
@@ -35,17 +31,6 @@ log = logging.getLogger(__name__)
 
 TARGET_ORIENTED = "target_oriented"
 REFERENCE_ORIENTED = "reference_oriented"
-
-
-class _BranchWeights:
-    def __init__(self, name: str, dim: int, rng: np.random.Generator):
-        scale = 1.0 / math.sqrt(dim)
-        self.wq = Param(f"{name}.wq", rng.normal(0.0, scale, (dim, dim)))
-        self.wk = Param(f"{name}.wk", rng.normal(0.0, scale, (dim, dim)))
-        self.wv = Param(f"{name}.wv", rng.normal(0.0, scale, (dim, dim)))
-
-    def params(self):
-        return [self.wq, self.wk, self.wv]
 
 
 class CompositorParams:
@@ -56,25 +41,21 @@ class CompositorParams:
         dim: int,
         rng: np.random.Generator,
         layers: int = 4,
-        heads: int = 1,
         share_branches: bool = False,
     ):
         if layers < 1:
             raise ValueError("compositor needs at least one attention layer")
-        if heads < 1 or dim % heads != 0:
-            raise ValueError(f"head count {heads} must divide dim {dim}")
         self.dim = dim
         self.layers = layers
-        self.heads = heads
         self.share_branches = share_branches
-        self.target_branch = _BranchWeights("compositor.target_branch", dim, rng)
+        self.target_branch = Attention("compositor.target_branch", dim, rng)
         self.reference_branch = (
             self.target_branch
             if share_branches
-            else _BranchWeights("compositor.reference_branch", dim, rng)
+            else Attention("compositor.reference_branch", dim, rng)
         )
 
-    def branch(self, name: str) -> _BranchWeights:
+    def branch(self, name: str) -> Attention:
         if name == TARGET_ORIENTED:
             return self.target_branch
         if name == REFERENCE_ORIENTED:
@@ -88,22 +69,6 @@ class CompositorParams:
         return out
 
 
-def _attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
-    dim = q.shape[1]
-    if heads == 1:
-        logits = scalar_mul(matmul(q, transpose(k)), 1.0 / math.sqrt(dim))
-        return matmul(softmax_rows(logits), v)
-    dh = dim // heads
-    outs = []
-    for h in range(heads):
-        qh = slice_cols(q, h * dh, (h + 1) * dh)
-        kh = slice_cols(k, h * dh, (h + 1) * dh)
-        vh = slice_cols(v, h * dh, (h + 1) * dh)
-        logits = scalar_mul(matmul(qh, transpose(kh)), 1.0 / math.sqrt(dh))
-        outs.append(matmul(softmax_rows(logits), vh))
-    return concat(outs, axis=1)
-
-
 def fuse_branch(anchor: Tensor, other: Tensor, p: CompositorParams, branch: str) -> Tensor:
     """Run M attention layers with `anchor` as the fixed query over the evolving state.
 
@@ -112,13 +77,10 @@ def fuse_branch(anchor: Tensor, other: Tensor, p: CompositorParams, branch: str)
     """
     if anchor.shape[1] != other.shape[1]:
         raise ValueError(f"feature dims disagree: {anchor.shape} vs {other.shape}")
-    w = p.branch(branch)
+    attend = p.branch(branch)
     state = other
     for _ in range(p.layers):
-        q = matmul(anchor, w.wq.tensor)
-        k = matmul(state, w.wk.tensor)
-        v = matmul(state, w.wv.tensor)
-        state = _attention(q, k, v, p.heads)
+        state = attend(anchor, state)
     return state
 
 

@@ -20,8 +20,6 @@ class ModelConfig:
     max_tokens: int = 16
     prompts: int = 8
     compositor_layers: int = 4
-    heads: int = 1
-    positional: bool = True
 
 
 @dataclass
@@ -79,32 +77,24 @@ class RunConfig:
 
 
 def _from_dict(cls, data: dict, prefix: str = ""):
-    names = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(data) - set(names)
+    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(prefix + k for k in unknown)}")
     kwargs = {}
     for key, value in data.items():
-        f = names[key]
-        if dataclasses.is_dataclass(f.type) or f.name in _SECTION_TYPES:
+        if cls is RunConfig:
             kwargs[key] = _from_dict(_SECTION_TYPES[key], value, prefix=f"{key}.")
         else:
             kwargs[key] = _coerce(value, _FIELD_TYPES[cls][key], prefix + key)
     return cls(**kwargs)
 
 
-_SECTION_TYPES = {
-    "model": ModelConfig,
-    "objective": ObjectiveConfig,
-    "training": TrainingConfig,
-    "ablation": AblationConfig,
-    "synth": SynthConfig,
-    "paths": PathsConfig,
-}
+# RunConfig's fields are its sections; a section's fields are scalars typed by their defaults
+_SECTION_TYPES = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
 _FIELD_TYPES = {
     cls: {f.name: f.default.__class__ for f in dataclasses.fields(cls)}
-    for cls in (ModelConfig, ObjectiveConfig, TrainingConfig, AblationConfig, SynthConfig, PathsConfig)
+    for cls in _SECTION_TYPES.values()
 }
 
 

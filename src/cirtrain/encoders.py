@@ -65,15 +65,13 @@ def _check_tokens(tokens, vocab: int, max_tokens: int):
             raise ValueError(f"token id {t} outside vocabulary [0, {vocab})")
 
 
-def scaled_dot_attention(q: Tensor, k: Tensor, v: Tensor) -> Tensor:
-    """softmax(q kᵀ / √d) v — the building block every attention layer shares."""
-    d = q.shape[1]
-    logits = scalar_mul(matmul(q, transpose(k)), 1.0 / math.sqrt(d))
-    return matmul(softmax_rows(logits), v)
+class Attention:
+    """Single-head attention, softmax((x_q Wq)(x_kv Wk)ᵀ/√d)(x_kv Wv).
 
-
-class SelfAttentionBlock:
-    """One single-head self-attention layer with a residual connection."""
+    Every q/k/v site of the model is one of these: the encoders' self
+    attention (x_q is x_kv), the cross encoder, query fusion and both
+    compositor branches.  Weights are drawn wq, wk, wv from `rng`.
+    """
 
     def __init__(self, name: str, dim: int, rng: np.random.Generator, frozen: bool = False,
                  scale_qk: float | None = None, scale_v: float | None = None):
@@ -84,11 +82,12 @@ class SelfAttentionBlock:
         self.wk = Param(f"{name}.wk", rng.normal(0.0, scale_qk, (dim, dim)), frozen)
         self.wv = Param(f"{name}.wv", rng.normal(0.0, scale_v, (dim, dim)), frozen)
 
-    def __call__(self, x: Tensor) -> Tensor:
-        q = matmul(x, self.wq.tensor)
-        k = matmul(x, self.wk.tensor)
-        v = matmul(x, self.wv.tensor)
-        return add(x, scaled_dot_attention(q, k, v))
+    def __call__(self, x_q: Tensor, x_kv: Tensor) -> Tensor:
+        q = matmul(x_q, self.wq.tensor)
+        k = matmul(x_kv, self.wk.tensor)
+        v = matmul(x_kv, self.wv.tensor)
+        logits = scalar_mul(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+        return matmul(softmax_rows(logits), v)
 
     def params(self):
         return [self.wq, self.wk, self.wv]
@@ -105,13 +104,10 @@ class ImageEncoder:
         max_tokens: int,
         rng: np.random.Generator,
         frozen: bool = False,
-        positional: bool = True,
     ):
         self.name = name
         self.vocab = vocab
-        self.dim = dim
         self.max_tokens = max_tokens
-        self.positional = positional
         # frozen encoders never adapt, so their init keeps the token signal
         # dominant: a modest CLS vector, near-uniform attention (small q/k)
         # and full-strength values preserve a linearly decodable pooled row
@@ -123,19 +119,18 @@ class ImageEncoder:
         self.positions = Param(
             f"{name}.positions", rng.normal(0.0, 0.1, (max_tokens + 1, dim)), frozen
         )
-        self.block = SelfAttentionBlock(f"{name}.attn", dim, rng, frozen, scale_qk=qk_scale)
+        self.attn = Attention(f"{name}.attn", dim, rng, frozen, scale_qk=qk_scale)
 
     def encode(self, seq: TokenSeq) -> Tensor:
         if seq.kind not in IMAGE_KINDS:
             raise ValueError(f"image encoder got a {seq.kind!r} sequence")
         _check_tokens(seq.tokens, self.vocab, self.max_tokens)
         rows = concat([self.cls.tensor, matmul(_one_hot(seq.tokens, self.vocab), self.embedding.tensor)], axis=0)
-        if self.positional:
-            rows = add(rows, slice_rows(self.positions.tensor, 0, len(seq.tokens) + 1))
-        return self.block(rows)
+        rows = add(rows, slice_rows(self.positions.tensor, 0, len(seq.tokens) + 1))
+        return add(rows, self.attn(rows, rows))
 
     def params(self):
-        return [self.embedding, self.cls, self.positions] + self.block.params()
+        return [self.embedding, self.cls, self.positions] + self.attn.params()
 
 
 class TextEncoder:
@@ -148,57 +143,38 @@ class TextEncoder:
         dim: int,
         max_tokens: int,
         rng: np.random.Generator,
-        positional: bool = True,
     ):
         self.name = name
         self.vocab = vocab
-        self.dim = dim
         self.max_tokens = max_tokens
-        self.positional = positional
         self.embedding = Param(f"{name}.embedding", rng.normal(0.0, 1.0, (vocab, dim)))
         self.positions = Param(f"{name}.positions", rng.normal(0.0, 0.1, (max_tokens, dim)))
-        self.block = SelfAttentionBlock(f"{name}.attn", dim, rng)
+        self.attn = Attention(f"{name}.attn", dim, rng)
 
     def encode(self, seq: TokenSeq) -> Tensor:
         if seq.kind != KIND_TEXT:
             raise ValueError(f"text encoder got a {seq.kind!r} sequence")
         _check_tokens(seq.tokens, self.vocab, self.max_tokens)
         rows = matmul(_one_hot(seq.tokens, self.vocab), self.embedding.tensor)
-        if self.positional:
-            rows = add(rows, slice_rows(self.positions.tensor, 0, len(seq.tokens)))
-        return self.block(rows)
+        rows = add(rows, slice_rows(self.positions.tensor, 0, len(seq.tokens)))
+        return add(rows, self.attn(rows, rows))
 
     def params(self):
-        return [self.embedding, self.positions] + self.block.params()
+        return [self.embedding, self.positions] + self.attn.params()
 
 
-class CrossEncoder:
+class CrossEncoder(Attention):
     """Refines reference-image features with the text: one cross-attention block.
 
     The reference rows act as queries over text keys/values and the result is
-    added residually, so the output keeps the reference shape, reduces to the
-    input exactly when attention is disabled, and routes gradients into the
-    text encoder.
+    added residually, so the output keeps the reference shape and routes
+    gradients into the text encoder.
     """
 
-    def __init__(self, name: str, dim: int, rng: np.random.Generator):
-        scale = 1.0 / math.sqrt(dim)
-        self.wq = Param(f"{name}.wq", rng.normal(0.0, scale, (dim, dim)))
-        self.wk = Param(f"{name}.wk", rng.normal(0.0, scale, (dim, dim)))
-        self.wv = Param(f"{name}.wv", rng.normal(0.0, scale, (dim, dim)))
-
-    def __call__(self, f_r: Tensor, f_c: Tensor, enabled: bool = True) -> Tensor:
+    def __call__(self, f_r: Tensor, f_c: Tensor) -> Tensor:
         if f_r.shape[1] != f_c.shape[1]:
             raise ValueError(f"feature dims disagree: {f_r.shape} vs {f_c.shape}")
-        if not enabled:
-            return f_r
-        q = matmul(f_r, self.wq.tensor)
-        k = matmul(f_c, self.wk.tensor)
-        v = matmul(f_c, self.wv.tensor)
-        return add(f_r, scaled_dot_attention(q, k, v))
-
-    def params(self):
-        return [self.wq, self.wk, self.wv]
+        return add(f_r, super().__call__(f_r, f_c))
 
 
 class QueryFusion:
@@ -215,36 +191,27 @@ class QueryFusion:
             raise ValueError("prompt count must be >= 0")
         self.dim = dim
         self.n_prompts = n_prompts
-        scale = 1.0 / math.sqrt(dim)
         self.prompts = (
             Param(f"{name}.prompts", rng.normal(0.0, 1.0, (n_prompts, dim))) if n_prompts else None
         )
-        self.wq = Param(f"{name}.wq", rng.normal(0.0, scale, (dim, dim)))
-        self.wk = Param(f"{name}.wk", rng.normal(0.0, scale, (dim, dim)))
-        self.wv = Param(f"{name}.wv", rng.normal(0.0, scale, (dim, dim)))
+        self.attn = Attention(name, dim, rng)
 
-    def fuse(self, f_c: Tensor, f_r: Tensor, enabled: bool = True) -> Tensor:
+    def fuse(self, f_c: Tensor, f_r: Tensor) -> Tensor:
         if f_c.shape[1] != self.dim or f_r.shape[1] != self.dim:
             raise ValueError(f"feature dims disagree: {f_c.shape}, {f_r.shape}, dim={self.dim}")
         p, length = self.n_prompts, f_c.shape[0]
         query_side = concat([self.prompts.tensor, f_c], axis=0) if p else f_c
-        if enabled:
-            q = matmul(query_side, self.wq.tensor)
-            k = matmul(f_r, self.wk.tensor)
-            v = matmul(f_r, self.wv.tensor)
-            out = scaled_dot_attention(q, k, v)
-        else:
-            out = scalar_mul(query_side, 0.0)
+        out = self.attn(query_side, f_r)
         pooled_text = matmul(Tensor(np.ones((length, 1))), mean_axis(f_c, axis=0))
         text_rows = add(slice_rows(out, p, p + length), pooled_text)
         if p:
             return concat([slice_rows(out, 0, p), text_rows], axis=0)
         return text_rows
 
-    def query_embedding(self, f_c: Tensor, f_r: Tensor, enabled: bool = True) -> Tensor:
+    def query_embedding(self, f_c: Tensor, f_r: Tensor) -> Tensor:
         """Mean-pool the fused sequence and L2-normalize: the 1 x d query vector."""
-        return l2_normalize_rows(mean_axis(self.fuse(f_c, f_r, enabled), axis=0))
+        return l2_normalize_rows(mean_axis(self.fuse(f_c, f_r), axis=0))
 
     def params(self):
         base = [self.prompts] if self.prompts is not None else []
-        return base + [self.wq, self.wk, self.wv]
+        return base + self.attn.params()

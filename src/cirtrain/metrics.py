@@ -46,23 +46,14 @@ def rank_within_subset(query_id: str, subset_ids, score_of, target_id: str) -> R
     return rank_gallery(query_id, subset_ids, [score_of[s] for s in subset_ids], target_id)
 
 
-def _recall(results, k: int) -> float:
+def recall_at_k(results, k: int) -> float:
+    """Fraction of queries whose target ranks within the top k (full gallery or subsets)."""
     results = list(results)
     if not results:
         raise ValueError("recall over an empty result list is undefined")
     if k < 1:
         raise ValueError("k must be >= 1")
     return sum(1 for r in results if r.rank_of_target <= k) / len(results)
-
-
-def recall_at_k(results, k: int) -> float:
-    """Fraction of queries whose target ranks within the top k."""
-    return _recall(results, k)
-
-
-def recall_subset_at_k(results, k: int) -> float:
-    """Recall@k over subset-restricted rankings (same counting, smaller galleries)."""
-    return _recall(results, k)
 
 
 def challenge_metric(r10: float, r50: float) -> float:
@@ -95,9 +86,9 @@ def summarize(full_results, subset_results) -> dict:
         "recall_at_1": recall_at_k(full_results, 1),
         "recall_at_5": recall_at_k(full_results, 5),
         "recall_at_10": recall_at_k(full_results, 10),
-        "recall_subset_at_1": recall_subset_at_k(subset_results, 1),
-        "recall_subset_at_2": recall_subset_at_k(subset_results, 2),
-        "recall_subset_at_3": recall_subset_at_k(subset_results, 3),
+        "recall_subset_at_1": recall_at_k(subset_results, 1),
+        "recall_subset_at_2": recall_at_k(subset_results, 2),
+        "recall_subset_at_3": recall_at_k(subset_results, 3),
     }
     report["avg_recall5_subset1"] = avg_metric(
         report["recall_at_5"], report["recall_subset_at_1"]

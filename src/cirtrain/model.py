@@ -28,7 +28,7 @@ from .encoders import (
     TokenSeq,
 )
 from .objective import LossBreakdown, ObjectiveWeights, matching_loss, total_loss
-from .tensor import Param, Tensor, l2_normalize_rows, slice_rows
+from .tensor import Tensor, l2_normalize_rows, slice_rows
 
 
 class RetrievalModel:
@@ -40,14 +40,14 @@ class RetrievalModel:
 
         self.ref_encoder = ImageEncoder(
             "ref_encoder", mc.image_vocab, mc.dim, mc.max_tokens, rng,
-            frozen=True, positional=mc.positional,
+            frozen=True,
         )
         self.tgt_encoder = ImageEncoder(
             "tgt_encoder", mc.image_vocab, mc.dim, mc.max_tokens, rng,
-            frozen=True, positional=mc.positional,
+            frozen=True,
         )
         self.text_encoder = TextEncoder(
-            "text_encoder", mc.text_vocab, mc.dim, mc.max_tokens, rng, positional=mc.positional,
+            "text_encoder", mc.text_vocab, mc.dim, mc.max_tokens, rng,
         )
         self.cross_encoder = CrossEncoder("cross_encoder", mc.dim, rng)
         self.fusion = QueryFusion("fusion", mc.dim, mc.prompts, rng)
@@ -56,7 +56,7 @@ class RetrievalModel:
             share_text_projection=ab.share_text_projection,
         )
         self.compositor = CompositorParams(
-            mc.dim, rng, layers=mc.compositor_layers, heads=mc.heads,
+            mc.dim, rng, layers=mc.compositor_layers,
             share_branches=ab.share_compositor_branches,
         )
 
@@ -181,10 +181,14 @@ def load_checkpoint(model: RetrievalModel, path):
         missing = sorted(set(params) - set(doc))
         extra = sorted(set(doc) - set(params))
         raise ValueError(f"checkpoint mismatch: missing {missing}, unexpected {extra}")
+    # read and check every entry before writing any, so a bad file leaves the model as it was
+    values = {}
     for name, p in params.items():
         entry = doc[name]
         if tuple(entry["shape"]) != p.shape:
             raise ValueError(f"{name}: checkpoint shape {entry['shape']} vs model {list(p.shape)}")
         if bool(entry["frozen"]) != p.frozen:
             raise ValueError(f"{name}: frozen flag mismatch")
-        p.data[...] = np.array(entry["data"], dtype=np.float64).reshape(p.shape)
+        values[name] = np.array(entry["data"], dtype=np.float64).reshape(p.shape)
+    for name, value in values.items():
+        params[name].data[...] = value

@@ -29,7 +29,6 @@ __all__ = [
     "mean_axis",
     "concat",
     "slice_rows",
-    "slice_cols",
     "softmax_rows",
     "l2_normalize_rows",
     "backward",
@@ -244,11 +243,6 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
         return (full,)
 
     return _result(x.data[start:stop, :].copy(), (x,), back, "slice_rows")
-
-
-def slice_cols(x: Tensor, start: int, stop: int) -> Tensor:
-    """Column slice, composed from transpose + slice_rows so no new gradient rule."""
-    return transpose(slice_rows(transpose(x), start, stop))
 
 
 def softmax_rows(x: Tensor) -> Tensor:

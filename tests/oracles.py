@@ -77,6 +77,18 @@ def alignment_loss_oracle(triplets, w_ref, w_text, w_text_query, w_target, w_val
     return nll / b
 
 
+def attention_oracle(x_q, x_kv, wq, wk, wv):
+    """Single-head scaled dot-product attention, one row of queries at a time."""
+    k, v = x_kv @ wk, x_kv @ wv
+    out = np.zeros((x_q.shape[0], v.shape[1]))
+    for i, q in enumerate(x_q @ wq):
+        logits = np.array([np.dot(q, k[j]) for j in range(k.shape[0])]) / np.sqrt(q.size)
+        weights = np.exp(logits - logits.max())
+        weights /= weights.sum()
+        out[i] = sum(w * v[j] for j, w in enumerate(weights))
+    return out
+
+
 def fuse_branch_oracle(anchor, other, wq, wk, wv, layers):
     state = other
     for _ in range(layers):

@@ -6,7 +6,6 @@ comparison train real models, so this module dominates the suite's runtime.
 """
 
 import dataclasses
-import math
 import time
 
 import numpy as np
@@ -18,7 +17,7 @@ from cirtrain.cli import cmd_eval, cmd_synth, cmd_train, evaluate_model
 from cirtrain.compositor import CompositorParams, reasoning_loss
 from cirtrain.config import RunConfig
 from cirtrain.data import SynthSpec, generate
-from cirtrain.metrics import avg_metric, challenge_metric, rank_gallery, recall_at_k
+from cirtrain.metrics import avg_metric, challenge_metric, rank_gallery
 from cirtrain.model import RetrievalModel
 from cirtrain.objective import ObjectiveWeights, matching_loss
 from cirtrain.train import (

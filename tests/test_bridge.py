@@ -19,8 +19,6 @@ from oracles import (
     finite_diff,
     max_rel_err,
     np_cosine,
-    np_l2n,
-    np_softmax_rows,
 )
 
 DIM = 6

@@ -1,13 +1,15 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
-import numpy as np
 import pytest
 
-from cirtrain.cli import cmd_eval, cmd_synth, cmd_train, evaluate_model, main
-from cirtrain.config import RunConfig, apply_override
+import cirtrain
+from cirtrain.cli import cmd_eval, cmd_synth, cmd_train, main
+from cirtrain.config import RunConfig
 from cirtrain.data import read_records
 from cirtrain.metrics import METRIC_KEYS
 from cirtrain.model import RetrievalModel
@@ -136,13 +138,16 @@ def test_config_file_plus_override(tmp_path):
 
 
 def test_cli_entry_point_subprocess(tmp_path):
-    # one end-to-end through the installed console script path
+    # one end-to-end through the installed console script path; the child finds
+    # the package where this process did, installed or not
+    src = str(Path(cirtrain.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "cirtrain.cli", "synth",
          "--set", f"paths.train_set={tmp_path / 't.jsonl'}",
          "--set", f"paths.val_set={tmp_path / 'v.jsonl'}",
          "--set", "synth.n_train=8", "--set", "synth.n_val=6"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert result.returncode == 0, result.stderr
     assert "wrote 8 train records" in result.stdout
@@ -169,3 +174,12 @@ def test_gradcheck_exit_codes(monkeypatch, capsys):
     assert "skipped (frozen)" in out and "PASS" in out
     assert main(["gradcheck", "--corrupt", "bridge.w_ref"]) == 1
     assert "FAIL" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["--set", "model.dim=4"], ["--set", "bogus.key=1"],
+                                  ["--config", "cfg.json"]])
+def test_gradcheck_rejects_config_options(argv):
+    # gradcheck runs at its own pinned geometry; accepting options it ignores would hide typos
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck"] + argv)
+    assert exc.value.code == 2

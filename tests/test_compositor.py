@@ -24,9 +24,9 @@ from oracles import (
 DIM = 6
 
 
-def make_params(seed=1, layers=2, heads=1, share=False):
+def make_params(seed=1, layers=2, share=False):
     return CompositorParams(DIM, np.random.default_rng(seed), layers=layers,
-                            heads=heads, share_branches=share)
+                            share_branches=share)
 
 
 def branch_arrays(p, which):
@@ -90,17 +90,6 @@ def test_branches_disjoint_unless_shared():
     shared = make_params(share=True)
     assert shared.branch(TARGET_ORIENTED) is shared.branch(REFERENCE_ORIENTED)
     assert len(shared.params()) == 3
-
-
-def test_multi_head_shapes_and_single_head_equivalence():
-    rng = np.random.default_rng(7)
-    anchor = T.Tensor(rng.normal(size=(3, DIM)))
-    other = T.Tensor(rng.normal(size=(4, DIM)))
-    two_heads = make_params(seed=8, heads=2)
-    out = fuse_branch(anchor, other, two_heads, TARGET_ORIENTED)
-    assert out.shape == (3, DIM)
-    with pytest.raises(ValueError):
-        make_params(heads=4)  # 4 does not divide 6
 
 
 def test_compose_identical_branch_outputs():

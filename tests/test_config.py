@@ -38,6 +38,15 @@ def test_unknown_keys_rejected():
         config_from_dict({"modle": {}})
 
 
+def test_removed_model_keys_rejected():
+    # single-head attention and positional vectors are fixed, not configurable
+    for key in ("heads", "positional"):
+        with pytest.raises(ValueError, match="unknown config keys"):
+            config_from_dict({"model": {key: 1}})
+        with pytest.raises(ValueError):
+            apply_override(RunConfig(), f"model.{key}=1")
+
+
 def test_partial_dict_keeps_defaults():
     cfg = config_from_dict({"training": {"epochs": 3}})
     assert cfg.training.epochs == 3

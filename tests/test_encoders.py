@@ -6,6 +6,7 @@ from cirtrain.encoders import (
     KIND_REFERENCE,
     KIND_TARGET,
     KIND_TEXT,
+    Attention,
     CrossEncoder,
     ImageEncoder,
     QueryFusion,
@@ -13,14 +14,57 @@ from cirtrain.encoders import (
     TokenSeq,
 )
 from cirtrain.train import Adam
+from oracles import attention_oracle
 
 DIM = 16
 
 
-def make_image_encoder(name="enc", frozen=False, positional=True, seed=3):
+def make_image_encoder(name="enc", frozen=False, seed=3):
     return ImageEncoder(name, vocab=32, dim=DIM, max_tokens=16,
-                        rng=np.random.default_rng(seed), frozen=frozen,
-                        positional=positional)
+                        rng=np.random.default_rng(seed), frozen=frozen)
+
+
+def attention_arrays(attn):
+    return attn.wq.data, attn.wk.data, attn.wv.data
+
+
+def test_attention_matches_oracle():
+    rng = np.random.default_rng(21)
+    attn = Attention("a", DIM, rng)
+    x_q = rng.normal(size=(3, DIM))
+    x_kv = rng.normal(size=(5, DIM))
+    out = attn(T.Tensor(x_q), T.Tensor(x_kv))
+    assert out.shape == (3, DIM)
+    assert np.allclose(out.data, attention_oracle(x_q, x_kv, *attention_arrays(attn)), atol=1e-12)
+    assert [p.name for p in attn.params()] == ["a.wq", "a.wk", "a.wv"]
+
+
+def test_attention_init_scales_and_frozen_flag():
+    attn = Attention("a", 64, np.random.default_rng(22), frozen=True, scale_qk=0.01, scale_v=2.0)
+    assert all(p.frozen for p in attn.params())
+    assert attn.wq.data.std() == pytest.approx(0.01, rel=0.1)
+    assert attn.wk.data.std() == pytest.approx(0.01, rel=0.1)
+    assert attn.wv.data.std() == pytest.approx(2.0, rel=0.1)
+    default = Attention("b", 64, np.random.default_rng(22))
+    assert default.wv.data.std() == pytest.approx(1 / 8, rel=0.1)
+
+
+def test_image_encode_matches_oracle():
+    enc = make_image_encoder()
+    tokens = (4, 0, 31, 4)
+    rows = np.vstack([enc.cls.data, enc.embedding.data[list(tokens)]])
+    rows = rows + enc.positions.data[: len(tokens) + 1]
+    expected = rows + attention_oracle(rows, rows, *attention_arrays(enc.attn))
+    out = enc.encode(TokenSeq(tokens, KIND_REFERENCE))
+    assert np.allclose(out.data, expected, atol=1e-12)
+
+
+def test_text_encode_matches_oracle():
+    enc = TextEncoder("txt", vocab=12, dim=DIM, max_tokens=8, rng=np.random.default_rng(4))
+    tokens = (3, 11, 3)
+    rows = enc.embedding.data[list(tokens)] + enc.positions.data[: len(tokens)]
+    expected = rows + attention_oracle(rows, rows, *attention_arrays(enc.attn))
+    assert np.allclose(enc.encode(TokenSeq(tokens, KIND_TEXT)).data, expected, atol=1e-12)
 
 
 def test_token_seq_rejects_empty():
@@ -61,7 +105,8 @@ def test_image_encode_rejects_overlong():
 
 
 def test_permuting_tokens_permutes_rows_without_positions():
-    enc = make_image_encoder(positional=False)
+    enc = make_image_encoder()
+    enc.positions.data[...] = 0.0  # zero positional vectors: only token identity is left
     tokens = (2, 7, 11, 3)
     perm = (11, 3, 2, 7)
     out = enc.encode(TokenSeq(tokens, KIND_REFERENCE)).data
@@ -119,8 +164,14 @@ class TestCrossEncoder:
         self.f_c = T.Tensor(rng.normal(size=(3, DIM)))
 
     def test_disabled_attention_is_identity(self):
-        out = self.cross(self.f_r, self.f_c, enabled=False)
-        assert out is self.f_r
+        self.cross.wv.data[...] = 0.0  # zero values switch the attention term off
+        out = self.cross(self.f_r, self.f_c)
+        assert np.array_equal(out.data, self.f_r.data)
+
+    def test_matches_oracle(self):
+        expected = self.f_r.data + attention_oracle(
+            self.f_r.data, self.f_c.data, *attention_arrays(self.cross))
+        assert np.allclose(self.cross(self.f_r, self.f_c).data, expected, atol=1e-12)
 
     def test_shape_preserved(self):
         assert self.cross(self.f_r, self.f_c).shape == (5, DIM)
@@ -147,9 +198,10 @@ class TestQueryFusion:
 
     def test_no_prompts_disabled_attention_reduces_to_text_mean(self):
         fusion = QueryFusion("q", DIM, n_prompts=0, rng=self.rng)
+        fusion.attn.wv.data[...] = 0.0  # zero values switch the attention term off
         f_c = T.Tensor(self.rng.normal(size=(4, DIM)))
         f_r = T.Tensor(self.rng.normal(size=(5, DIM)))
-        emb = fusion.query_embedding(f_c, f_r, enabled=False)
+        emb = fusion.query_embedding(f_c, f_r)
         mean = f_c.data.mean(axis=0, keepdims=True)
         assert np.allclose(emb.data, mean / np.linalg.norm(mean), atol=1e-12)
 
@@ -165,6 +217,18 @@ class TestQueryFusion:
         fusion = QueryFusion("q", DIM, n_prompts=2, rng=self.rng)
         f_c = T.Tensor(self.rng.normal(size=(3, DIM)))
         f_r = T.Tensor(self.rng.normal(size=(4, DIM)))
-        fused = fusion.fuse(f_c, f_r, enabled=False).data  # attention off isolates the add
+        fusion.attn.wv.data[...] = 0.0  # zero values isolate the add
+        fused = fusion.fuse(f_c, f_r).data
         assert np.allclose(fused[:2], 0.0, atol=1e-12)
         assert np.allclose(fused[2:], np.tile(f_c.data.mean(axis=0), (3, 1)), atol=1e-12)
+
+    def test_fuse_matches_oracle(self):
+        fusion = QueryFusion("q", DIM, n_prompts=2, rng=self.rng)
+        f_c = self.rng.normal(size=(3, DIM))
+        f_r = self.rng.normal(size=(4, DIM))
+        out = attention_oracle(np.vstack([fusion.prompts.data, f_c]), f_r,
+                               *attention_arrays(fusion.attn))
+        out[2:] += f_c.mean(axis=0)
+        fused = fusion.fuse(T.Tensor(f_c), T.Tensor(f_r))
+        assert np.allclose(fused.data, out, atol=1e-12)
+        assert [p.name for p in fusion.params()] == ["q.prompts", "q.wq", "q.wk", "q.wv"]

@@ -10,7 +10,6 @@ from cirtrain.metrics import (
     rank_gallery,
     rank_within_subset,
     recall_at_k,
-    recall_subset_at_k,
     summarize,
 )
 from oracles import rank_oracle
@@ -119,7 +118,7 @@ def test_subset_recall_never_below_full_recall():
         sub = rank_within_subset("q", subset, score_of, target)
         assert sub.rank_of_target <= full.rank_of_target
         for k in (1, 2, 3):
-            assert recall_subset_at_k([sub], k) >= recall_at_k([full], k)
+            assert recall_at_k([sub], k) >= recall_at_k([full], k)
 
 
 def test_challenge_metric_arithmetic():

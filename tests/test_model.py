@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -154,3 +155,56 @@ def test_query_and_target_embeddings_unit_norm():
     assert q.shape == t.shape == (1, 8)
     assert np.linalg.norm(q.data) == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(t.data) == pytest.approx(1.0, abs=1e-9)
+
+
+def _default_layout():
+    d, img, txt, n = 20, 28, 16, 16  # RunConfig defaults
+    square = (d, d)
+    layout = {}
+    for enc, vocab, frozen in (("ref_encoder", img, True), ("tgt_encoder", img, True)):
+        layout[f"{enc}.embedding"] = ((vocab, d), frozen)
+        layout[f"{enc}.cls"] = ((1, d), frozen)
+        layout[f"{enc}.positions"] = ((n + 1, d), frozen)
+    layout["text_encoder.embedding"] = ((txt, d), False)
+    layout["text_encoder.positions"] = ((n, d), False)
+    layout["fusion.prompts"] = ((8, d), False)
+    for prefix, frozen in (("ref_encoder.attn", True), ("tgt_encoder.attn", True),
+                           ("text_encoder.attn", False), ("cross_encoder", False),
+                           ("fusion", False), ("compositor.target_branch", False),
+                           ("compositor.reference_branch", False)):
+        for w in ("wq", "wk", "wv"):
+            layout[f"{prefix}.{w}"] = (square, frozen)
+    for w in ("w_ref", "w_text", "w_target", "w_value"):
+        layout[f"bridge.{w}"] = (square, False)
+    return layout
+
+
+def test_default_checkpoint_layout_pinned(tmp_path):
+    # names, shapes and frozen flags are the checkpoint format; saved files depend on them
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(RetrievalModel(RunConfig()), path)
+    doc = json.loads(path.read_text())
+    layout = {name: (tuple(e["shape"]), e["frozen"]) for name, e in doc.items()}
+    assert len(layout) == 34
+    assert layout == _default_layout()
+
+
+@pytest.mark.parametrize("name,field,bad", [
+    ("tgt_encoder.positions", "shape", [3, 8]),
+    ("fusion.wq", "frozen", True),
+    ("compositor.reference_branch.wv", "data", [0.0]),
+])
+def test_failed_load_leaves_every_parameter_unchanged(tmp_path, name, field, bad):
+    cfg = small_config()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(RetrievalModel(cfg), path)
+    doc = json.loads(path.read_text())
+    doc[name][field] = bad
+    path.write_text(json.dumps(doc))
+
+    target = RetrievalModel(cfg, seed=999)
+    before = {n: p.data.copy() for n, p in target.parameters().items()}
+    with pytest.raises(ValueError):
+        load_checkpoint(target, path)
+    for n, p in target.parameters().items():
+        assert np.array_equal(p.data, before[n]), n

@@ -144,7 +144,9 @@ def _fd_case(name, build, shapes):
     ("concat0", lambda a, b: T.concat([a, b], 0), [(2, 3), (4, 3)]),
     ("concat1", lambda a, b: T.concat([a, b], 1), [(3, 2), (3, 4)]),
     ("slice_rows", lambda a: T.slice_rows(a, 1, 3), [(4, 3)]),
-    ("slice_cols", lambda a: T.slice_cols(a, 0, 2), [(3, 4)]),
+    ("attention", lambda q, k, v: T.matmul(
+        T.softmax_rows(T.scalar_mul(T.matmul(q, T.transpose(k)), 0.5)), v),
+     [(3, 4), (5, 4), (5, 2)]),
     ("softmax_rows", lambda a: T.mul(T.softmax_rows(a), a), [(3, 5)]),
     ("l2_normalize", lambda a: T.mul(T.l2_normalize_rows(a), a), [(4, 5)]),
     ("sum_all", lambda a: T.sum_all(a), [(3, 4)]),
