@@ -14,12 +14,14 @@ import os
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .config import RunConfig, apply_override, load_config
-from .data import SynthSpec, generate, read_records, write_records
+from .data import generate, read_records, synth_spec_from_config, write_records
 from .metrics import format_report, rank_gallery, rank_within_subset, summarize
 from .model import RetrievalModel, load_checkpoint, save_checkpoint
 from .objective import score_query_against_gallery
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 from .train import gradcheck_passed, run_gradient_check, train_model
 
 
@@ -34,19 +36,6 @@ def _resolve_config(args) -> RunConfig:
     for assignment in args.set or []:
         cfg = apply_override(cfg, assignment)
     return cfg
-
-
-def synth_spec_from_config(cfg: RunConfig) -> SynthSpec:
-    return SynthSpec(
-        image_vocab=cfg.model.image_vocab,
-        text_vocab=cfg.model.text_vocab,
-        latent_dim=cfg.synth.latent_dim,
-        n_train=cfg.synth.n_train,
-        n_val=cfg.synth.n_val,
-        n_attributes=cfg.synth.n_attributes,
-        noise_sigma=cfg.synth.noise_sigma,
-        seed=cfg.synth.seed,
-    )
 
 
 def cmd_synth(cfg: RunConfig) -> int:
@@ -74,23 +63,25 @@ def evaluate_model(model: RetrievalModel, val_records) -> dict:
     targets and summarize full-gallery plus subset recalls."""
     if not val_records:
         raise ValueError("validation set is empty")
+    position = {}
+    for column, record in enumerate(val_records):
+        if position.setdefault(record.id, column) != column:
+            raise ValueError(f"validation id {record.id!r} is repeated")
+    id_keys = np.array(list(position))
     with no_grad():
-        gallery_ids = [r.id for r in val_records]
-        gallery_rows = [model.target_embedding(r.target_tokens).data for r in val_records]
-        gallery = Tensor([row.reshape(-1) for row in gallery_rows])
-        full_results, subset_results = [], []
-        for record in val_records:
+        gallery = np.vstack([model.target_embedding(r.target_tokens).data for r in val_records])
+        full_ranks, subset_ranks = [], []
+        for column, record in enumerate(val_records):
             query = model.query_embedding(record.ref_tokens, record.text_tokens)
-            scores = score_query_against_gallery(query, gallery).data
-            score_of = dict(zip(gallery_ids, scores.tolist()))
-            full_results.append(rank_gallery(record.id, gallery_ids, scores, record.id))
+            scores = score_query_against_gallery(query, gallery)
+            full_ranks.append(rank_gallery(scores, id_keys, column))
             if record.subset_ids is not None:
-                subset_results.append(
-                    rank_within_subset(record.id, record.subset_ids, score_of, record.id)
+                subset_ranks.append(
+                    rank_within_subset(scores, position, record.subset_ids, record.id)
                 )
-    if not subset_results:
+    if not subset_ranks:
         raise ValueError("validation records carry no candidate subsets")
-    return summarize(full_results, subset_results)
+    return summarize(full_ranks, subset_ranks)
 
 
 def cmd_eval(cfg: RunConfig) -> int:

@@ -23,6 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import RunConfig
+
 JSONL_FIELDS = ("id", "ref_tokens", "text_tokens", "target_tokens", "subset_ids")
 SUBSET_SIZE = 5
 
@@ -84,6 +86,20 @@ class SynthSpec:
     @property
     def bins(self) -> int:
         return self.image_vocab // self.latent_dim
+
+
+def synth_spec_from_config(cfg: RunConfig) -> SynthSpec:
+    """The SynthSpec a run config describes (vocabularies come from `cfg.model`)."""
+    return SynthSpec(
+        image_vocab=cfg.model.image_vocab,
+        text_vocab=cfg.model.text_vocab,
+        latent_dim=cfg.synth.latent_dim,
+        n_train=cfg.synth.n_train,
+        n_val=cfg.synth.n_val,
+        n_attributes=cfg.synth.n_attributes,
+        noise_sigma=cfg.synth.noise_sigma,
+        seed=cfg.synth.seed,
+    )
 
 
 def tokens_of_latent(latent, bins: int) -> tuple:
@@ -163,11 +179,12 @@ def generate(spec: SynthSpec):
 
     target_latents = np.array([row[2] for row in val_rows], dtype=float)
     ids = [f"val-{i:05d}" for i in range(spec.n_val)]
+    id_keys = np.array(ids)
     val = []
     for i, (ref, attr, target) in enumerate(val_rows):
         dists = np.linalg.norm(target_latents - target_latents[i], axis=1)
-        order = sorted(range(spec.n_val), key=lambda j: (dists[j], ids[j]))
-        subset = tuple(ids[j] for j in order[: min(SUBSET_SIZE, spec.n_val)])
+        # nearest first, ties by ascending id
+        subset = tuple(id_keys[np.lexsort((id_keys, dists))[:SUBSET_SIZE]].tolist())
         val.append(
             TripletRecord(
                 id=ids[i],

@@ -1,59 +1,52 @@
 """Retrieval metrics: Recall@K over the full gallery and over candidate subsets.
 
 All fractions live in [0, 1] internally; the CLI multiplies by 100 for
-display.  Ties are broken by ascending gallery id so rankings (and hence
-every metric) are deterministic.
+display.  Ties are broken by ascending gallery id so ranks (and hence
+every metric) are deterministic.  A rank is counted, not sorted: it is one
+plus the number of candidates that order ahead of the target, and the
+metrics need nothing else from a ranking.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numpy as np
 
 
-@dataclass(frozen=True)
-class RankingResult:
-    """One query's gallery ordering and where the true target landed (1-based)."""
-
-    query_id: str
-    ordered_ids: tuple
-    rank_of_target: int
-
-    def __post_init__(self):
-        if not (1 <= self.rank_of_target <= len(self.ordered_ids)):
-            raise ValueError(
-                f"rank {self.rank_of_target} outside [1, {len(self.ordered_ids)}]"
-            )
-
-
-def rank_gallery(query_id: str, gallery_ids, scores, target_id: str) -> RankingResult:
-    """Order gallery ids by descending score, ties by ascending id."""
-    gallery_ids = list(gallery_ids)
-    scores = [float(s) for s in scores]
-    if len(gallery_ids) != len(scores):
-        raise ValueError("gallery ids and scores must have equal length")
-    if target_id not in gallery_ids:
-        raise ValueError(f"target {target_id!r} missing from gallery")
-    order = sorted(range(len(gallery_ids)), key=lambda i: (-scores[i], gallery_ids[i]))
-    ordered = tuple(gallery_ids[i] for i in order)
-    return RankingResult(query_id, ordered, ordered.index(target_id) + 1)
+def rank_gallery(scores, ids, target: int) -> int:
+    """1-based rank of column `target` under descending score, ties by
+    ascending id: one plus the count of columns that score higher, or score
+    the same with a smaller id."""
+    scores, ids = np.asarray(scores, dtype=float), np.asarray(ids)
+    if scores.ndim != 1 or scores.shape != ids.shape:
+        raise ValueError("scores and ids must be 1-D and of equal length")
+    if not 0 <= target < len(scores):
+        raise ValueError(f"target column {target} outside a gallery of {len(scores)}")
+    s_t, id_t = scores[target], ids[target]
+    ahead = (scores > s_t) | ((scores == s_t) & (ids < id_t))
+    return 1 + int(np.count_nonzero(ahead))
 
 
-def rank_within_subset(query_id: str, subset_ids, score_of, target_id: str) -> RankingResult:
-    """Re-rank only the candidate subset; the target must be one of them."""
+def rank_within_subset(scores, position, subset_ids, target_id: str) -> int:
+    """Rank among the candidate subset only; `position` maps a gallery id to
+    its column of the `scores` array, and the target must be a candidate."""
     subset_ids = list(subset_ids)
     if target_id not in subset_ids:
-        raise ValueError(f"target {target_id!r} missing from candidate subset of {query_id!r}")
-    return rank_gallery(query_id, subset_ids, [score_of[s] for s in subset_ids], target_id)
+        raise ValueError(f"target {target_id!r} missing from its candidate subset")
+    missing = [s for s in subset_ids if s not in position]
+    if missing:
+        raise ValueError(f"candidate subset ids {missing} missing from the gallery")
+    columns = [position[s] for s in subset_ids]
+    return rank_gallery(scores[columns], subset_ids, subset_ids.index(target_id))
 
 
-def recall_at_k(results, k: int) -> float:
+def recall_at_k(ranks, k: int) -> float:
     """Fraction of queries whose target ranks within the top k (full gallery or subsets)."""
-    results = list(results)
-    if not results:
-        raise ValueError("recall over an empty result list is undefined")
+    ranks = list(ranks)
+    if not ranks:
+        raise ValueError("recall over an empty rank list is undefined")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return sum(1 for r in results if r.rank_of_target <= k) / len(results)
+    return sum(1 for r in ranks if r <= k) / len(ranks)
 
 
 def challenge_metric(r10: float, r50: float) -> float:
@@ -80,15 +73,15 @@ METRIC_KEYS = (
 )
 
 
-def summarize(full_results, subset_results) -> dict:
+def summarize(full_ranks, subset_ranks) -> dict:
     """The standard report: full-gallery and subset recalls plus their average."""
     report = {
-        "recall_at_1": recall_at_k(full_results, 1),
-        "recall_at_5": recall_at_k(full_results, 5),
-        "recall_at_10": recall_at_k(full_results, 10),
-        "recall_subset_at_1": recall_at_k(subset_results, 1),
-        "recall_subset_at_2": recall_at_k(subset_results, 2),
-        "recall_subset_at_3": recall_at_k(subset_results, 3),
+        "recall_at_1": recall_at_k(full_ranks, 1),
+        "recall_at_5": recall_at_k(full_ranks, 5),
+        "recall_at_10": recall_at_k(full_ranks, 10),
+        "recall_subset_at_1": recall_at_k(subset_ranks, 1),
+        "recall_subset_at_2": recall_at_k(subset_ranks, 2),
+        "recall_subset_at_3": recall_at_k(subset_ranks, 3),
     }
     report["avg_recall5_subset1"] = avg_metric(
         report["recall_at_5"], report["recall_subset_at_1"]

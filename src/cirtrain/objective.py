@@ -91,15 +91,15 @@ def total_loss(l_match: Tensor, l_align: Tensor | None, l_reason: Tensor | None,
     return total
 
 
-def score_query_against_gallery(query: Tensor, gallery: Tensor) -> Tensor:
+def score_query_against_gallery(query: Tensor, gallery: np.ndarray) -> np.ndarray:
     """Cosine score of one query row against each gallery row (rows pre-normalized).
 
     This is the whole inference-time scoring path: plain dot products, no
     graph recording and no attention machinery.
     """
-    if gallery.data.ndim != 2 or gallery.shape[0] == 0:
+    if gallery.ndim != 2 or gallery.shape[0] == 0:
         raise ValueError("gallery must be a non-empty G x d matrix")
     q = query.data.reshape(-1)
     if q.shape[0] != gallery.shape[1]:
         raise ValueError(f"query dim {q.shape[0]} does not match gallery dim {gallery.shape[1]}")
-    return Tensor(gallery.data @ q)
+    return gallery @ q

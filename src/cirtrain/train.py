@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .data import SynthSpec, batches, generate
+from .data import batches, generate, synth_spec_from_config
 from .model import RetrievalModel
 from .tensor import NonFiniteError, no_grad
 
@@ -141,12 +141,7 @@ def run_gradient_check(cfg: RunConfig | None = None, corrupt: str | None = None)
     hook for tests of the checker itself).
     """
     cfg = gradcheck_config() if cfg is None else cfg
-    sc = cfg.synth
-    train_records, _ = generate(SynthSpec(
-        image_vocab=cfg.model.image_vocab, text_vocab=cfg.model.text_vocab,
-        latent_dim=sc.latent_dim, n_train=sc.n_train, n_val=sc.n_val,
-        n_attributes=sc.n_attributes, noise_sigma=sc.noise_sigma, seed=sc.seed,
-    ))
+    train_records, _ = generate(synth_spec_from_config(cfg))
     batch = train_records[: cfg.training.batch_size]
     model = RetrievalModel(cfg)
 

@@ -5,15 +5,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cirtrain
-from cirtrain.cli import cmd_eval, cmd_synth, cmd_train, main
+from cirtrain.cli import cmd_eval, cmd_synth, cmd_train, evaluate_model, main
 from cirtrain.config import RunConfig
-from cirtrain.data import read_records
+from cirtrain.data import generate, read_records, synth_spec_from_config
 from cirtrain.metrics import METRIC_KEYS
 from cirtrain.model import RetrievalModel
+from cirtrain.tensor import no_grad
 from cirtrain.train import train_model
+from oracles import rank_oracle
 
 
 def tiny_config(tmp_path, **overrides):
@@ -48,9 +51,9 @@ def test_synth_writes_expected_counts(tmp_path, capsys):
 def test_synth_deterministic_files(tmp_path):
     cfg = tiny_config(tmp_path)
     cmd_synth(cfg)
-    first = (open(cfg.paths.train_set, "rb").read(), open(cfg.paths.val_set, "rb").read())
+    first = (Path(cfg.paths.train_set).read_bytes(), Path(cfg.paths.val_set).read_bytes())
     cmd_synth(cfg)
-    second = (open(cfg.paths.train_set, "rb").read(), open(cfg.paths.val_set, "rb").read())
+    second = (Path(cfg.paths.train_set).read_bytes(), Path(cfg.paths.val_set).read_bytes())
     assert first == second
 
 
@@ -58,19 +61,19 @@ def test_train_writes_checkpoint_log_and_decreasing_loss(tmp_path, capsys):
     cfg = tiny_config(tmp_path, epochs=3)
     cmd_synth(cfg)
     assert cmd_train(cfg) == 0
-    lines = [json.loads(l) for l in open(cfg.paths.train_log)]
+    lines = [json.loads(l) for l in Path(cfg.paths.train_log).read_text().splitlines()]
     assert len(lines) == 3
     assert lines[-1]["total"] < lines[0]["total"]
-    assert json.load(open(cfg.paths.checkpoint))  # non-empty checkpoint document
+    assert json.loads(Path(cfg.paths.checkpoint).read_text())  # non-empty checkpoint document
 
 
 def test_train_determinism_bitwise_checkpoints(tmp_path):
     cfg = tiny_config(tmp_path)
     cmd_synth(cfg)
     cmd_train(cfg)
-    first = open(cfg.paths.checkpoint, "rb").read()
+    first = Path(cfg.paths.checkpoint).read_bytes()
     cmd_train(cfg)
-    second = open(cfg.paths.checkpoint, "rb").read()
+    second = Path(cfg.paths.checkpoint).read_bytes()
     assert first == second
 
 
@@ -81,10 +84,68 @@ def test_eval_report_keys_and_missing_checkpoint(tmp_path, capsys):
         cmd_eval(cfg)
     cmd_train(cfg)
     assert cmd_eval(cfg) == 0
-    report = json.load(open(cfg.paths.report))
+    report = json.loads(Path(cfg.paths.report).read_text())
     assert set(report) == set(METRIC_KEYS)
     table = capsys.readouterr().out
     assert "recall_at_1" in table
+
+
+def full_sort_report(model, val_records):
+    """The eval report recomputed straight-line: a full sort per query and per subset."""
+    ids = [r.id for r in val_records]
+    with no_grad():
+        gallery = np.vstack([model.target_embedding(r.target_tokens).data for r in val_records])
+        queries = [model.query_embedding(r.ref_tokens, r.text_tokens).data.reshape(-1)
+                   for r in val_records]
+    full, subset = [], []
+    for record, query in zip(val_records, queries):
+        scores = (gallery @ query).tolist()
+        score_of = dict(zip(ids, scores))
+        full.append(rank_oracle(ids, scores, record.id)[1])
+        subset_scores = [score_of[s] for s in record.subset_ids]
+        subset.append(rank_oracle(list(record.subset_ids), subset_scores, record.id)[1])
+
+    def recall(ranks, k):
+        return sum(rank <= k for rank in ranks) / len(ranks)
+
+    report = {f"recall_at_{k}": recall(full, k) for k in (1, 5, 10)}
+    report.update({f"recall_subset_at_{k}": recall(subset, k) for k in (1, 2, 3)})
+    report["avg_recall5_subset1"] = (report["recall_at_5"] + report["recall_subset_at_1"]) / 2
+    return report, gallery
+
+
+def test_evaluate_model_matches_full_sort_oracle(tmp_path):
+    cfg = tiny_config(tmp_path)
+    cfg.synth = dataclasses.replace(cfg.synth, n_val=64)
+    _, val = generate(synth_spec_from_config(cfg))
+    model = RetrievalModel(cfg)
+    expected, gallery = full_sort_report(model, val)
+    assert len({row.tobytes() for row in gallery}) == len(val)
+    assert evaluate_model(model, val) == expected
+
+    # a zero target encoder embeds every target alike, so every score ties
+    # and only the ascending-id tie-break orders the gallery
+    for name, p in model.parameters().items():
+        if name.startswith("tgt_encoder."):
+            p.data[...] = 0.0
+    expected, gallery = full_sort_report(model, val)
+    assert len({row.tobytes() for row in gallery}) == 1
+    assert evaluate_model(model, val) == expected
+
+
+def test_evaluate_model_rejects_repeated_and_unknown_ids(tmp_path):
+    cfg = tiny_config(tmp_path)
+    _, val = generate(synth_spec_from_config(cfg))
+    val = [dataclasses.replace(r, subset_ids=(r.id,)) for r in val[:16]]
+    model = RetrievalModel(cfg)
+    repeated = list(val)
+    repeated[1] = dataclasses.replace(val[1], id=val[0].id, subset_ids=(val[0].id,))
+    with pytest.raises(ValueError, match=f"{val[0].id!r} is repeated"):
+        evaluate_model(model, repeated)
+    unknown = list(val)
+    unknown[2] = dataclasses.replace(val[2], subset_ids=(val[2].id, "val-99999"))
+    with pytest.raises(ValueError, match="'val-99999'] missing from the gallery"):
+        evaluate_model(model, unknown)
 
 
 def test_disabled_auxiliaries_logged_as_null(tmp_path):
@@ -92,7 +153,7 @@ def test_disabled_auxiliaries_logged_as_null(tmp_path):
     cfg.ablation = dataclasses.replace(cfg.ablation, use_alignment=False, use_reasoning=False)
     cmd_synth(cfg)
     cmd_train(cfg)
-    row = json.loads(open(cfg.paths.train_log).readline())
+    row = json.loads(Path(cfg.paths.train_log).read_text().splitlines()[0])
     assert row["alignment"] is None and row["reasoning"] is None
 
 

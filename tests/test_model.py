@@ -8,7 +8,7 @@ from cirtrain.config import RunConfig
 from cirtrain.data import SynthSpec, generate
 from cirtrain.model import RetrievalModel, load_checkpoint, save_checkpoint
 from cirtrain.objective import score_query_against_gallery
-from cirtrain.tensor import Tensor, no_grad
+from cirtrain.tensor import no_grad
 from cirtrain.train import Adam
 
 
@@ -102,9 +102,7 @@ def test_inference_never_reads_training_only_params():
     baseline = {p.name: p.reads for p in training_only}
 
     with no_grad():
-        gallery = Tensor(np.vstack([
-            model.target_embedding(r.target_tokens).data for r in records
-        ]))
+        gallery = np.vstack([model.target_embedding(r.target_tokens).data for r in records])
         for r in records:
             q = model.query_embedding(r.ref_tokens, r.text_tokens)
             score_query_against_gallery(q, gallery)
