@@ -13,7 +13,7 @@ engine so every gradient is checkable against finite differences.
 from .config import RunConfig
 from .data import SynthSpec, TripletRecord, generate
 from .model import RetrievalModel, load_checkpoint, save_checkpoint
-from .objective import LossBreakdown, ObjectiveWeights
+from .objective import LossBreakdown
 from .tensor import Param, Tensor
 
 __all__ = [
@@ -25,7 +25,6 @@ __all__ = [
     "load_checkpoint",
     "save_checkpoint",
     "LossBreakdown",
-    "ObjectiveWeights",
     "Param",
     "Tensor",
 ]

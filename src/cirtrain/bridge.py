@@ -31,23 +31,12 @@ from .tensor import (
 class BridgeParams:
     """Projection weights for the two-hop attention chain.
 
-    With share_text_projection (the default) the text is projected by the
-    same matrix in both hops, so w_text_query is literally w_text: one
-    storage, one gradient buffer.
+    With share_text_projection the text is projected by the same matrix in
+    both hops, so w_text_query is literally w_text: one storage, one
+    gradient buffer.
     """
 
-    def __init__(
-        self,
-        dim: int,
-        rng: np.random.Generator,
-        tau: float = 0.1,
-        share_text_projection: bool = True,
-    ):
-        if tau <= 0:
-            raise ValueError("tau must be > 0")
-        self.dim = dim
-        self.tau = tau
-        self.share_text_projection = share_text_projection
+    def __init__(self, dim: int, rng: np.random.Generator, share_text_projection: bool):
         scale = 1.0 / math.sqrt(dim)
         self.w_ref = Param("bridge.w_ref", rng.normal(0.0, scale, (dim, dim)))
         self.w_text = Param("bridge.w_text", rng.normal(0.0, scale, (dim, dim)))
@@ -60,10 +49,9 @@ class BridgeParams:
         self.w_value = Param("bridge.w_value", rng.normal(0.0, scale, (dim, dim)))
 
     def params(self):
-        out = [self.w_ref, self.w_text, self.w_target, self.w_value]
-        if not self.share_text_projection:
-            out.insert(2, self.w_text_query)
-        return out
+        # keyed by identity, so a shared w_text_query is listed once
+        every = (self.w_ref, self.w_text, self.w_text_query, self.w_target, self.w_value)
+        return list({id(w): w for w in every}.values())
 
 
 def attend_ref_to_text(f_r_bar: Tensor, f_c: Tensor, p: BridgeParams) -> Tensor:
@@ -103,7 +91,7 @@ def _pooled(x: Tensor) -> Tensor:
     return l2_normalize_rows(mean_axis(x, axis=0))
 
 
-def alignment_loss(triplet_features, p: BridgeParams) -> Tensor:
+def alignment_loss(triplet_features, p: BridgeParams, tau: float) -> Tensor:
     """Contrastive alignment of reference features with bridged target features.
 
     triplet_features is a list of (f_r_bar, f_c, f_t) tensors, one per batch
@@ -134,4 +122,4 @@ def alignment_loss(triplet_features, p: BridgeParams) -> Tensor:
             pooled_bridge = _pooled(matmul(a_r2t, v_targets[j]))
             sims.append(matmul(pooled_refs[i], transpose(pooled_bridge)))
         rows.append(concat(sims, axis=1) if b > 1 else sims[0])
-    return in_batch_nll(stack_rows(rows), p.tau)
+    return in_batch_nll(stack_rows(rows), tau)

@@ -29,25 +29,14 @@ from .tensor import (
 
 log = logging.getLogger(__name__)
 
-TARGET_ORIENTED = "target_oriented"
-REFERENCE_ORIENTED = "reference_oriented"
-
 
 class CompositorParams:
     """Weights and layout of the two fusion branches."""
 
-    def __init__(
-        self,
-        dim: int,
-        rng: np.random.Generator,
-        layers: int = 4,
-        share_branches: bool = False,
-    ):
+    def __init__(self, dim: int, rng: np.random.Generator, layers: int, share_branches: bool):
         if layers < 1:
             raise ValueError("compositor needs at least one attention layer")
-        self.dim = dim
         self.layers = layers
-        self.share_branches = share_branches
         self.target_branch = Attention("compositor.target_branch", dim, rng)
         self.reference_branch = (
             self.target_branch
@@ -55,21 +44,13 @@ class CompositorParams:
             else Attention("compositor.reference_branch", dim, rng)
         )
 
-    def branch(self, name: str) -> Attention:
-        if name == TARGET_ORIENTED:
-            return self.target_branch
-        if name == REFERENCE_ORIENTED:
-            return self.reference_branch
-        raise ValueError(f"unknown branch {name!r}")
-
     def params(self):
-        out = list(self.target_branch.params())
-        if not self.share_branches:
-            out += self.reference_branch.params()
-        return out
+        # keyed by identity, so shared branches are listed once
+        every = self.target_branch.params() + self.reference_branch.params()
+        return list({id(w): w for w in every}.values())
 
 
-def fuse_branch(anchor: Tensor, other: Tensor, p: CompositorParams, branch: str) -> Tensor:
+def fuse_branch(anchor: Tensor, other: Tensor, attend: Attention, layers: int) -> Tensor:
     """Run M attention layers with `anchor` as the fixed query over the evolving state.
 
     The state starts at `other`; every layer reuses the branch's single
@@ -77,9 +58,8 @@ def fuse_branch(anchor: Tensor, other: Tensor, p: CompositorParams, branch: str)
     """
     if anchor.shape[1] != other.shape[1]:
         raise ValueError(f"feature dims disagree: {anchor.shape} vs {other.shape}")
-    attend = p.branch(branch)
     state = other
-    for _ in range(p.layers):
+    for _ in range(layers):
         state = attend(anchor, state)
     return state
 
@@ -88,15 +68,15 @@ def compose(f_r_prime: Tensor, f_t: Tensor, p: CompositorParams) -> Tensor:
     """Average the two branches' CLS rows into one L2-normalized 1 x d vector."""
     if f_r_prime.shape[0] == 0 or f_t.shape[0] == 0:
         raise ValueError("compose: inputs must carry a CLS row (row 0)")
-    h_target = fuse_branch(f_r_prime, f_t, p, TARGET_ORIENTED)
-    h_reference = fuse_branch(f_t, f_r_prime, p, REFERENCE_ORIENTED)
+    h_target = fuse_branch(f_r_prime, f_t, p.target_branch, p.layers)
+    h_reference = fuse_branch(f_t, f_r_prime, p.reference_branch, p.layers)
     mean_cls = scalar_mul(add(slice_rows(h_target, 0, 1), slice_rows(h_reference, 0, 1)), 0.5)
     if float(np.linalg.norm(mean_cls.data)) < 1e-12:
         log.warning("degenerate composite vector: branch CLS rows cancel")
     return l2_normalize_rows(mean_cls)
 
 
-def reasoning_loss(triplet_features, p: CompositorParams, tau: float = 0.1) -> Tensor:
+def reasoning_loss(triplet_features, p: CompositorParams, tau: float) -> Tensor:
     """Contrast each composite visual vector against all in-batch texts.
 
     triplet_features is a list of (f_r_prime, f_t, f_c) tensors per batch

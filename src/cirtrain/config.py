@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -27,6 +28,14 @@ class ObjectiveConfig:
     alpha: float = 0.45
     beta: float = 0.1
     tau: float = 0.1
+
+    def __post_init__(self):
+        # written as `not x >= 0` / `not x > 0` so that NaN fails too
+        for key in ("alpha", "beta"):
+            if not getattr(self, key) >= 0:
+                raise ValueError(f"objective.{key} must be >= 0, got {getattr(self, key)!r}")
+        if not self.tau > 0:
+            raise ValueError(f"objective.tau must be > 0, got {self.tau!r}")
 
 
 @dataclass
@@ -112,7 +121,10 @@ def _coerce(value, expected, key: str):
     if expected is float:
         if isinstance(value, bool) or not isinstance(value, (int, float, str)):
             raise ValueError(f"{key}: expected a number, got {value!r}")
-        return float(value)
+        number = float(value)
+        if not math.isfinite(number):
+            raise ValueError(f"{key}: expected a finite number, got {value!r}")
+        return number
     return str(value)
 
 

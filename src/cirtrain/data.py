@@ -49,6 +49,8 @@ class TripletRecord:
             subset = tuple(str(s) for s in self.subset_ids)
             if self.id not in subset:
                 raise ValueError(f"subset of {self.id} does not contain its own target")
+            if len(set(subset)) != len(subset):
+                raise ValueError(f"subset of {self.id} repeats a candidate id: {subset}")
             object.__setattr__(self, "subset_ids", subset)
 
 
@@ -247,6 +249,8 @@ def batches(records, batch_size: int, seed: int, epoch: int = 0):
         raise ValueError("cannot batch an empty dataset")
     if batch_size < 1:
         raise ValueError("batch_size must be >= 1")
+    if len(records) < batch_size:
+        raise ValueError(f"batch_size {batch_size} exceeds the {len(records)} records: no batch fits")
     perm = np.random.default_rng([seed, epoch]).permutation(len(records))
     for start in range(0, len(records) - batch_size + 1, batch_size):
         yield [records[int(i)] for i in perm[start:start + batch_size]]

@@ -27,7 +27,7 @@ from .encoders import (
     TextEncoder,
     TokenSeq,
 )
-from .objective import LossBreakdown, ObjectiveWeights, matching_loss, total_loss
+from .objective import LossBreakdown, matching_loss, total_loss
 from .tensor import Tensor, l2_normalize_rows, slice_rows
 
 
@@ -35,7 +35,6 @@ class RetrievalModel:
     def __init__(self, cfg: RunConfig, seed: int | None = None):
         mc, ab = cfg.model, cfg.ablation
         self.cfg = cfg
-        self.weights = ObjectiveWeights(cfg.objective.alpha, cfg.objective.beta, cfg.objective.tau)
         rng = np.random.default_rng(cfg.training.seed if seed is None else seed)
 
         self.ref_encoder = ImageEncoder(
@@ -51,10 +50,7 @@ class RetrievalModel:
         )
         self.cross_encoder = CrossEncoder("cross_encoder", mc.dim, rng)
         self.fusion = QueryFusion("fusion", mc.dim, mc.prompts, rng)
-        self.bridge = BridgeParams(
-            mc.dim, rng, tau=cfg.objective.tau,
-            share_text_projection=ab.share_text_projection,
-        )
+        self.bridge = BridgeParams(mc.dim, rng, share_text_projection=ab.share_text_projection)
         self.compositor = CompositorParams(
             mc.dim, rng, layers=mc.compositor_layers,
             share_branches=ab.share_compositor_branches,
@@ -104,29 +100,27 @@ class RetrievalModel:
         records = list(records)
         if not records:
             raise ValueError("batch_losses: empty batch")
-        ab, w = self.cfg.ablation, self.weights
+        ab, ob = self.cfg.ablation, self.cfg.objective
         feats = [self.encode_triplet(r) for r in records]
 
         query_embs = [self.fusion.query_embedding(f["f_c"], f["f_r"]) for f in feats]
         target_embs = [self.pooled_target(f["f_t"]) for f in feats]
-        l_match = matching_loss(query_embs, target_embs, w)
+        l_match = matching_loss(query_embs, target_embs, ob.tau)
 
         l_align = None
-        if ab.use_alignment and w.alpha > 0:
+        if ab.use_alignment and ob.alpha > 0:
             ref_key = "f_r_bar" if ab.attentive_reference else "f_r"
             l_align = alignment_loss(
-                [(f[ref_key], f["f_c"], f["f_t"]) for f in feats], self.bridge
+                [(f[ref_key], f["f_c"], f["f_t"]) for f in feats], self.bridge, ob.tau
             )
 
         l_reason = None
-        if ab.use_reasoning and w.beta > 0:
+        if ab.use_reasoning and ob.beta > 0:
             l_reason = reasoning_loss(
-                [(f["f_r_prime"], f["f_t"], f["f_c"]) for f in feats],
-                self.compositor,
-                tau=w.tau,
+                [(f["f_r_prime"], f["f_t"], f["f_c"]) for f in feats], self.compositor, ob.tau
             )
 
-        total = total_loss(l_match, l_align, l_reason, w)
+        total = total_loss(l_match, l_align, l_reason, ob.alpha, ob.beta)
         breakdown = LossBreakdown(
             matching=l_match.item(),
             alignment=None if l_align is None else l_align.item(),

@@ -20,21 +20,6 @@ from .tensor import (
 )
 
 
-@dataclass(frozen=True)
-class ObjectiveWeights:
-    """Trade-off weights for the two auxiliary losses plus the shared temperature."""
-
-    alpha: float = 0.45
-    beta: float = 0.1
-    tau: float = 0.1
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be >= 0")
-        if self.tau <= 0:
-            raise ValueError("tau must be > 0")
-
-
 @dataclass
 class LossBreakdown:
     """Per-step scalar values of the three terms and their weighted total."""
@@ -65,7 +50,7 @@ def stack_rows(rows) -> Tensor:
     return rows[0] if len(rows) == 1 else concat(rows, axis=0)
 
 
-def matching_loss(query_embs, target_embs, w: ObjectiveWeights) -> Tensor:
+def matching_loss(query_embs, target_embs, tau: float) -> Tensor:
     """In-batch contrastive loss between pooled query and pooled target embeddings.
 
     Both inputs are lists of L2-normalized 1 x d tensors; entry i of each list
@@ -77,17 +62,17 @@ def matching_loss(query_embs, target_embs, w: ObjectiveWeights) -> Tensor:
     if len(query_embs) != len(target_embs):
         raise ValueError("matching_loss: query/target counts disagree")
     sim = matmul(stack_rows(query_embs), transpose(stack_rows(target_embs)))
-    return in_batch_nll(sim, w.tau)
+    return in_batch_nll(sim, tau)
 
 
 def total_loss(l_match: Tensor, l_align: Tensor | None, l_reason: Tensor | None,
-               w: ObjectiveWeights) -> Tensor:
+               alpha: float, beta: float) -> Tensor:
     """Weighted sum of the three terms; absent auxiliaries contribute nothing."""
     total = l_match
     if l_align is not None:
-        total = add(total, scalar_mul(l_align, w.alpha))
+        total = add(total, scalar_mul(l_align, alpha))
     if l_reason is not None:
-        total = add(total, scalar_mul(l_reason, w.beta))
+        total = add(total, scalar_mul(l_reason, beta))
     return total
 
 

@@ -4,8 +4,10 @@ gradient checker used as the engine's acceptance gate."""
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import logging
+import operator
 import time
 from pathlib import Path
 
@@ -67,9 +69,7 @@ def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
         log_fh = log_path.open("w", encoding="utf-8")
     try:
         for epoch in range(tc.epochs):
-            sums = {"matching": 0.0, "alignment": 0.0, "reasoning": 0.0, "total": 0.0}
-            counts = {k: 0 for k in sums}
-            n_batches = 0
+            steps = []
             for batch in batches(records, tc.batch_size, tc.seed, epoch):
                 model.zero_grad()
                 try:
@@ -81,20 +81,13 @@ def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
                         f"(first non-finite tensor came from op '{err.op}')"
                     ) from err
                 optimizer.step()
-                n_batches += 1
-                for key in sums:
-                    value = getattr(breakdown, key)
-                    if value is not None:
-                        sums[key] += value
-                        counts[key] += 1
-            row = {
-                "epoch": epoch,
-                "batches": n_batches,
-                "matching": sums["matching"] / max(counts["matching"], 1),
-                "alignment": (sums["alignment"] / counts["alignment"]) if counts["alignment"] else None,
-                "reasoning": (sums["reasoning"] / counts["reasoning"]) if counts["reasoning"] else None,
-                "total": sums["total"] / max(counts["total"], 1),
-            }
+                steps.append(dataclasses.asdict(breakdown))
+            row = {"epoch": epoch, "batches": len(steps)}
+            for key in steps[0]:
+                values = [step[key] for step in steps if step[key] is not None]
+                # summed left to right on every Python: from 3.12 the builtin sum compensates
+                summed = functools.reduce(operator.add, values, 0.0)
+                row[key] = summed / len(values) if values else None
             history.append(row)
             line = json.dumps(row)
             log.info("epoch %d: %s", epoch, line)

@@ -19,7 +19,7 @@ from cirtrain.config import RunConfig
 from cirtrain.data import SynthSpec, generate, synth_spec_from_config
 from cirtrain.metrics import avg_metric, challenge_metric, rank_gallery
 from cirtrain.model import RetrievalModel
-from cirtrain.objective import ObjectiveWeights, matching_loss
+from cirtrain.objective import matching_loss
 from cirtrain.train import (
     Adam,
     compare_ablations,
@@ -64,41 +64,41 @@ def test_c1_gradient_suite():
 
 def test_c2_loss_formula_oracles():
     rng = np.random.default_rng(123)
+    tau = RunConfig().objective.tau
     worst = 0.0
     for trial in range(20):
         b = int(rng.integers(1, 5))
         d = int(rng.integers(3, 9))
         n_ref, n_tgt, length = (int(rng.integers(2, 5)) for _ in range(3))
 
-        bridge = BridgeParams(d, np.random.default_rng(trial), tau=0.1,
+        bridge = BridgeParams(d, np.random.default_rng(trial),
                               share_text_projection=bool(trial % 2))
         comp = CompositorParams(d, np.random.default_rng(trial + 500),
-                                layers=1 + trial % 3)
-        w = ObjectiveWeights()
+                                layers=1 + trial % 3, share_branches=False)
 
         triplets = [(rng.normal(size=(n_ref, d)), rng.normal(size=(length, d)),
                      rng.normal(size=(n_tgt, d))) for _ in range(b)]
         tensors = [tuple(T.Tensor(x) for x in tri) for tri in triplets]
 
-        got = alignment_loss(tensors, bridge).item()
+        got = alignment_loss(tensors, bridge, tau).item()
         want = alignment_loss_oracle(
             triplets, bridge.w_ref.data, bridge.w_text.data, bridge.w_text_query.data,
-            bridge.w_target.data, bridge.w_value.data, tau=bridge.tau)
+            bridge.w_target.data, bridge.w_value.data, tau=tau)
         worst = max(worst, abs(got - want))
 
         comp_triplets = [(f_r, f_t, f_c) for f_r, f_c, f_t in triplets]
         comp_tensors = [tuple(T.Tensor(x) for x in tri) for tri in comp_triplets]
-        got = reasoning_loss(comp_tensors, comp, tau=w.tau).item()
+        got = reasoning_loss(comp_tensors, comp, tau).item()
         tgt_w = (comp.target_branch.wq.data, comp.target_branch.wk.data, comp.target_branch.wv.data)
         ref_w = (comp.reference_branch.wq.data, comp.reference_branch.wk.data, comp.reference_branch.wv.data)
-        want = reasoning_loss_oracle(comp_triplets, tgt_w, ref_w, comp.layers, tau=w.tau)
+        want = reasoning_loss_oracle(comp_triplets, tgt_w, ref_w, comp.layers, tau=tau)
         worst = max(worst, abs(got - want))
 
         q = np_l2n(rng.normal(size=(b, d)))
         t = np_l2n(rng.normal(size=(b, d)))
         got = matching_loss([T.Tensor(r.reshape(1, -1)) for r in q],
-                            [T.Tensor(r.reshape(1, -1)) for r in t], w).item()
-        want = matching_loss_oracle(list(q), list(t), w.tau)
+                            [T.Tensor(r.reshape(1, -1)) for r in t], tau).item()
+        want = matching_loss_oracle(list(q), list(t), tau)
         worst = max(worst, abs(got - want))
 
     assert worst < 1e-9
@@ -117,7 +117,7 @@ def test_c3_invariant_suite():
     assert np.allclose(s.data.sum(axis=1), 1.0, atol=1e-9)
 
     # cosine bounds on both association matrices
-    bridge = BridgeParams(d, np.random.default_rng(1))
+    bridge = BridgeParams(d, np.random.default_rng(1), share_text_projection=True)
     f_r = T.Tensor(rng.normal(size=(4, d)) * 3.0)
     f_c = T.Tensor(rng.normal(size=(3, d)) * 0.2)
     f_t = T.Tensor(rng.normal(size=(5, d)))
@@ -126,8 +126,8 @@ def test_c3_invariant_suite():
         assert np.all(matrix >= -1 - 1e-12) and np.all(matrix <= 1 + 1e-12)
 
     # batch-permutation invariance of all three losses
-    comp = CompositorParams(d, np.random.default_rng(2), layers=2)
-    w = ObjectiveWeights()
+    comp = CompositorParams(d, np.random.default_rng(2), layers=2, share_branches=False)
+    tau = RunConfig().objective.tau
     triplets = [(rng.normal(size=(3, d)), rng.normal(size=(2, d)), rng.normal(size=(4, d)))
                 for _ in range(4)]
     perm = [2, 0, 3, 1]
@@ -135,25 +135,25 @@ def test_c3_invariant_suite():
     def tensors(rows):
         return [tuple(T.Tensor(x) for x in tri) for tri in rows]
 
-    a = alignment_loss(tensors(triplets), bridge).item()
-    b = alignment_loss(tensors([triplets[i] for i in perm]), bridge).item()
+    a = alignment_loss(tensors(triplets), bridge, tau).item()
+    b = alignment_loss(tensors([triplets[i] for i in perm]), bridge, tau).item()
     assert abs(a - b) < 1e-9
     comp_rows = [(f_r, f_t, f_c) for f_r, f_c, f_t in triplets]
-    a = reasoning_loss(tensors(comp_rows), comp).item()
-    b = reasoning_loss(tensors([comp_rows[i] for i in perm]), comp).item()
+    a = reasoning_loss(tensors(comp_rows), comp, tau).item()
+    b = reasoning_loss(tensors([comp_rows[i] for i in perm]), comp, tau).item()
     assert abs(a - b) < 1e-9
     q = np_l2n(rng.normal(size=(4, d)))
     t = np_l2n(rng.normal(size=(4, d)))
     rows_q = [T.Tensor(r.reshape(1, -1)) for r in q]
     rows_t = [T.Tensor(r.reshape(1, -1)) for r in t]
-    a = matching_loss(rows_q, rows_t, w).item()
-    b = matching_loss([rows_q[i] for i in perm], [rows_t[i] for i in perm], w).item()
+    a = matching_loss(rows_q, rows_t, tau).item()
+    b = matching_loss([rows_q[i] for i in perm], [rows_t[i] for i in perm], tau).item()
     assert abs(a - b) < 1e-9
 
     # single-item batches are exactly zero
-    assert alignment_loss(tensors(triplets[:1]), bridge).item() == 0.0
-    assert reasoning_loss(tensors(comp_rows[:1]), comp).item() == 0.0
-    assert matching_loss(rows_q[:1], rows_t[:1], w).item() == 0.0
+    assert alignment_loss(tensors(triplets[:1]), bridge, tau).item() == 0.0
+    assert reasoning_loss(tensors(comp_rows[:1]), comp, tau).item() == 0.0
+    assert matching_loss(rows_q[:1], rows_t[:1], tau).item() == 0.0
 
     # temperature changes sharpness, not the per-query argmax
     sims = np_l2n(rng.normal(size=(5, d))) @ np_l2n(rng.normal(size=(5, d))).T
@@ -177,8 +177,8 @@ def test_c3_invariant_suite():
     assert all(np.array_equal(model.parameters()[k].data, v) for k, v in frozen_before.items())
 
     # compositor parameter count independent of depth
-    shallow = CompositorParams(d, np.random.default_rng(3), layers=1)
-    deep = CompositorParams(d, np.random.default_rng(3), layers=4)
+    shallow = CompositorParams(d, np.random.default_rng(3), layers=1, share_branches=False)
+    deep = CompositorParams(d, np.random.default_rng(3), layers=4, share_branches=False)
     count = lambda p: sum(int(np.prod(q.shape)) for q in p.params())
     assert count(shallow) == count(deep)
 

@@ -22,16 +22,16 @@ from oracles import (
 )
 
 DIM = 6
+TAU = 0.1
 
 
-def make_params(seed=1, share=True, tau=0.1):
-    return BridgeParams(DIM, np.random.default_rng(seed), tau=tau,
-                        share_text_projection=share)
+def make_params(seed=1, share=True):
+    return BridgeParams(DIM, np.random.default_rng(seed), share_text_projection=share)
 
 
-def identity_params(tau=0.1):
+def identity_params():
     """All projections forced to the identity so cosines act on raw features."""
-    p = make_params(tau=tau)
+    p = make_params()
     for param in (p.w_ref, p.w_text, p.w_target, p.w_value):
         param.data[...] = np.eye(DIM)
     return p
@@ -171,7 +171,7 @@ def as_tensors(triplets):
 def test_loss_single_item_batch_is_zero():
     rng = np.random.default_rng(13)
     p = make_params()
-    loss = alignment_loss(as_tensors(_random_triplets(rng, 1)), p)
+    loss = alignment_loss(as_tensors(_random_triplets(rng, 1)), p, TAU)
     assert loss.item() == 0.0
 
 
@@ -181,7 +181,7 @@ def test_loss_two_identical_targets_is_ln2():
     base = _random_triplets(rng, 1)[0]
     shared_target = base[2]
     triplets = [(base[0], base[1], shared_target), (base[0], base[1], shared_target)]
-    loss = alignment_loss(as_tensors(triplets), p)
+    loss = alignment_loss(as_tensors(triplets), p, TAU)
     assert abs(loss.item() - math.log(2.0)) < 1e-12
 
 
@@ -190,8 +190,8 @@ def test_loss_matches_brute_force_oracle():
     for trial in range(5):
         p = make_params(seed=trial, share=bool(trial % 2))
         triplets = _random_triplets(rng, 3)
-        loss = alignment_loss(as_tensors(triplets), p)
-        expected = alignment_loss_oracle(triplets, *weight_arrays(p), tau=p.tau)
+        loss = alignment_loss(as_tensors(triplets), p, TAU)
+        expected = alignment_loss_oracle(triplets, *weight_arrays(p), tau=TAU)
         assert abs(loss.item() - expected) < 1e-9
 
 
@@ -199,8 +199,8 @@ def test_loss_batch_permutation_invariance():
     rng = np.random.default_rng(16)
     p = make_params()
     triplets = _random_triplets(rng, 4)
-    a = alignment_loss(as_tensors(triplets), p).item()
-    b = alignment_loss(as_tensors([triplets[i] for i in (2, 0, 3, 1)]), p).item()
+    a = alignment_loss(as_tensors(triplets), p, TAU).item()
+    b = alignment_loss(as_tensors([triplets[i] for i in (2, 0, 3, 1)]), p, TAU).item()
     assert abs(a - b) < 1e-9
 
 
@@ -219,10 +219,17 @@ def test_temperature_preserves_per_query_ranking():
                 sims[i, j] = np_cosine(pooled_ref, bridged.mean(axis=0))
         return sims
 
-    sharp = per_query_sims(make_params(seed=20, tau=0.1))
-    smooth = per_query_sims(make_params(seed=20, tau=1.0))
+    p = make_params(seed=20)
+    sims = per_query_sims(p)
+    argmaxes = []
+    for tau in (0.1, 1.0):
+        probs = np.exp(sims / tau) / np.exp(sims / tau).sum(axis=1, keepdims=True)
+        # the loss is the mean NLL of these probabilities' diagonal
+        loss = alignment_loss(as_tensors(triplets), p, tau).item()
+        assert abs(loss + np.log(np.diag(probs)).mean()) < 1e-9
+        argmaxes.append(probs.argmax(axis=1))
     # tau scales probabilities, not similarities: argmax per query identical
-    assert np.array_equal(sharp.argmax(axis=1), smooth.argmax(axis=1))
+    assert np.array_equal(*argmaxes)
 
 
 def test_shared_text_projection_is_one_storage():
@@ -239,12 +246,12 @@ def test_gradients_match_finite_differences():
     p = make_params(seed=22, share=True)
     triplets = _random_triplets(rng, 3)
 
-    loss = alignment_loss(as_tensors(triplets), p)
+    loss = alignment_loss(as_tensors(triplets), p, TAU)
     loss.backward()
 
     def value():
         with T.no_grad():
-            return alignment_loss(as_tensors(triplets), p).item()
+            return alignment_loss(as_tensors(triplets), p, TAU).item()
 
     for param in p.params():
         numeric = finite_diff(value, param.data)
@@ -253,4 +260,4 @@ def test_gradients_match_finite_differences():
 
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
-        alignment_loss([], make_params())
+        alignment_loss([], make_params(), TAU)

@@ -157,6 +157,15 @@ def test_disabled_auxiliaries_logged_as_null(tmp_path):
     assert row["alignment"] is None and row["reasoning"] is None
 
 
+def test_train_refuses_dataset_smaller_than_one_batch(tmp_path):
+    cfg = tiny_config(tmp_path, batch_size=16)
+    cfg.synth = dataclasses.replace(cfg.synth, n_train=10)
+    cmd_synth(cfg)
+    with pytest.raises(ValueError, match="batch_size 16 exceeds the 10 records"):
+        cmd_train(cfg)
+    assert not Path(cfg.paths.checkpoint).exists()
+
+
 def test_training_aborts_with_diagnostic_on_nonfinite(tmp_path):
     cfg = tiny_config(tmp_path)
     cmd_synth(cfg)
@@ -217,6 +226,14 @@ def test_cli_entry_point_subprocess(tmp_path):
 def test_unknown_override_fails_fast():
     with pytest.raises(ValueError):
         main(["synth", "--set", "synth.n_trian=8"])
+
+
+def test_invalid_objective_fails_before_synth_writes(tmp_path):
+    train, val = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
+    with pytest.raises(ValueError, match="objective.tau"):
+        main(["synth", "--set", f"paths.train_set={train}", "--set", f"paths.val_set={val}",
+              "--set", "objective.tau=0"])
+    assert not train.exists() and not val.exists()
 
 
 def test_gradcheck_exit_codes(monkeypatch, capsys):

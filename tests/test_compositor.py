@@ -6,8 +6,6 @@ import pytest
 
 from cirtrain import tensor as T
 from cirtrain.compositor import (
-    REFERENCE_ORIENTED,
-    TARGET_ORIENTED,
     CompositorParams,
     compose,
     fuse_branch,
@@ -22,6 +20,7 @@ from oracles import (
 )
 
 DIM = 6
+TAU = 0.1
 
 
 def make_params(seed=1, layers=2, share=False):
@@ -29,8 +28,7 @@ def make_params(seed=1, layers=2, share=False):
                             share_branches=share)
 
 
-def branch_arrays(p, which):
-    w = p.branch(which)
+def branch_arrays(w):
     return (w.wq.data, w.wk.data, w.wv.data)
 
 
@@ -41,13 +39,13 @@ def test_zero_layers_rejected():
 
 def test_uniform_attention_identity_values_averages_other():
     p = make_params(layers=1)
-    w = p.branch(TARGET_ORIENTED)
+    w = p.target_branch
     w.wq.data[...] = 0.0          # zero queries force uniform attention
     w.wv.data[...] = np.eye(DIM)  # identity value projection
     rng = np.random.default_rng(2)
     anchor = T.Tensor(rng.normal(size=(3, DIM)))
     other = T.Tensor(rng.normal(size=(5, DIM)))
-    out = fuse_branch(anchor, other, p, TARGET_ORIENTED)
+    out = fuse_branch(anchor, other, p.target_branch, p.layers)
     assert np.allclose(out.data, np.tile(other.data.mean(axis=0), (3, 1)), atol=1e-12)
 
 
@@ -56,8 +54,8 @@ def test_output_keeps_anchor_row_count():
     rng = np.random.default_rng(3)
     anchor = T.Tensor(rng.normal(size=(5, DIM)))
     other = T.Tensor(rng.normal(size=(7, DIM)))
-    assert fuse_branch(anchor, other, p, TARGET_ORIENTED).shape == (5, DIM)
-    assert fuse_branch(other, anchor, p, REFERENCE_ORIENTED).shape == (7, DIM)
+    assert fuse_branch(anchor, other, p.target_branch, p.layers).shape == (5, DIM)
+    assert fuse_branch(other, anchor, p.reference_branch, p.layers).shape == (7, DIM)
 
 
 def test_two_layer_fusion_matches_unrolled_oracle():
@@ -65,8 +63,8 @@ def test_two_layer_fusion_matches_unrolled_oracle():
     rng = np.random.default_rng(5)
     anchor = rng.normal(size=(3, DIM))
     other = rng.normal(size=(4, DIM))
-    out = fuse_branch(T.Tensor(anchor), T.Tensor(other), p, REFERENCE_ORIENTED)
-    expected = fuse_branch_oracle(anchor, other, *branch_arrays(p, REFERENCE_ORIENTED), 2)
+    out = fuse_branch(T.Tensor(anchor), T.Tensor(other), p.reference_branch, p.layers)
+    expected = fuse_branch_oracle(anchor, other, *branch_arrays(p.reference_branch), 2)
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
@@ -82,13 +80,13 @@ def test_branches_disjoint_unless_shared():
     rng = np.random.default_rng(6)
     anchor = T.Tensor(rng.normal(size=(3, DIM)))
     other = T.Tensor(rng.normal(size=(4, DIM)))
-    before = fuse_branch(anchor, other, p, REFERENCE_ORIENTED).data.copy()
-    p.branch(TARGET_ORIENTED).wq.data[...] += 1.0
-    after = fuse_branch(anchor, other, p, REFERENCE_ORIENTED).data
+    before = fuse_branch(anchor, other, p.reference_branch, p.layers).data.copy()
+    p.target_branch.wq.data[...] += 1.0
+    after = fuse_branch(anchor, other, p.reference_branch, p.layers).data
     assert np.array_equal(before, after)
 
     shared = make_params(share=True)
-    assert shared.branch(TARGET_ORIENTED) is shared.branch(REFERENCE_ORIENTED)
+    assert shared.target_branch is shared.reference_branch
     assert len(shared.params()) == 3
 
 
@@ -98,15 +96,14 @@ def test_compose_identical_branch_outputs():
     x = rng.normal(size=(3, DIM))
     # same params, same inputs on both branches -> both CLS rows identical
     out = compose(T.Tensor(x), T.Tensor(x), p)
-    branch = fuse_branch_oracle(x, x, *branch_arrays(p, TARGET_ORIENTED), 1)
+    branch = fuse_branch_oracle(x, x, *branch_arrays(p.target_branch), 1)
     v = branch[0]
     assert np.allclose(out.data.reshape(-1), v / np.linalg.norm(v), atol=1e-12)
 
 
 def test_compose_antisymmetric_branches_flag_degenerate(caplog):
     p = make_params(layers=1)
-    for which, sign in ((TARGET_ORIENTED, 1.0), (REFERENCE_ORIENTED, -1.0)):
-        w = p.branch(which)
+    for w, sign in ((p.target_branch, 1.0), (p.reference_branch, -1.0)):
         w.wq.data[...] = 0.0
         w.wv.data[...] = sign * np.eye(DIM)
     # both branches see the same single-row inputs, so CLS outputs are v and -v
@@ -124,8 +121,8 @@ def test_compose_matches_straight_line_oracle():
     f_t = rng.normal(size=(5, DIM))
     out = compose(T.Tensor(f_r_prime), T.Tensor(f_t), p)
     expected = compose_oracle(f_r_prime, f_t,
-                              branch_arrays(p, TARGET_ORIENTED),
-                              branch_arrays(p, REFERENCE_ORIENTED), 3)
+                              branch_arrays(p.target_branch),
+                              branch_arrays(p.reference_branch), 3)
     assert np.allclose(out.data.reshape(-1), expected, atol=1e-12)
 
 
@@ -134,8 +131,8 @@ def test_compose_symmetric_under_branch_and_input_swap():
     rng = np.random.default_rng(13)
     a = rng.normal(size=(3, DIM))
     b = rng.normal(size=(4, DIM))
-    tgt = branch_arrays(p, TARGET_ORIENTED)
-    ref = branch_arrays(p, REFERENCE_ORIENTED)
+    tgt = branch_arrays(p.target_branch)
+    ref = branch_arrays(p.reference_branch)
     # swapping both the branch weights and the inputs only reorders the average
     assert np.allclose(compose_oracle(a, b, tgt, ref, 2),
                        compose_oracle(b, a, ref, tgt, 2), atol=1e-12)
@@ -153,7 +150,7 @@ def as_tensors(triplets):
 def test_loss_single_item_batch_is_zero():
     rng = np.random.default_rng(14)
     p = make_params()
-    assert reasoning_loss(as_tensors(_random_triplets(rng, 1)), p).item() == 0.0
+    assert reasoning_loss(as_tensors(_random_triplets(rng, 1)), p, TAU).item() == 0.0
 
 
 def test_loss_two_identical_texts_is_ln2():
@@ -162,7 +159,7 @@ def test_loss_two_identical_texts_is_ln2():
     base = _random_triplets(rng, 2)
     triplets = [(base[0][0], base[0][1], base[0][2]),
                 (base[1][0], base[1][1], base[0][2])]
-    loss = reasoning_loss(as_tensors(triplets), p)
+    loss = reasoning_loss(as_tensors(triplets), p, TAU)
     assert abs(loss.item() - math.log(2.0)) < 1e-12
 
 
@@ -171,10 +168,10 @@ def test_loss_matches_brute_force_oracle():
     for trial in range(5):
         p = make_params(seed=30 + trial, layers=1 + trial % 3)
         triplets = _random_triplets(rng, 3)
-        loss = reasoning_loss(as_tensors(triplets), p, tau=0.1)
+        loss = reasoning_loss(as_tensors(triplets), p, TAU)
         expected = reasoning_loss_oracle(
-            triplets, branch_arrays(p, TARGET_ORIENTED),
-            branch_arrays(p, REFERENCE_ORIENTED), p.layers, tau=0.1)
+            triplets, branch_arrays(p.target_branch),
+            branch_arrays(p.reference_branch), p.layers, tau=TAU)
         assert abs(loss.item() - expected) < 1e-9
 
 
@@ -182,8 +179,8 @@ def test_loss_batch_permutation_invariance():
     rng = np.random.default_rng(17)
     p = make_params()
     triplets = _random_triplets(rng, 4)
-    a = reasoning_loss(as_tensors(triplets), p).item()
-    b = reasoning_loss(as_tensors([triplets[i] for i in (3, 1, 0, 2)]), p).item()
+    a = reasoning_loss(as_tensors(triplets), p, TAU).item()
+    b = reasoning_loss(as_tensors([triplets[i] for i in (3, 1, 0, 2)]), p, TAU).item()
     assert abs(a - b) < 1e-9
 
 
@@ -192,12 +189,12 @@ def test_gradients_match_finite_differences():
     p = make_params(seed=19, layers=2)
     triplets = _random_triplets(rng, 3)
 
-    loss = reasoning_loss(as_tensors(triplets), p)
+    loss = reasoning_loss(as_tensors(triplets), p, TAU)
     loss.backward()
 
     def value():
         with T.no_grad():
-            return reasoning_loss(as_tensors(triplets), p).item()
+            return reasoning_loss(as_tensors(triplets), p, TAU).item()
 
     for param in p.params():
         numeric = finite_diff(value, param.data)
@@ -206,4 +203,4 @@ def test_gradients_match_finite_differences():
 
 def test_empty_batch_rejected():
     with pytest.raises(ValueError):
-        reasoning_loss([], make_params())
+        reasoning_loss([], make_params(), TAU)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -88,3 +89,24 @@ def test_saved_config_is_plain_json(tmp_path):
     save_config(RunConfig(), path)
     data = json.loads(path.read_text())
     assert set(data) == {"model", "objective", "training", "ablation", "synth", "paths"}
+
+
+# objective.alpha/beta/tau, training.learning_rate and synth.noise_sigma
+FLOAT_KEYS = [
+    f"{section.name}.{f.name}"
+    for section in dataclasses.fields(RunConfig)
+    for f in dataclasses.fields(section.default_factory)
+    if isinstance(f.default, float)
+]
+
+
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+@pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+def test_non_finite_floats_rejected(tmp_path, key, raw):
+    with pytest.raises(ValueError, match=f"{key}: expected a finite number"):
+        apply_override(RunConfig(), f"{key}={raw}")
+    section, name = key.split(".")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {name: float(raw)}}))  # NaN / Infinity literals
+    with pytest.raises(ValueError, match=f"{key}: expected a finite number"):
+        load_config(path)

@@ -24,6 +24,9 @@ def test_record_validation():
         TripletRecord("a", (), (1,), (2,))
     with pytest.raises(ValueError):
         TripletRecord("a", (1,), (1,), (2,), subset_ids=("b", "c"))
+    # a repeated candidate would be counted once per copy when ranking within the subset
+    with pytest.raises(ValueError, match="repeats a candidate"):
+        TripletRecord("a", (1,), (1,), (2,), subset_ids=("a", "b", "b"))
 
 
 def test_spec_validation():
@@ -142,11 +145,26 @@ def test_jsonl_rejects_unknown_fields(tmp_path):
         read_records(path)
 
 
+def test_jsonl_rejects_repeated_subset_ids(tmp_path):
+    path = tmp_path / "val.jsonl"
+    path.write_text('{"id": "a", "ref_tokens": [1], "text_tokens": [0], '
+                    '"target_tokens": [2], "subset_ids": ["a", "b", "b"]}\n')
+    with pytest.raises(ValueError, match="repeats a candidate"):
+        read_records(path)
+
+
 def test_batches_count_and_drop_last():
     train, _ = generate(SPEC)
     got = list(batches(train[:10], 4, seed=0))
     assert len(got) == 2
     assert all(len(b) == 4 for b in got)
+
+
+def test_batches_dataset_smaller_than_one_batch_rejected():
+    train, _ = generate(SPEC)
+    with pytest.raises(ValueError, match="batch_size 16 exceeds the 10 records"):
+        list(batches(train[:10], 16, seed=0))
+    assert len(list(batches(train[:16], 16, seed=0))) == 1
 
 
 def test_batches_deterministic_per_seed_and_epoch():

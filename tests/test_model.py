@@ -37,7 +37,7 @@ def test_parameter_names_unique_and_frozen_policy():
 def test_batch_losses_breakdown_consistent():
     model = RetrievalModel(small_config())
     total, breakdown = model.batch_losses(small_records(3))
-    w = model.weights
+    w = model.cfg.objective
     expected = breakdown.matching + w.alpha * breakdown.alignment + w.beta * breakdown.reasoning
     assert total.item() == pytest.approx(expected, abs=1e-12)
     assert total.item() == pytest.approx(breakdown.total, abs=1e-12)

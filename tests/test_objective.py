@@ -1,11 +1,12 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from cirtrain import tensor as T
+from cirtrain.config import ObjectiveConfig, RunConfig, apply_override, load_config
 from cirtrain.objective import (
-    ObjectiveWeights,
     in_batch_nll,
     matching_loss,
     score_query_against_gallery,
@@ -22,27 +23,37 @@ def as_row_tensors(matrix):
     return [T.Tensor(row.reshape(1, -1)) for row in matrix]
 
 
-W = ObjectiveWeights()
+W = ObjectiveConfig()
 
 
-def test_weights_validation():
-    with pytest.raises(ValueError):
-        ObjectiveWeights(alpha=-0.1)
-    with pytest.raises(ValueError):
-        ObjectiveWeights(tau=0.0)
+def test_weights_validation(tmp_path):
+    # alpha, beta >= 0 and tau > 0, checked wherever the objective is read; NaN fails every check
+    bad = [("alpha", -0.1), ("beta", -1.0), ("tau", 0.0), ("tau", -0.1),
+           ("alpha", math.nan), ("beta", math.nan), ("tau", math.nan)]
+    for key, value in bad:
+        with pytest.raises(ValueError, match=f"objective.{key}"):
+            ObjectiveConfig(**{key: value})
+        with pytest.raises(ValueError, match=f"objective.{key}"):
+            apply_override(RunConfig(), f"objective.{key}={value}")
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"objective": {key: value}}))
+        with pytest.raises(ValueError, match=f"objective.{key}"):
+            load_config(path)
     assert (W.alpha, W.beta, W.tau) == (0.45, 0.1, 0.1)
+    # a zero weight is valid: it switches its term off
+    assert apply_override(RunConfig(), "objective.alpha=0").objective.alpha == 0.0
 
 
 def test_matching_loss_single_item_is_zero():
     rng = np.random.default_rng(0)
     rows = unit_rows(rng, 1, 8)
-    assert matching_loss(as_row_tensors(rows), as_row_tensors(rows), W).item() == 0.0
+    assert matching_loss(as_row_tensors(rows), as_row_tensors(rows), W.tau).item() == 0.0
 
 
 def test_matching_loss_orthogonal_pair_closed_form():
     # diagonal similarity 1, off-diagonal 0, tau=0.1 -> ln(1 + e^-10)
     q = np.eye(2, 8)
-    loss = matching_loss(as_row_tensors(q), as_row_tensors(q), W)
+    loss = matching_loss(as_row_tensors(q), as_row_tensors(q), W.tau)
     assert abs(loss.item() - math.log(1.0 + math.exp(-10.0))) < 1e-12
 
 
@@ -51,7 +62,7 @@ def test_matching_loss_matches_oracle():
     for _ in range(10):
         q = unit_rows(rng, 3, 6)
         t = unit_rows(rng, 3, 6)
-        loss = matching_loss(as_row_tensors(q), as_row_tensors(t), W)
+        loss = matching_loss(as_row_tensors(q), as_row_tensors(t), W.tau)
         assert abs(loss.item() - matching_loss_oracle(list(q), list(t), W.tau)) < 1e-9
 
 
@@ -59,15 +70,15 @@ def test_matching_loss_permutation_invariance():
     rng = np.random.default_rng(2)
     q = unit_rows(rng, 4, 6)
     t = unit_rows(rng, 4, 6)
-    a = matching_loss(as_row_tensors(q), as_row_tensors(t), W).item()
+    a = matching_loss(as_row_tensors(q), as_row_tensors(t), W.tau).item()
     perm = [2, 0, 3, 1]
-    b = matching_loss(as_row_tensors(q[perm]), as_row_tensors(t[perm]), W).item()
+    b = matching_loss(as_row_tensors(q[perm]), as_row_tensors(t[perm]), W.tau).item()
     assert abs(a - b) < 1e-9
 
 
 def test_matching_loss_empty_batch():
     with pytest.raises(ValueError):
-        matching_loss([], [], W)
+        matching_loss([], [], W.tau)
 
 
 def test_in_batch_nll_requires_square():
@@ -76,17 +87,16 @@ def test_in_batch_nll_requires_square():
 
 
 def test_total_loss_arithmetic():
-    out = total_loss(T.Tensor([[1.0]]), T.Tensor([[2.0]]), T.Tensor([[3.0]]), W)
+    out = total_loss(T.Tensor([[1.0]]), T.Tensor([[2.0]]), T.Tensor([[3.0]]), W.alpha, W.beta)
     assert abs(out.item() - 2.2) < 1e-12
 
 
 def test_total_loss_zero_weights_is_identity():
-    w0 = ObjectiveWeights(alpha=0.0, beta=0.0)
     l_match = T.Tensor([[1.37]])
-    out = total_loss(l_match, T.Tensor([[5.0]]), T.Tensor([[7.0]]), w0)
+    out = total_loss(l_match, T.Tensor([[5.0]]), T.Tensor([[7.0]]), 0.0, 0.0)
     assert out.item() == l_match.item()
     # absent auxiliaries behave the same way
-    assert total_loss(l_match, None, None, W).item() == l_match.item()
+    assert total_loss(l_match, None, None, W.alpha, W.beta).item() == l_match.item()
 
 
 def test_total_gradient_is_weighted_sum_of_term_gradients():
@@ -107,7 +117,7 @@ def test_total_gradient_is_weighted_sum_of_term_gradients():
         grads.append(t.grad)
 
     t = T.Tensor(x, requires_grad=True)
-    total_loss(*terms(t), W).backward()
+    total_loss(*terms(t), W.alpha, W.beta).backward()
     combined = grads[0] + W.alpha * grads[1] + W.beta * grads[2]
     assert np.allclose(t.grad, combined, atol=1e-12)
 
