@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .objective import in_batch_nll, stack_rows
+from .objective import in_batch_nll
 from .tensor import (
     Param,
     Tensor,
@@ -75,18 +75,6 @@ def hinge_attention(a_r2c: Tensor, a_c2t: Tensor, dim: int) -> Tensor:
     return softmax_rows(scalar_mul(matmul(a_r2c, a_c2t), 1.0 / math.sqrt(dim)))
 
 
-def query_target(a_r2t: Tensor, f_t: Tensor, p: BridgeParams) -> Tensor:
-    """Attentive target features aligned to reference patch positions."""
-    return matmul(a_r2t, matmul(f_t, p.w_value.tensor))
-
-
-def bridged_target_features(f_r_bar: Tensor, f_c: Tensor, f_t: Tensor, p: BridgeParams) -> Tensor:
-    """Full chain from one (reference, text, target) feature triple."""
-    a_r2c = attend_ref_to_text(f_r_bar, f_c, p)
-    a_c2t = attend_text_to_target(f_c, f_t, p)
-    return query_target(hinge_attention(a_r2c, a_c2t, f_r_bar.shape[1]), f_t, p)
-
-
 def _pooled(x: Tensor) -> Tensor:
     return l2_normalize_rows(mean_axis(x, axis=0))
 
@@ -110,16 +98,17 @@ def alignment_loss(triplet_features, p: BridgeParams, tau: float) -> Tensor:
     # per-query and per-candidate projections are reused across the B x B chains
     a_r2cs = [attend_ref_to_text(f_r_bar, f_c, p) for f_r_bar, f_c, _ in triplets]
     q_texts = [l2_normalize_rows(matmul(f_c, p.w_text_query.tensor)) for _, f_c, _ in triplets]
-    k_targets = [l2_normalize_rows(matmul(f_t, p.w_target.tensor)) for _, _, f_t in triplets]
+    k_targets_t = [transpose(l2_normalize_rows(matmul(f_t, p.w_target.tensor)))
+                   for _, _, f_t in triplets]
     v_targets = [matmul(f_t, p.w_value.tensor) for _, _, f_t in triplets]
 
     rows = []
     for i in range(b):
         sims = []
         for j in range(b):
-            a_c2t = matmul(q_texts[i], transpose(k_targets[j]))
+            a_c2t = matmul(q_texts[i], k_targets_t[j])
             a_r2t = hinge_attention(a_r2cs[i], a_c2t, dim)
             pooled_bridge = _pooled(matmul(a_r2t, v_targets[j]))
             sims.append(matmul(pooled_refs[i], transpose(pooled_bridge)))
-        rows.append(concat(sims, axis=1) if b > 1 else sims[0])
-    return in_batch_nll(stack_rows(rows), tau)
+        rows.append(concat(sims, axis=1))
+    return in_batch_nll(concat(rows, axis=0), tau)

@@ -100,10 +100,10 @@ def cmd_eval(cfg: RunConfig) -> int:
     return 0
 
 
-def cmd_gradcheck(corrupt: str | None = None) -> int:
+def cmd_gradcheck() -> int:
     # geometry is pinned small (dim 8, batch 3, two fusion layers) so the
     # finite-difference sweep stays fast and well-conditioned
-    rows = run_gradient_check(corrupt=corrupt)
+    rows = run_gradient_check()
     for row in rows:
         if row["max_rel_err"] is None:
             print(f"{row['name']:<40s} {row['status']}")
@@ -119,17 +119,16 @@ def build_parser() -> argparse.ArgumentParser:
         prog="cirtrain",
         description="Composed image retrieval training stack at desk scale.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    commands = parser.add_subparsers(dest="command", required=True)
     for name, help_text in (
         ("synth", "generate the synthetic triplet benchmark"),
         ("train", "train on a generated dataset and write a checkpoint"),
         ("eval", "score the validation set against a checkpoint"),
         ("gradcheck", "finite-difference check of every trainable gradient"),
     ):
-        p = sub.add_parser(name, help=help_text)
+        p = commands.add_parser(name, help=help_text)
         if name == "gradcheck":
             # gradcheck_config pins its own geometry, so it takes no config
-            p.add_argument("--corrupt", help=argparse.SUPPRESS)
             continue
         p.add_argument("--config", help="JSON config file")
         p.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -141,7 +140,7 @@ def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     if args.command == "gradcheck":
-        return cmd_gradcheck(corrupt=args.corrupt)
+        return cmd_gradcheck()
     cfg = _resolve_config(args)
     if args.command == "synth":
         return cmd_synth(cfg)

@@ -15,10 +15,11 @@ import logging
 import numpy as np
 
 from .encoders import Attention
-from .objective import in_batch_nll, stack_rows
+from .objective import in_batch_nll
 from .tensor import (
     Tensor,
     add,
+    concat,
     l2_normalize_rows,
     matmul,
     mean_axis,
@@ -84,10 +85,9 @@ def reasoning_loss(triplet_features, p: CompositorParams, tau: float) -> Tensor:
     matrix scores composite i against every text, diagonal matched.
     """
     triplets = list(triplet_features)
-    b = len(triplets)
-    if b == 0:
+    if not triplets:
         raise ValueError("reasoning_loss: empty batch")
     composites = [compose(f_r_prime, f_t, p) for f_r_prime, f_t, _ in triplets]
     texts = [l2_normalize_rows(mean_axis(f_c, axis=0)) for _, _, f_c in triplets]
-    sim = matmul(stack_rows(composites), transpose(stack_rows(texts)))
+    sim = matmul(concat(composites, axis=0), transpose(concat(texts, axis=0)))
     return in_batch_nll(sim, tau)

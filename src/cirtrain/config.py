@@ -46,6 +46,14 @@ class TrainingConfig:
     learning_rate: float = 5e-3
     seed: int = 0
 
+    def __post_init__(self):
+        # written as `not x >= 1` / `not x > 0` so that NaN fails too
+        for key in ("batch_size", "epochs"):
+            if not getattr(self, key) >= 1:
+                raise ValueError(f"training.{key} must be >= 1, got {getattr(self, key)!r}")
+        if not self.learning_rate > 0:
+            raise ValueError(f"training.learning_rate must be > 0, got {self.learning_rate!r}")
+
 
 @dataclass
 class AblationConfig:
@@ -108,45 +116,33 @@ _FIELD_TYPES = {
 
 
 def _coerce(value, expected, key: str):
+    if expected is str:
+        return str(value)
     if expected is bool:
         if isinstance(value, bool):
             return value
         if isinstance(value, str) and value.lower() in ("true", "false"):
             return value.lower() == "true"
         raise ValueError(f"{key}: expected a boolean, got {value!r}")
-    if expected is int:
-        if isinstance(value, bool) or (not isinstance(value, (int, str))):
-            raise ValueError(f"{key}: expected an integer, got {value!r}")
-        return int(value)
-    if expected is float:
-        if isinstance(value, bool) or not isinstance(value, (int, float, str)):
-            raise ValueError(f"{key}: expected a number, got {value!r}")
-        number = float(value)
-        if not math.isfinite(number):
-            raise ValueError(f"{key}: expected a finite number, got {value!r}")
-        return number
-    return str(value)
+    accepted, kind = ((int, str), "an integer") if expected is int else ((int, float, str), "a number")
+    if isinstance(value, bool) or not isinstance(value, accepted):
+        raise ValueError(f"{key}: expected {kind}, got {value!r}")
+    try:
+        number = expected(value)
+    except ValueError:
+        raise ValueError(f"{key}: expected {kind}, got {value!r}") from None
+    if expected is float and not math.isfinite(number):
+        raise ValueError(f"{key}: expected a finite number, got {value!r}")
+    return number
 
 
 def config_from_dict(data: dict) -> RunConfig:
     return _from_dict(RunConfig, data)
 
 
-def config_to_dict(cfg: RunConfig) -> dict:
-    return dataclasses.asdict(cfg)
-
-
 def load_config(path) -> RunConfig:
     with Path(path).open("r", encoding="utf-8") as fh:
         return config_from_dict(json.load(fh))
-
-
-def save_config(cfg: RunConfig, path):
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(config_to_dict(cfg), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def apply_override(cfg: RunConfig, assignment: str) -> RunConfig:

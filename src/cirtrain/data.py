@@ -239,9 +239,10 @@ def read_records(path):
 
 
 def batches(records, batch_size: int, seed: int, epoch: int = 0):
-    """Yield shuffled batches for one epoch; the short final batch is dropped.
+    """Shuffled batches for one epoch, yielded lazily; the short final batch is dropped.
 
-    The order is a pure function of (seed, epoch), so training runs are
+    The arguments are checked at the call, not at the first batch.  The
+    order is a pure function of (seed, epoch), so training runs are
     reproducible batch for batch.
     """
     records = list(records)
@@ -252,5 +253,5 @@ def batches(records, batch_size: int, seed: int, epoch: int = 0):
     if len(records) < batch_size:
         raise ValueError(f"batch_size {batch_size} exceeds the {len(records)} records: no batch fits")
     perm = np.random.default_rng([seed, epoch]).permutation(len(records))
-    for start in range(0, len(records) - batch_size + 1, batch_size):
-        yield [records[int(i)] for i in perm[start:start + batch_size]]
+    return ([records[int(i)] for i in perm[start:start + batch_size]]
+            for start in range(0, len(records) - batch_size + 1, batch_size))

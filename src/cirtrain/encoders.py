@@ -74,13 +74,12 @@ class Attention:
     """
 
     def __init__(self, name: str, dim: int, rng: np.random.Generator, frozen: bool = False,
-                 scale_qk: float | None = None, scale_v: float | None = None):
+                 scale_qk: float | None = None):
         base = 1.0 / math.sqrt(dim)
         scale_qk = base if scale_qk is None else scale_qk
-        scale_v = base if scale_v is None else scale_v
         self.wq = Param(f"{name}.wq", rng.normal(0.0, scale_qk, (dim, dim)), frozen)
         self.wk = Param(f"{name}.wk", rng.normal(0.0, scale_qk, (dim, dim)), frozen)
-        self.wv = Param(f"{name}.wv", rng.normal(0.0, scale_v, (dim, dim)), frozen)
+        self.wv = Param(f"{name}.wv", rng.normal(0.0, base, (dim, dim)), frozen)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor) -> Tensor:
         q = matmul(x_q, self.wq.tensor)
@@ -94,32 +93,22 @@ class Attention:
 
 
 class ImageEncoder:
-    """Patch-token encoder: CLS row + embedded tokens through one attention block."""
+    """Frozen patch-token encoder: CLS row + embedded tokens through one attention block."""
 
-    def __init__(
-        self,
-        name: str,
-        vocab: int,
-        dim: int,
-        max_tokens: int,
-        rng: np.random.Generator,
-        frozen: bool = False,
-    ):
+    def __init__(self, name: str, vocab: int, dim: int, max_tokens: int, rng: np.random.Generator):
         self.name = name
         self.vocab = vocab
         self.max_tokens = max_tokens
-        # frozen encoders never adapt, so their init keeps the token signal
+        # a frozen encoder never adapts, so its init keeps the token signal
         # dominant: a modest CLS vector, near-uniform attention (small q/k)
         # and full-strength values preserve a linearly decodable pooled row
-        cls_scale = 0.3 if frozen else 1.0
-        qk_scale = (0.25 / math.sqrt(dim)) if frozen else None
-        self.embedding = Param(f"{name}.embedding", rng.normal(0.0, 1.0, (vocab, dim)), frozen)
-        self.cls = Param(f"{name}.cls", rng.normal(0.0, cls_scale, (1, dim)), frozen)
+        self.embedding = Param(f"{name}.embedding", rng.normal(0.0, 1.0, (vocab, dim)), frozen=True)
+        self.cls = Param(f"{name}.cls", rng.normal(0.0, 0.3, (1, dim)), frozen=True)
         # row 0 is the CLS slot, rows 1..max are token positions
         self.positions = Param(
-            f"{name}.positions", rng.normal(0.0, 0.1, (max_tokens + 1, dim)), frozen
+            f"{name}.positions", rng.normal(0.0, 0.1, (max_tokens + 1, dim)), frozen=True
         )
-        self.attn = Attention(f"{name}.attn", dim, rng, frozen, scale_qk=qk_scale)
+        self.attn = Attention(f"{name}.attn", dim, rng, frozen=True, scale_qk=0.25 / math.sqrt(dim))
 
     def encode(self, seq: TokenSeq) -> Tensor:
         if seq.kind not in IMAGE_KINDS:

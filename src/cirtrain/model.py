@@ -37,14 +37,8 @@ class RetrievalModel:
         self.cfg = cfg
         rng = np.random.default_rng(cfg.training.seed if seed is None else seed)
 
-        self.ref_encoder = ImageEncoder(
-            "ref_encoder", mc.image_vocab, mc.dim, mc.max_tokens, rng,
-            frozen=True,
-        )
-        self.tgt_encoder = ImageEncoder(
-            "tgt_encoder", mc.image_vocab, mc.dim, mc.max_tokens, rng,
-            frozen=True,
-        )
+        self.ref_encoder = ImageEncoder("ref_encoder", mc.image_vocab, mc.dim, mc.max_tokens, rng)
+        self.tgt_encoder = ImageEncoder("tgt_encoder", mc.image_vocab, mc.dim, mc.max_tokens, rng)
         self.text_encoder = TextEncoder(
             "text_encoder", mc.text_vocab, mc.dim, mc.max_tokens, rng,
         )

@@ -44,12 +44,6 @@ def in_batch_nll(sim: Tensor, tau: float) -> Tensor:
     return scalar_mul(diag_sum, -1.0 / b)
 
 
-def stack_rows(rows) -> Tensor:
-    """Concatenate 1 x d tensors into a matrix (single row passes through)."""
-    rows = list(rows)
-    return rows[0] if len(rows) == 1 else concat(rows, axis=0)
-
-
 def matching_loss(query_embs, target_embs, tau: float) -> Tensor:
     """In-batch contrastive loss between pooled query and pooled target embeddings.
 
@@ -61,7 +55,7 @@ def matching_loss(query_embs, target_embs, tau: float) -> Tensor:
         raise ValueError("matching_loss: empty batch")
     if len(query_embs) != len(target_embs):
         raise ValueError("matching_loss: query/target counts disagree")
-    sim = matmul(stack_rows(query_embs), transpose(stack_rows(target_embs)))
+    sim = matmul(concat(query_embs, axis=0), transpose(concat(target_embs, axis=0)))
     return in_batch_nll(sim, tau)
 
 

@@ -18,12 +18,10 @@ __all__ = [
     "Param",
     "no_grad",
     "add",
-    "sub",
     "mul",
     "scalar_mul",
     "matmul",
     "transpose",
-    "exp",
     "log",
     "sum_all",
     "mean_axis",
@@ -91,30 +89,6 @@ class Tensor:
     def backward(self):
         backward(self)
 
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
-
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scalar_mul(self, float(other))
-
-    def __rmul__(self, other):
-        return scalar_mul(self, float(other))
-
-    def __neg__(self):
-        return scalar_mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
 
@@ -144,11 +118,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _result(a.data + b.data, (a, b), lambda g: (g, g), "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "sub")
-    return _result(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
     return _result(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
@@ -173,12 +142,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 def transpose(x: Tensor) -> Tensor:
     _check_2d(x, "transpose")
     return _result(x.data.T.copy(), (x,), lambda g: (g.T,), "transpose")
-
-
-def exp(x: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):
-        out_data = np.exp(x.data)
-    return _result(out_data, (x,), lambda g: (g * out_data,), "exp")
 
 
 def log(x: Tensor) -> Tensor:

@@ -24,11 +24,10 @@ log = logging.getLogger(__name__)
 class Adam:
     """Plain Adam on a list of Params; frozen params are never handed to it."""
 
-    def __init__(self, params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8):
+    def __init__(self, params, lr: float):
         self.params = [p for p in params if not p.frozen]
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+        self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.step_count = 0
         self._m = [np.zeros(p.shape) for p in self.params]
         self._v = [np.zeros(p.shape) for p in self.params]
@@ -48,10 +47,6 @@ class Adam:
             v_hat = v / (1 - b2 ** self.step_count)
             p.data[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
-    def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
-
 
 def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
     """Run the configured number of epochs; returns per-epoch mean breakdowns.
@@ -60,6 +55,8 @@ def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
     turns non-finite.
     """
     tc = cfg.training
+    # batches checks its arguments when called, so a refused run opens no log
+    schedule = [batches(records, tc.batch_size, tc.seed, epoch) for epoch in range(tc.epochs)]
     optimizer = Adam(model.trainable(), lr=tc.learning_rate)
     history = []
     log_fh = None
@@ -68,9 +65,9 @@ def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
         log_path.parent.mkdir(parents=True, exist_ok=True)
         log_fh = log_path.open("w", encoding="utf-8")
     try:
-        for epoch in range(tc.epochs):
+        for epoch, epoch_batches in enumerate(schedule):
             steps = []
-            for batch in batches(records, tc.batch_size, tc.seed, epoch):
+            for batch in epoch_batches:
                 model.zero_grad()
                 try:
                     total, breakdown = model.batch_losses(batch)

@@ -9,9 +9,7 @@ from cirtrain.bridge import (
     alignment_loss,
     attend_ref_to_text,
     attend_text_to_target,
-    bridged_target_features,
     hinge_attention,
-    query_target,
 )
 from oracles import (
     alignment_loss_oracle,
@@ -122,39 +120,16 @@ def test_hinge_two_by_two_closed_form():
     assert np.allclose(out.data, [[0.25, 0.75], [0.25, 0.75]], atol=1e-12)
 
 
-def test_query_target_identity_attention():
-    rng = np.random.default_rng(8)
-    p = make_params()
-    f_t = T.Tensor(rng.normal(size=(3, DIM)))
-    out = query_target(T.Tensor(np.eye(3)), f_t, p)
-    assert np.allclose(out.data, f_t.data @ p.w_value.data, atol=1e-12)
-
-
-def test_query_target_uniform_attention_averages():
-    rng = np.random.default_rng(9)
-    p = make_params()
-    f_t = T.Tensor(rng.normal(size=(3, DIM)))
-    out = query_target(T.Tensor(np.full((2, 3), 1.0 / 3.0)), f_t, p)
-    v = f_t.data @ p.w_value.data
-    assert np.allclose(out.data, np.tile(v.mean(axis=0), (2, 1)), atol=1e-12)
-
-
-def test_query_target_random_matches_matmul():
-    rng = np.random.default_rng(10)
-    p = make_params()
-    a = rng.uniform(0, 1, (3, 3))
-    f_t = rng.normal(size=(3, DIM))
-    out = query_target(T.Tensor(a), T.Tensor(f_t), p)
-    assert np.allclose(out.data, a @ (f_t @ p.w_value.data), atol=1e-12)
-
-
 def test_full_chain_matches_oracle():
     rng = np.random.default_rng(11)
     p = make_params(share=False, seed=12)
     f_r_bar = rng.normal(size=(4, DIM))
     f_c = rng.normal(size=(2, DIM))
     f_t = rng.normal(size=(5, DIM))
-    out = bridged_target_features(T.Tensor(f_r_bar), T.Tensor(f_c), T.Tensor(f_t), p)
+    # the chain alignment_loss builds for one (query, candidate) pair, from its public hops
+    a_r2c = attend_ref_to_text(T.Tensor(f_r_bar), T.Tensor(f_c), p)
+    a_r2t = hinge_attention(a_r2c, attend_text_to_target(T.Tensor(f_c), T.Tensor(f_t), p), DIM)
+    out = T.matmul(a_r2t, T.matmul(T.Tensor(f_t), p.w_value.tensor))
     expected = bridged_chain(f_r_bar, f_c, f_t, *weight_arrays(p))
     assert np.allclose(out.data, expected, atol=1e-12)
 

@@ -10,7 +10,7 @@ import pytest
 
 import cirtrain
 from cirtrain.cli import cmd_eval, cmd_synth, cmd_train, evaluate_model, main
-from cirtrain.config import RunConfig
+from cirtrain.config import RunConfig, load_config
 from cirtrain.data import generate, read_records, synth_spec_from_config
 from cirtrain.metrics import METRIC_KEYS
 from cirtrain.model import RetrievalModel
@@ -164,6 +164,19 @@ def test_train_refuses_dataset_smaller_than_one_batch(tmp_path):
     with pytest.raises(ValueError, match="batch_size 16 exceeds the 10 records"):
         cmd_train(cfg)
     assert not Path(cfg.paths.checkpoint).exists()
+    assert not Path(cfg.paths.train_log).exists()
+
+
+def test_train_with_zero_epochs_writes_no_checkpoint(tmp_path):
+    cfg = tiny_config(tmp_path)
+    cmd_synth(cfg)
+    sets = []
+    for key, value in dataclasses.asdict(cfg.paths).items():
+        sets += ["--set", f"paths.{key}={value}"]
+    with pytest.raises(ValueError, match="training.epochs must be >= 1"):
+        main(["train", *sets, "--set", "training.epochs=0"])
+    assert not Path(cfg.paths.checkpoint).exists()
+    assert not Path(cfg.paths.train_log).exists()
 
 
 def test_training_aborts_with_diagnostic_on_nonfinite(tmp_path):
@@ -201,8 +214,8 @@ def test_main_smoke_via_argv(tmp_path, capsys):
 def test_config_file_plus_override(tmp_path):
     cfg = tiny_config(tmp_path)
     cfg_path = tmp_path / "cfg.json"
-    from cirtrain.config import save_config
-    save_config(cfg, cfg_path)
+    cfg_path.write_text(json.dumps(dataclasses.asdict(cfg)))
+    assert load_config(cfg_path) == cfg
     assert main(["synth", "--config", str(cfg_path), "--set", "synth.n_train=16"]) == 0
     assert len(read_records(cfg.paths.train_set)) == 16
 
@@ -239,19 +252,23 @@ def test_invalid_objective_fails_before_synth_writes(tmp_path):
 def test_gradcheck_exit_codes(monkeypatch, capsys):
     import cirtrain.cli as cli
 
-    def fake_rows(corrupt=None):
-        status = "FAIL" if corrupt else "ok"
-        return [
+    def fake_rows(status, err):
+        return lambda: [
             {"name": "ref_encoder.cls", "status": "skipped (frozen)", "max_rel_err": None},
-            {"name": "bridge.w_ref", "status": status, "max_rel_err": 1.0 if corrupt else 1e-6},
+            {"name": "bridge.w_ref", "status": status, "max_rel_err": err},
         ]
 
-    monkeypatch.setattr(cli, "run_gradient_check", fake_rows)
+    monkeypatch.setattr(cli, "run_gradient_check", fake_rows("ok", 1e-6))
     assert main(["gradcheck"]) == 0
     out = capsys.readouterr().out
     assert "skipped (frozen)" in out and "PASS" in out
-    assert main(["gradcheck", "--corrupt", "bridge.w_ref"]) == 1
+    monkeypatch.setattr(cli, "run_gradient_check", fake_rows("FAIL", 1.0))
+    assert main(["gradcheck"]) == 1
     assert "FAIL" in capsys.readouterr().out
+    # fault injection stays a library hook, not a command-line flag
+    with pytest.raises(SystemExit) as exc:
+        main(["gradcheck", "--corrupt", "bridge.w_ref"])
+    assert exc.value.code == 2
 
 
 @pytest.mark.parametrize("argv", [["--set", "model.dim=4"], ["--set", "bogus.key=1"],

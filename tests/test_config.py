@@ -3,14 +3,11 @@ import json
 
 import pytest
 
-from cirtrain.config import (
-    RunConfig,
-    apply_override,
-    config_from_dict,
-    config_to_dict,
-    load_config,
-    save_config,
-)
+from cirtrain.config import RunConfig, TrainingConfig, apply_override, config_from_dict, load_config
+
+
+def write_config(cfg: RunConfig, path):
+    path.write_text(json.dumps(dataclasses.asdict(cfg)))
 
 
 def test_defaults_match_published_settings():
@@ -26,10 +23,10 @@ def test_round_trip_identity(tmp_path):
     cfg = apply_override(cfg, "training.epochs=7")
     cfg = apply_override(cfg, "objective.alpha=0.5")
     path = tmp_path / "cfg.json"
-    save_config(cfg, path)
+    write_config(cfg, path)
     again = load_config(path)
     assert again == cfg
-    assert config_from_dict(config_to_dict(cfg)) == cfg
+    assert config_from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def test_unknown_keys_rejected():
@@ -86,9 +83,10 @@ def test_override_does_not_mutate_original():
 
 def test_saved_config_is_plain_json(tmp_path):
     path = tmp_path / "cfg.json"
-    save_config(RunConfig(), path)
+    write_config(RunConfig(), path)
     data = json.loads(path.read_text())
     assert set(data) == {"model", "objective", "training", "ablation", "synth", "paths"}
+    assert load_config(path) == RunConfig()
 
 
 # objective.alpha/beta/tau, training.learning_rate and synth.noise_sigma
@@ -110,3 +108,40 @@ def test_non_finite_floats_rejected(tmp_path, key, raw):
     path.write_text(json.dumps({section: {name: float(raw)}}))  # NaN / Infinity literals
     with pytest.raises(ValueError, match=f"{key}: expected a finite number"):
         load_config(path)
+
+
+@pytest.mark.parametrize("key,raw,kind", [
+    ("training.epochs", "lots", "an integer"),
+    ("training.batch_size", "1.5", "an integer"),
+    ("objective.tau", "abc", "a number"),
+    ("synth.noise_sigma", "0.1.2", "a number"),
+])
+def test_unparsable_numbers_name_their_key(tmp_path, key, raw, kind):
+    with pytest.raises(ValueError, match=f"^{key}: expected {kind}, got {raw!r}$"):
+        apply_override(RunConfig(), f"{key}={raw}")
+    section, name = key.split(".")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({section: {name: raw}}))
+    with pytest.raises(ValueError, match=f"^{key}: expected {kind}, got {raw!r}$"):
+        load_config(path)
+
+
+@pytest.mark.parametrize("key,value", [
+    ("epochs", 0), ("epochs", -1), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", -0.01),
+])
+def test_training_values_that_train_nothing_rejected(tmp_path, key, value):
+    message = f"training.{key} must be"
+    with pytest.raises(ValueError, match=message):
+        TrainingConfig(**{key: value})
+    with pytest.raises(ValueError, match=message):
+        apply_override(RunConfig(), f"training.{key}={value}")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"training": {key: value}}))
+    with pytest.raises(ValueError, match=message):
+        load_config(path)
+
+
+def test_nan_learning_rate_rejected_at_construction():
+    # parsing already refuses NaN; the bound check must refuse it too
+    with pytest.raises(ValueError, match="training.learning_rate must be > 0"):
+        TrainingConfig(learning_rate=float("nan"))

@@ -105,7 +105,7 @@ def test_total_gradient_is_weighted_sum_of_term_gradients():
 
     def terms(t):
         m = T.sum_all(T.mul(t, t))
-        a = T.sum_all(T.exp(T.scalar_mul(t, 0.1)))
+        a = T.sum_all(T.mul(T.l2_normalize_rows(t), t))
         r = T.sum_all(T.softmax_rows(t))
         return m, a, r
 

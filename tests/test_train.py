@@ -17,7 +17,7 @@ def test_adam_minimizes_quadratic():
     p = T.Param("x", np.array([[5.0, -3.0]]))
     opt = Adam([p], lr=0.1)
     for _ in range(200):
-        opt.zero_grad()
+        p.zero_grad()
         loss = T.sum_all(T.mul(p.tensor, p.tensor))
         loss.backward()
         opt.step()
