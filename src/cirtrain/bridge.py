@@ -70,8 +70,6 @@ def attend_text_to_target(f_c: Tensor, f_t: Tensor, p: BridgeParams) -> Tensor:
 
 def hinge_attention(a_r2c: Tensor, a_c2t: Tensor, dim: int) -> Tensor:
     """Compose the two hops: row-softmax of their product scaled by 1/sqrt(dim)."""
-    if a_r2c.shape[1] != a_c2t.shape[0]:
-        raise ValueError(f"hinge_attention: inner dims disagree {a_r2c.shape} x {a_c2t.shape}")
     return softmax_rows(scalar_mul(matmul(a_r2c, a_c2t), 1.0 / math.sqrt(dim)))
 
 
@@ -90,9 +88,7 @@ def alignment_loss(triplet_features, p: BridgeParams, tau: float) -> Tensor:
     """
     triplets = list(triplet_features)
     b = len(triplets)
-    if b == 0:
-        raise ValueError("alignment_loss: empty batch")
-    dim = triplets[0][0].shape[1]
+    dim = p.w_ref.shape[0]
 
     pooled_refs = [_pooled(f_r_bar) for f_r_bar, _, _ in triplets]
     # per-query and per-candidate projections are reused across the B x B chains

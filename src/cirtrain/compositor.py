@@ -35,8 +35,6 @@ class CompositorParams:
     """Weights and layout of the two fusion branches."""
 
     def __init__(self, dim: int, rng: np.random.Generator, layers: int, share_branches: bool):
-        if layers < 1:
-            raise ValueError("compositor needs at least one attention layer")
         self.layers = layers
         self.target_branch = Attention("compositor.target_branch", dim, rng)
         self.reference_branch = (
@@ -57,8 +55,6 @@ def fuse_branch(anchor: Tensor, other: Tensor, attend: Attention, layers: int) -
     The state starts at `other`; every layer reuses the branch's single
     weight set.  The result keeps the anchor's row count.
     """
-    if anchor.shape[1] != other.shape[1]:
-        raise ValueError(f"feature dims disagree: {anchor.shape} vs {other.shape}")
     state = other
     for _ in range(layers):
         state = attend(anchor, state)
@@ -67,8 +63,6 @@ def fuse_branch(anchor: Tensor, other: Tensor, attend: Attention, layers: int) -
 
 def compose(f_r_prime: Tensor, f_t: Tensor, p: CompositorParams) -> Tensor:
     """Average the two branches' CLS rows into one L2-normalized 1 x d vector."""
-    if f_r_prime.shape[0] == 0 or f_t.shape[0] == 0:
-        raise ValueError("compose: inputs must carry a CLS row (row 0)")
     h_target = fuse_branch(f_r_prime, f_t, p.target_branch, p.layers)
     h_reference = fuse_branch(f_t, f_r_prime, p.reference_branch, p.layers)
     mean_cls = scalar_mul(add(slice_rows(h_target, 0, 1), slice_rows(h_reference, 0, 1)), 0.5)
@@ -85,8 +79,6 @@ def reasoning_loss(triplet_features, p: CompositorParams, tau: float) -> Tensor:
     matrix scores composite i against every text, diagonal matched.
     """
     triplets = list(triplet_features)
-    if not triplets:
-        raise ValueError("reasoning_loss: empty batch")
     composites = [compose(f_r_prime, f_t, p) for f_r_prime, f_t, _ in triplets]
     texts = [l2_normalize_rows(mean_axis(f_c, axis=0)) for _, _, f_c in triplets]
     sim = matmul(concat(composites, axis=0), transpose(concat(texts, axis=0)))

@@ -22,6 +22,13 @@ class ModelConfig:
     prompts: int = 8
     compositor_layers: int = 4
 
+    def __post_init__(self):
+        # written as `not x >= n` so that a NaN passed in directly fails too
+        for key in ("dim", "image_vocab", "text_vocab", "max_tokens", "prompts", "compositor_layers"):
+            least = 0 if key == "prompts" else 1
+            if not getattr(self, key) >= least:
+                raise ValueError(f"model.{key} must be >= {least}, got {getattr(self, key)!r}")
+
 
 @dataclass
 class ObjectiveConfig:
@@ -146,17 +153,15 @@ def load_config(path) -> RunConfig:
 
 
 def apply_override(cfg: RunConfig, assignment: str) -> RunConfig:
-    """Apply one `section.key=value` override, returning a new RunConfig."""
+    """Apply one `section.key=value` override, returning a new RunConfig.
+
+    The value goes through `config_from_dict`, so an override is looked up,
+    coerced and checked exactly as the same key in a config file is.
+    """
     if "=" not in assignment:
         raise ValueError(f"override {assignment!r} is not of the form key=value")
     dotted, raw = assignment.split("=", 1)
-    parts = dotted.strip().split(".")
-    if len(parts) != 2 or parts[0] not in _SECTION_TYPES:
-        raise ValueError(f"unknown config key {dotted!r}")
-    section, key = parts
-    section_cls = _SECTION_TYPES[section]
-    if key not in _FIELD_TYPES[section_cls]:
-        raise ValueError(f"unknown config key {dotted!r}")
-    value = _coerce(raw.strip(), _FIELD_TYPES[section_cls][key], dotted)
-    new_section = dataclasses.replace(getattr(cfg, section), **{key: value})
-    return dataclasses.replace(cfg, **{section: new_section})
+    section, _, key = dotted.strip().partition(".")
+    data = dataclasses.asdict(cfg)
+    data.setdefault(section, {})[key] = raw.strip()
+    return config_from_dict(data)

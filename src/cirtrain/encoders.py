@@ -161,8 +161,6 @@ class CrossEncoder(Attention):
     """
 
     def __call__(self, f_r: Tensor, f_c: Tensor) -> Tensor:
-        if f_r.shape[1] != f_c.shape[1]:
-            raise ValueError(f"feature dims disagree: {f_r.shape} vs {f_c.shape}")
         return add(f_r, super().__call__(f_r, f_c))
 
 
@@ -176,9 +174,6 @@ class QueryFusion:
     """
 
     def __init__(self, name: str, dim: int, n_prompts: int, rng: np.random.Generator):
-        if n_prompts < 0:
-            raise ValueError("prompt count must be >= 0")
-        self.dim = dim
         self.n_prompts = n_prompts
         self.prompts = (
             Param(f"{name}.prompts", rng.normal(0.0, 1.0, (n_prompts, dim))) if n_prompts else None
@@ -186,8 +181,6 @@ class QueryFusion:
         self.attn = Attention(name, dim, rng)
 
     def fuse(self, f_c: Tensor, f_r: Tensor) -> Tensor:
-        if f_c.shape[1] != self.dim or f_r.shape[1] != self.dim:
-            raise ValueError(f"feature dims disagree: {f_c.shape}, {f_r.shape}, dim={self.dim}")
         p, length = self.n_prompts, f_c.shape[0]
         query_side = concat([self.prompts.tensor, f_c], axis=0) if p else f_c
         out = self.attn(query_side, f_r)

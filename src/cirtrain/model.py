@@ -91,9 +91,6 @@ class RetrievalModel:
 
     def batch_losses(self, records) -> tuple:
         """Joint loss over one batch; returns (total tensor, LossBreakdown)."""
-        records = list(records)
-        if not records:
-            raise ValueError("batch_losses: empty batch")
         ab, ob = self.cfg.ablation, self.cfg.objective
         feats = [self.encode_triplet(r) for r in records]
 

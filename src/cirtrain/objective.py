@@ -50,11 +50,6 @@ def matching_loss(query_embs, target_embs, tau: float) -> Tensor:
     Both inputs are lists of L2-normalized 1 x d tensors; entry i of each list
     belongs to triplet i, so the similarity diagonal holds the positives.
     """
-    query_embs, target_embs = list(query_embs), list(target_embs)
-    if len(query_embs) == 0:
-        raise ValueError("matching_loss: empty batch")
-    if len(query_embs) != len(target_embs):
-        raise ValueError("matching_loss: query/target counts disagree")
     sim = matmul(concat(query_embs, axis=0), transpose(concat(target_embs, axis=0)))
     return in_batch_nll(sim, tau)
 

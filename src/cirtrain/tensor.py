@@ -211,6 +211,8 @@ def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
 def softmax_rows(x: Tensor) -> Tensor:
     """Row-wise softmax with per-row max subtraction for overflow safety."""
     _check_2d(x, "softmax_rows")
+    if x.shape[1] == 0:
+        raise ValueError(f"softmax_rows: rows have no entries, got shape {x.shape}")
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=1, keepdims=True)

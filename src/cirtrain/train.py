@@ -55,19 +55,13 @@ def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
     turns non-finite.
     """
     tc = cfg.training
-    # batches checks its arguments when called, so a refused run opens no log
-    schedule = [batches(records, tc.batch_size, tc.seed, epoch) for epoch in range(tc.epochs)]
     optimizer = Adam(model.trainable(), lr=tc.learning_rate)
     history = []
     log_fh = None
-    if log_path is not None:
-        log_path = Path(log_path)
-        log_path.parent.mkdir(parents=True, exist_ok=True)
-        log_fh = log_path.open("w", encoding="utf-8")
     try:
-        for epoch, epoch_batches in enumerate(schedule):
+        for epoch in range(tc.epochs):
             steps = []
-            for batch in epoch_batches:
+            for batch in batches(records, tc.batch_size, tc.seed, epoch):
                 model.zero_grad()
                 try:
                     total, breakdown = model.batch_losses(batch)
@@ -88,7 +82,11 @@ def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
             history.append(row)
             line = json.dumps(row)
             log.info("epoch %d: %s", epoch, line)
-            if log_fh is not None:
+            if log_path is not None:
+                if log_fh is None:
+                    # opened at the first row, so a run refused before it leaves no log
+                    Path(log_path).parent.mkdir(parents=True, exist_ok=True)
+                    log_fh = Path(log_path).open("w", encoding="utf-8")
                 log_fh.write(line + "\n")
     finally:
         if log_fh is not None:

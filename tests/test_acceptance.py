@@ -25,7 +25,6 @@ from cirtrain.train import (
     compare_ablations,
     format_ablation_table,
     gradcheck_passed,
-    run_gradient_check,
     train_model,
 )
 from oracles import (
@@ -44,10 +43,8 @@ def announce(criterion: str, detail: str = ""):
 # --------------------------------------------------------------- criterion 1
 
 
-def test_c1_gradient_suite():
-    started = time.time()
-    rows = run_gradient_check()
-    elapsed = time.time() - started
+def test_c1_gradient_suite(gradient_sweep):
+    rows, elapsed = gradient_sweep
     checked = [r for r in rows if r["max_rel_err"] is not None]
     worst = max(r["max_rel_err"] for r in checked)
     assert gradcheck_passed(rows), [r for r in rows if r["status"] == "FAIL"]

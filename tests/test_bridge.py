@@ -111,6 +111,11 @@ def test_hinge_rows_sum_to_one():
     assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
 
 
+def test_hinge_inner_dim_mismatch_rejected():
+    with pytest.raises(ValueError, match="matmul: inner dimensions disagree"):
+        hinge_attention(T.Tensor(np.ones((4, 3))), T.Tensor(np.ones((2, 4))), DIM)
+
+
 def test_hinge_two_by_two_closed_form():
     # product [[0, c], [0, c]] with c chosen so softmax gives (0.25, 0.75)
     c = math.log(3.0) * math.sqrt(DIM)

@@ -179,6 +179,17 @@ def test_train_with_zero_epochs_writes_no_checkpoint(tmp_path):
     assert not Path(cfg.paths.train_log).exists()
 
 
+def test_train_failing_in_its_first_batch_writes_no_log(tmp_path):
+    cfg = tiny_config(tmp_path)
+    cmd_synth(cfg)
+    # the synthetic images carry 7 tokens, so the first encode refuses them
+    cfg.model = dataclasses.replace(cfg.model, max_tokens=4)
+    with pytest.raises(ValueError, match="sequence length 7 exceeds maximum 4"):
+        cmd_train(cfg)
+    assert not Path(cfg.paths.checkpoint).exists()
+    assert not Path(cfg.paths.train_log).exists()
+
+
 def test_training_aborts_with_diagnostic_on_nonfinite(tmp_path):
     cfg = tiny_config(tmp_path)
     cmd_synth(cfg)

@@ -11,6 +11,7 @@ from cirtrain.compositor import (
     fuse_branch,
     reasoning_loss,
 )
+from cirtrain.config import ModelConfig, RunConfig, apply_override
 from oracles import (
     compose_oracle,
     finite_diff,
@@ -33,8 +34,19 @@ def branch_arrays(w):
 
 
 def test_zero_layers_rejected():
-    with pytest.raises(ValueError):
-        make_params(layers=0)
+    # the layer count is a model setting, checked wherever the config is read
+    with pytest.raises(ValueError, match="model.compositor_layers must be >= 1"):
+        ModelConfig(compositor_layers=0)
+    with pytest.raises(ValueError, match="model.compositor_layers must be >= 1"):
+        apply_override(RunConfig(), "model.compositor_layers=0")
+
+
+def test_inputs_without_a_cls_row_rejected():
+    p = make_params()
+    rows, empty = T.Tensor(np.ones((3, DIM))), T.Tensor(np.ones((0, DIM)))
+    for f_r_prime, f_t in ((empty, rows), (rows, empty)):
+        with pytest.raises(ValueError, match="softmax_rows: rows have no entries"):
+            compose(f_r_prime, f_t, p)
 
 
 def test_uniform_attention_identity_values_averages_other():
@@ -56,6 +68,14 @@ def test_output_keeps_anchor_row_count():
     other = T.Tensor(rng.normal(size=(7, DIM)))
     assert fuse_branch(anchor, other, p.target_branch, p.layers).shape == (5, DIM)
     assert fuse_branch(other, anchor, p.reference_branch, p.layers).shape == (7, DIM)
+
+
+def test_dim_mismatch_rejected():
+    p = make_params()
+    good, wide = T.Tensor(np.ones((3, DIM))), T.Tensor(np.ones((3, DIM + 1)))
+    for anchor, other in ((wide, good), (good, wide)):
+        with pytest.raises(ValueError, match="matmul: inner dimensions disagree"):
+            fuse_branch(anchor, other, p.target_branch, p.layers)
 
 
 def test_two_layer_fusion_matches_unrolled_oracle():

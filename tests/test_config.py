@@ -3,7 +3,14 @@ import json
 
 import pytest
 
-from cirtrain.config import RunConfig, TrainingConfig, apply_override, config_from_dict, load_config
+from cirtrain.config import (
+    ModelConfig,
+    RunConfig,
+    TrainingConfig,
+    apply_override,
+    config_from_dict,
+    load_config,
+)
 
 
 def write_config(cfg: RunConfig, path):
@@ -145,3 +152,21 @@ def test_nan_learning_rate_rejected_at_construction():
     # parsing already refuses NaN; the bound check must refuse it too
     with pytest.raises(ValueError, match="training.learning_rate must be > 0"):
         TrainingConfig(learning_rate=float("nan"))
+
+
+@pytest.mark.parametrize("key,value,least", [
+    ("dim", 0, 1), ("image_vocab", 0, 1), ("text_vocab", 0, 1), ("max_tokens", 0, 1),
+    ("prompts", -1, 0), ("compositor_layers", 0, 1),
+])
+def test_model_values_out_of_range_rejected(tmp_path, key, value, least):
+    message = f"^model.{key} must be >= {least}, got {value}$"
+    with pytest.raises(ValueError, match=message):
+        ModelConfig(**{key: value})
+    with pytest.raises(ValueError, match=message):
+        apply_override(RunConfig(), f"model.{key}={value}")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"model": {key: value}}))
+    with pytest.raises(ValueError, match=message):
+        load_config(path)
+    # the bound itself is a valid setting
+    assert getattr(apply_override(RunConfig(), f"model.{key}={least}").model, key) == least

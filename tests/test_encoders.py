@@ -230,3 +230,12 @@ class TestQueryFusion:
         fused = fusion.fuse(T.Tensor(f_c), T.Tensor(f_r))
         assert np.allclose(fused.data, out, atol=1e-12)
         assert [p.name for p in fusion.params()] == ["q.prompts", "q.wq", "q.wk", "q.wv"]
+
+    @pytest.mark.parametrize("n_prompts", [0, 2])
+    def test_dim_mismatch_rejected(self, n_prompts):
+        # the engine's concat and matmul refuse features of the wrong width
+        fusion = QueryFusion("q", DIM, n_prompts=n_prompts, rng=self.rng)
+        good, wide = T.Tensor(np.ones((3, DIM))), T.Tensor(np.ones((3, DIM + 1)))
+        for f_c, f_r in ((wide, good), (good, wide)):
+            with pytest.raises(ValueError, match="concat|matmul"):
+                fusion.fuse(f_c, f_r)

@@ -43,6 +43,11 @@ def test_batch_losses_breakdown_consistent():
     assert total.item() == pytest.approx(breakdown.total, abs=1e-12)
 
 
+def test_empty_batch_rejected():
+    with pytest.raises(ValueError, match="concat: need at least one tensor"):
+        RetrievalModel(small_config()).batch_losses([])
+
+
 def test_disabled_auxiliaries_leave_their_params_unchanged():
     cfg = small_config()
     cfg.objective = dataclasses.replace(cfg.objective, alpha=0.0, beta=0.0)

@@ -81,6 +81,13 @@ def test_matching_loss_empty_batch():
         matching_loss([], [], W.tau)
 
 
+def test_matching_loss_count_mismatch_rejected():
+    rng = np.random.default_rng(3)
+    queries, targets = as_row_tensors(unit_rows(rng, 3, 4)), as_row_tensors(unit_rows(rng, 2, 4))
+    with pytest.raises(ValueError, match="in_batch_nll: expected a square matrix"):
+        matching_loss(queries, targets, W.tau)
+
+
 def test_in_batch_nll_requires_square():
     with pytest.raises(ValueError):
         in_batch_nll(T.Tensor(np.ones((2, 3))), 0.1)

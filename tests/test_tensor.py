@@ -48,6 +48,11 @@ def test_softmax_rows_sum_to_one_and_shift_invariant():
     assert np.allclose(out.data, shifted.data, atol=1e-9)
 
 
+def test_softmax_rows_without_entries_rejected():
+    with pytest.raises(ValueError, match="softmax_rows: rows have no entries"):
+        T.softmax_rows(T.Tensor(np.ones((3, 0))))
+
+
 def test_l2_normalize_345_triangle():
     out = T.l2_normalize_rows(T.Tensor([[3.0, 4.0]]))
     assert np.allclose(out.data, [[0.6, 0.8]], atol=1e-12)
