@@ -18,12 +18,14 @@ from .objective import in_batch_nll
 from .tensor import (
     Param,
     Tensor,
-    concat,
+    expand,
     l2_normalize_rows,
     matmul,
     mean_axis,
+    reshape,
     scalar_mul,
     softmax_rows,
+    stack,
     transpose,
 )
 
@@ -73,38 +75,28 @@ def hinge_attention(a_r2c: Tensor, a_c2t: Tensor, dim: int) -> Tensor:
     return softmax_rows(scalar_mul(matmul(a_r2c, a_c2t), 1.0 / math.sqrt(dim)))
 
 
-def _pooled(x: Tensor) -> Tensor:
-    return l2_normalize_rows(mean_axis(x, axis=0))
-
-
 def alignment_loss(triplet_features, p: BridgeParams, tau: float) -> Tensor:
     """Contrastive alignment of reference features with bridged target features.
 
     triplet_features is a list of (f_r_bar, f_c, f_t) tensors, one per batch
-    item.  For every query the chain is recomputed against every in-batch
-    target (each candidate target supplies its own keys and values), the two
-    sides are mean-pooled, and their cosine similarities feed the in-batch
-    softmax with the matched target on the diagonal.
+    item; items must share their shapes.  For every query the chain is
+    computed against every in-batch target (each candidate target supplies
+    its own keys and values), the two sides are mean-pooled, and their
+    cosine similarities feed the in-batch softmax with the matched target on
+    the diagonal.
     """
     triplets = list(triplet_features)
-    b = len(triplets)
-    dim = p.w_ref.shape[0]
+    f_r_bar, f_c, f_t = (stack([t[k] for t in triplets]) for k in range(3))
+    b, dim = f_r_bar.shape[0], p.w_ref.shape[0]
 
-    pooled_refs = [_pooled(f_r_bar) for f_r_bar, _, _ in triplets]
-    # per-query and per-candidate projections are reused across the B x B chains
-    a_r2cs = [attend_ref_to_text(f_r_bar, f_c, p) for f_r_bar, f_c, _ in triplets]
-    q_texts = [l2_normalize_rows(matmul(f_c, p.w_text_query.tensor)) for _, f_c, _ in triplets]
-    k_targets_t = [transpose(l2_normalize_rows(matmul(f_t, p.w_target.tensor)))
-                   for _, _, f_t in triplets]
-    v_targets = [matmul(f_t, p.w_value.tensor) for _, _, f_t in triplets]
-
-    rows = []
-    for i in range(b):
-        sims = []
-        for j in range(b):
-            a_c2t = matmul(q_texts[i], k_targets_t[j])
-            a_r2t = hinge_attention(a_r2cs[i], a_c2t, dim)
-            pooled_bridge = _pooled(matmul(a_r2t, v_targets[j]))
-            sims.append(matmul(pooled_refs[i], transpose(pooled_bridge)))
-        rows.append(concat(sims, axis=1))
-    return in_batch_nll(concat(rows, axis=0), tau)
+    # projections are made once per item; cell (i, j) of the B x B grid
+    # bridges query i to candidate target j
+    a_r2c = expand(attend_ref_to_text(f_r_bar, f_c, p), 1, b)
+    q_text = expand(l2_normalize_rows(matmul(f_c, p.w_text_query.tensor)), 1, b)
+    k_target = expand(transpose(l2_normalize_rows(matmul(f_t, p.w_target.tensor))), 0, b)
+    v_target = expand(matmul(f_t, p.w_value.tensor), 0, b)
+    a_r2t = hinge_attention(a_r2c, matmul(q_text, k_target), dim)
+    pooled_bridge = l2_normalize_rows(mean_axis(matmul(a_r2t, v_target), axis=2))
+    pooled_ref = expand(l2_normalize_rows(mean_axis(f_r_bar, axis=1)), 1, b)
+    sim = matmul(pooled_ref, transpose(pooled_bridge))
+    return in_batch_nll(reshape(sim, (b, b)), tau)

@@ -19,12 +19,13 @@ from .objective import in_batch_nll
 from .tensor import (
     Tensor,
     add,
-    concat,
     l2_normalize_rows,
     matmul,
     mean_axis,
+    reshape,
     scalar_mul,
     slice_rows,
+    stack,
     transpose,
 )
 
@@ -62,11 +63,11 @@ def fuse_branch(anchor: Tensor, other: Tensor, attend: Attention, layers: int) -
 
 
 def compose(f_r_prime: Tensor, f_t: Tensor, p: CompositorParams) -> Tensor:
-    """Average the two branches' CLS rows into one L2-normalized 1 x d vector."""
+    """Average the two branches' CLS rows into one L2-normalized 1 x d vector per item."""
     h_target = fuse_branch(f_r_prime, f_t, p.target_branch, p.layers)
     h_reference = fuse_branch(f_t, f_r_prime, p.reference_branch, p.layers)
     mean_cls = scalar_mul(add(slice_rows(h_target, 0, 1), slice_rows(h_reference, 0, 1)), 0.5)
-    if float(np.linalg.norm(mean_cls.data)) < 1e-12:
+    if (np.linalg.norm(mean_cls.data, axis=-1) < 1e-12).any():
         log.warning("degenerate composite vector: branch CLS rows cancel")
     return l2_normalize_rows(mean_cls)
 
@@ -75,11 +76,13 @@ def reasoning_loss(triplet_features, p: CompositorParams, tau: float) -> Tensor:
     """Contrast each composite visual vector against all in-batch texts.
 
     triplet_features is a list of (f_r_prime, f_t, f_c) tensors per batch
-    item.  Texts are mean-pooled and L2-normalized; row i of the similarity
-    matrix scores composite i against every text, diagonal matched.
+    item; items must share their shapes.  Texts are mean-pooled and
+    L2-normalized; row i of the similarity matrix scores composite i against
+    every text, diagonal matched.
     """
     triplets = list(triplet_features)
-    composites = [compose(f_r_prime, f_t, p) for f_r_prime, f_t, _ in triplets]
-    texts = [l2_normalize_rows(mean_axis(f_c, axis=0)) for _, _, f_c in triplets]
-    sim = matmul(concat(composites, axis=0), transpose(concat(texts, axis=0)))
-    return in_batch_nll(sim, tau)
+    f_r_prime, f_t, f_c = (stack([t[k] for t in triplets]) for k in range(3))
+    b, dim = f_c.shape[0], f_c.shape[-1]
+    composites = reshape(compose(f_r_prime, f_t, p), (b, dim))
+    texts = reshape(l2_normalize_rows(mean_axis(f_c, axis=1)), (b, dim))
+    return in_batch_nll(matmul(composites, transpose(texts)), tau)

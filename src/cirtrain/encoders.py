@@ -85,7 +85,7 @@ class Attention:
         q = matmul(x_q, self.wq.tensor)
         k = matmul(x_kv, self.wk.tensor)
         v = matmul(x_kv, self.wv.tensor)
-        logits = scalar_mul(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[1]))
+        logits = scalar_mul(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
         return matmul(softmax_rows(logits), v)
 
     def params(self):

@@ -1,13 +1,21 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Shapes are explicit everywhere: elementwise ops demand identical shapes and
-the only broadcasting is scalar-times-tensor, which keeps every gradient
-rule below auditable by eye.  Each op validates its output, so a NaN or Inf
-fails loudly at the op that produced it instead of poisoning the loss.
+Shapes are explicit everywhere: elementwise ops demand identical shapes,
+which keeps every gradient rule below auditable by eye.  Tensors may carry
+leading batch axes: at any rank the last two axes are a matrix's rows and
+columns, which `transpose`, `slice_rows`, `softmax_rows` and
+`l2_normalize_rows` act on, `mean_axis` takes any axis, and `matmul` pairs
+matrices over equal leading axes.  There are three broadcasts and no
+others: scalar times tensor, a 2-D weight on the right of `matmul` (applied
+to every matrix on the left; its gradient sums over the leading axes), and
+an explicit `expand` along a new axis (its gradient sums over that axis).
+Each op validates its output, so a NaN or Inf fails loudly at the op that
+produced it instead of poisoning the loss.
 """
 
 from __future__ import annotations
 
+import math
 from contextlib import contextmanager
 
 import numpy as np
@@ -26,6 +34,9 @@ __all__ = [
     "sum_all",
     "mean_axis",
     "concat",
+    "stack",
+    "expand",
+    "reshape",
     "slice_rows",
     "softmax_rows",
     "l2_normalize_rows",
@@ -108,6 +119,11 @@ def _check_2d(x: Tensor, op: str):
         raise ValueError(f"{op}: expected a 2-D tensor, got shape {x.shape}")
 
 
+def _check_rows(x: Tensor, op: str):
+    if x.data.ndim < 2:
+        raise ValueError(f"{op}: expected at least 2 axes, got shape {x.shape}")
+
+
 def _check_same_shape(a: Tensor, b: Tensor, op: str):
     if a.shape != b.shape:
         raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
@@ -129,19 +145,37 @@ def scalar_mul(x: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_2d(a, "matmul")
-    _check_2d(b, "matmul")
-    if a.shape[1] != b.shape[0]:
+    """Matrix product over the last two axes.
+
+    The leading axes of `a` and `b` must be equal, or `b` is a 2-D weight
+    applied to every matrix of `a`.
+    """
+    _check_rows(a, "matmul")
+    _check_rows(b, "matmul")
+    ad, bd = a.data, b.data
+    if bd.ndim > 2 and ad.shape[:-2] != bd.shape[:-2]:
+        raise ValueError(f"matmul: leading axes disagree, {a.shape} @ {b.shape}")
+    if ad.shape[-1] != bd.shape[-2]:
         raise ValueError(f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        out_data = a.data @ b.data
-    # d(sum g.C)/dA = g @ B^T, d/dB = A^T @ g
-    return _result(out_data, (a, b), lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
+        out_data = ad @ bd
+
+    # d(sum g.C)/dA = g @ B^T, d/dB = A^T @ g; a shared weight sums A^T @ g over every matrix
+    def back(g):
+        if ad.ndim == 2:
+            return g @ bd.T, ad.T @ g
+        if bd.ndim == 2:
+            return g @ bd.T, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+
+    return _result(out_data, (a, b), back, "matmul")
 
 
 def transpose(x: Tensor) -> Tensor:
-    _check_2d(x, "transpose")
-    return _result(x.data.T.copy(), (x,), lambda g: (g.T,), "transpose")
+    """Swap the last two axes."""
+    _check_rows(x, "transpose")
+    return _result(x.data.swapaxes(-1, -2).copy(), (x,), lambda g: (g.swapaxes(-1, -2),),
+                   "transpose")
 
 
 def log(x: Tensor) -> Tensor:
@@ -160,9 +194,9 @@ def sum_all(x: Tensor) -> Tensor:
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:
-    _check_2d(x, "mean_axis")
-    if axis not in (0, 1):
-        raise ValueError(f"mean_axis: axis must be 0 or 1, got {axis}")
+    """Mean over one axis, kept with size 1."""
+    if not -x.data.ndim <= axis < x.data.ndim:
+        raise ValueError(f"mean_axis: axis {axis} out of range for shape {x.shape}")
     n = x.shape[axis]
 
     def back(g):
@@ -193,49 +227,82 @@ def concat(parts, axis: int) -> Tensor:
     return _result(np.concatenate([p.data for p in parts], axis=axis), parts, back, "concat")
 
 
+def stack(parts) -> Tensor:
+    """Stack equal-shaped tensors along a new leading axis: n parts of shape s give (n, *s).
+
+    Parts of different shapes are refused, never padded.
+    """
+    parts = list(parts)
+    if not parts:
+        raise ValueError("stack: need at least one tensor")
+    shapes = list(dict.fromkeys(p.shape for p in parts))
+    if len(shapes) != 1:
+        raise ValueError(f"stack: parts have different shapes {shapes}")
+    return _result(np.stack([p.data for p in parts]), parts, lambda g: tuple(g), "stack")
+
+
+def expand(x: Tensor, axis: int, n: int) -> Tensor:
+    """Repeat `x` n times along a new axis inserted at `axis`; the gradient sums over it."""
+    if not 0 <= axis <= x.data.ndim:
+        raise ValueError(f"expand: axis {axis} out of range for shape {x.shape}")
+    data = np.expand_dims(x.data, axis)
+    shape = data.shape[:axis] + (n,) + data.shape[axis + 1:]
+    return _result(np.broadcast_to(data, shape), (x,), lambda g: (g.sum(axis=axis),), "expand")
+
+
+def reshape(x: Tensor, shape: tuple) -> Tensor:
+    """The same values, in row-major order, under a new shape."""
+    shape = tuple(shape)
+    if math.prod(shape) != x.data.size:
+        raise ValueError(f"reshape: cannot reshape {x.shape} to {shape}")
+    in_shape = x.shape
+    return _result(x.data.reshape(shape), (x,), lambda g: (g.reshape(in_shape),), "reshape")
+
+
 def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    _check_2d(x, "slice_rows")
-    m = x.shape[0]
+    """Rows [start, stop) along the second-to-last axis."""
+    _check_rows(x, "slice_rows")
+    m = x.shape[-2]
     if not (0 <= start < stop <= m):
         raise ValueError(f"slice_rows: invalid range [{start}, {stop}) for {m} rows")
     shape = x.data.shape
 
     def back(g):
         full = np.zeros(shape)
-        full[start:stop, :] = g
+        full[..., start:stop, :] = g
         return (full,)
 
-    return _result(x.data[start:stop, :].copy(), (x,), back, "slice_rows")
+    return _result(x.data[..., start:stop, :].copy(), (x,), back, "slice_rows")
 
 
 def softmax_rows(x: Tensor) -> Tensor:
-    """Row-wise softmax with per-row max subtraction for overflow safety."""
-    _check_2d(x, "softmax_rows")
-    if x.shape[1] == 0:
+    """Softmax over the last axis with per-row max subtraction for overflow safety."""
+    _check_rows(x, "softmax_rows")
+    if x.shape[-1] == 0:
         raise ValueError(f"softmax_rows: rows have no entries, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=1, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=1, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def back(g):
         # dL/dx = y * (g - sum_j g_j y_j) per row
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         return (y * (g - dot),)
 
     return _result(y, (x,), back, "softmax_rows")
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
-    """Scale each row to unit L2 norm; rows with norm < 1e-12 pass through unchanged."""
-    _check_2d(x, "l2_normalize_rows")
-    norms = np.linalg.norm(x.data, axis=1, keepdims=True)
+    """Scale each last-axis row to unit L2 norm; rows with norm < 1e-12 pass through unchanged."""
+    _check_rows(x, "l2_normalize_rows")
+    norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
     degenerate = norms < NORM_EPS
     safe = np.where(degenerate, 1.0, norms)
     y = x.data / safe
 
     def back(g):
         # normal rows: (g - y * <g, y>) / norm; degenerate rows: identity
-        dot = (g * y).sum(axis=1, keepdims=True)
+        dot = (g * y).sum(axis=-1, keepdims=True)
         gx = (g - y * dot) / safe
         return (np.where(degenerate, g, gx),)
 

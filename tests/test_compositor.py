@@ -134,6 +134,33 @@ def test_compose_antisymmetric_branches_flag_degenerate(caplog):
     assert any("degenerate" in rec.message for rec in caplog.records)
 
 
+def test_batched_compose_warns_when_any_row_is_degenerate(caplog):
+    p = make_params(layers=1)
+    for w, sign in ((p.target_branch, 1.0), (p.reference_branch, -1.0)):
+        w.wq.data[...] = 0.0
+        w.wv.data[...] = sign * np.eye(DIM)
+    # item 0 cancels as in the 2-D case; item 1's branches see different inputs
+    rng = np.random.default_rng(20)
+    f_r_prime = T.stack([T.Tensor(np.ones((1, DIM))), T.Tensor(rng.normal(size=(1, DIM)))])
+    f_t = T.stack([T.Tensor(np.ones((1, DIM))), T.Tensor(rng.normal(size=(1, DIM)))])
+    with caplog.at_level(logging.WARNING, logger="cirtrain.compositor"):
+        out = compose(f_r_prime, f_t, p)
+    assert np.allclose(out.data[0], 0.0, atol=1e-12)
+    assert np.linalg.norm(out.data[1]) == pytest.approx(1.0, abs=1e-12)
+    assert any("degenerate" in rec.message for rec in caplog.records)
+
+
+def test_batched_compose_equals_each_item_bitwise():
+    p = make_params(seed=21, layers=3)
+    rng = np.random.default_rng(22)
+    items = [(rng.normal(size=(4, DIM)), rng.normal(size=(5, DIM))) for _ in range(3)]
+    batched = compose(T.stack([T.Tensor(r) for r, _ in items]),
+                      T.stack([T.Tensor(t) for _, t in items]), p)
+    assert batched.shape == (3, 1, DIM)
+    for i, (r, t) in enumerate(items):
+        assert np.array_equal(batched.data[i], compose(T.Tensor(r), T.Tensor(t), p).data)
+
+
 def test_compose_matches_straight_line_oracle():
     p = make_params(seed=10, layers=3)
     rng = np.random.default_rng(11)

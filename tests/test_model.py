@@ -4,8 +4,11 @@ import json
 import numpy as np
 import pytest
 
+from cirtrain import tensor as T
+from cirtrain.bridge import BridgeParams, alignment_loss
+from cirtrain.compositor import CompositorParams, reasoning_loss
 from cirtrain.config import RunConfig
-from cirtrain.data import SynthSpec, generate
+from cirtrain.data import SynthSpec, TripletRecord, generate, read_records, write_records
 from cirtrain.model import RetrievalModel, load_checkpoint, save_checkpoint
 from cirtrain.objective import score_query_against_gallery
 from cirtrain.tensor import no_grad
@@ -211,3 +214,59 @@ def test_failed_load_leaves_every_parameter_unchanged(tmp_path, name, field, bad
         load_checkpoint(target, path)
     for n, p in target.parameters().items():
         assert np.array_equal(p.data, before[n]), n
+
+
+def _graph_nodes(loss):
+    """Recorded (non-leaf) nodes reachable from `loss` through `_parents`."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node.op != "leaf":
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+@pytest.mark.parametrize("loss", ["alignment", "reasoning"])
+def test_auxiliary_loss_graphs_do_not_grow_with_the_batch(loss):
+    # a loss built per item or per (query, candidate) pair would grow with B
+    d, rng = 6, np.random.default_rng(0)
+    bridge = BridgeParams(d, np.random.default_rng(1), share_text_projection=True)
+    comp = CompositorParams(d, np.random.default_rng(2), layers=2, share_branches=False)
+    counts = []
+    for b in (2, 16):
+        triplets = [tuple(T.Tensor(rng.normal(size=(n, d))) for n in (4, 2, 4)) for _ in range(b)]
+        if loss == "alignment":
+            total = alignment_loss(triplets, bridge, 0.1)
+        else:
+            total = reasoning_loss([(r, t, c) for r, c, t in triplets], comp, 0.1)
+        counts.append(_graph_nodes(total))
+    assert counts[0] == counts[1] > 0
+
+
+def _ragged_batch(tmp_path):
+    """Two records whose images have 3 and 4 tokens, through a JSONL round trip."""
+    records = [
+        TripletRecord("a", (1, 2, 3), (0, 1), (4, 5, 6)),
+        TripletRecord("b", (1, 2, 3, 7), (2, 3), (4, 5, 6, 8)),
+    ]
+    write_records(tmp_path / "ragged.jsonl", records)
+    return read_records(tmp_path / "ragged.jsonl")
+
+
+def test_ragged_batch_fails_clearly_with_the_full_objective(tmp_path):
+    model = RetrievalModel(small_config())
+    with pytest.raises(ValueError, match=r"stack: parts have different shapes \[\(4, 8\), \(5, 8\)\]"):
+        model.batch_losses(_ragged_batch(tmp_path))
+
+
+def test_ragged_batch_trains_on_the_matching_loss_alone(tmp_path):
+    cfg = small_config()
+    cfg.ablation = dataclasses.replace(cfg.ablation, use_alignment=False, use_reasoning=False)
+    model = RetrievalModel(cfg)
+    before = model.parameters()["fusion.wv"].data.copy()
+    total, breakdown = model.batch_losses(_ragged_batch(tmp_path))
+    total.backward()
+    Adam(model.trainable(), lr=0.05).step()
+    assert np.isfinite(breakdown.matching) and breakdown.alignment is None
+    assert not np.array_equal(model.parameters()["fusion.wv"].data, before)

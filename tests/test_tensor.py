@@ -156,6 +156,29 @@ def _fd_case(name, build, shapes):
     ("softmax_rows", lambda a: T.mul(T.softmax_rows(a), a), [(3, 5)]),
     ("l2_normalize", lambda a: T.mul(T.l2_normalize_rows(a), a), [(4, 5)]),
     ("sum_all", lambda a: T.sum_all(a), [(3, 4)]),
+    # leading batch axes: each generalised or new op at rank 3 and rank 4
+    ("matmul_batched3", lambda a, b: T.matmul(a, b), [(2, 3, 4), (2, 4, 2)]),
+    ("matmul_batched4", lambda a, b: T.matmul(a, b), [(2, 3, 2, 4), (2, 3, 4, 3)]),
+    ("matmul_weight3", lambda a, w: T.matmul(a, w), [(2, 3, 4), (4, 2)]),
+    ("matmul_weight4", lambda a, w: T.matmul(a, w), [(2, 3, 2, 4), (4, 3)]),
+    ("transpose3", lambda a: T.matmul(T.transpose(a), a), [(2, 3, 4)]),
+    ("transpose4", lambda a: T.matmul(T.transpose(a), a), [(2, 2, 3, 4)]),
+    ("expand3", lambda a, b: T.mul(T.expand(a, 1, 2), b), [(3, 4), (3, 2, 4)]),
+    ("expand4", lambda a, b: T.mul(T.expand(a, 0, 3), b), [(2, 3, 4), (3, 2, 3, 4)]),
+    ("stack3", lambda a, b: T.mul(T.stack([a, b]), T.stack([b, a])), [(3, 4), (3, 4)]),
+    ("stack4", lambda a, b: T.mul(T.stack([a, b, a]), T.stack([b, b, a])),
+     [(2, 3, 4), (2, 3, 4)]),
+    ("reshape3", lambda a, b: T.mul(T.reshape(a, (2, 6)), b), [(2, 3, 2), (2, 6)]),
+    ("reshape4", lambda a, b: T.mul(T.reshape(a, (2, 1, 3, 2)), b), [(3, 4), (2, 1, 3, 2)]),
+    ("softmax_rows3", lambda a: T.mul(T.softmax_rows(a), a), [(2, 3, 5)]),
+    ("softmax_rows4", lambda a: T.mul(T.softmax_rows(a), a), [(2, 2, 3, 4)]),
+    ("l2_normalize3", lambda a: T.mul(T.l2_normalize_rows(a), a), [(2, 4, 5)]),
+    ("l2_normalize4", lambda a: T.mul(T.l2_normalize_rows(a), a), [(2, 2, 3, 4)]),
+    ("mean_axis2_rank3", lambda a: T.mul(T.mean_axis(a, 2), T.mean_axis(a, 2)), [(2, 3, 4)]),
+    ("mean_axis2_rank4", lambda a: T.mul(T.mean_axis(a, 2), T.mean_axis(a, 2)), [(2, 2, 3, 4)]),
+    ("slice_rows3", lambda a: T.mul(T.slice_rows(a, 1, 3), T.slice_rows(a, 0, 2)), [(2, 4, 3)]),
+    ("slice_rows4", lambda a: T.mul(T.slice_rows(a, 1, 3), T.slice_rows(a, 0, 2)),
+     [(2, 2, 4, 3)]),
 ])
 def test_gradients_match_finite_differences(name, build, shapes):
     _fd_case(name, build, shapes)
@@ -202,3 +225,42 @@ def test_param_frozen_flag_and_reads_counter():
     assert q.grad is not None
     q.zero_grad()
     assert q.grad is None
+
+
+def test_matmul_leading_axes_must_match():
+    with pytest.raises(ValueError, match="matmul: leading axes disagree"):
+        T.matmul(T.Tensor(np.ones((2, 3, 4))), T.Tensor(np.ones((3, 4, 2))))
+    # only a 2-D right operand is shared across leading axes
+    with pytest.raises(ValueError, match="matmul: leading axes disagree"):
+        T.matmul(T.Tensor(np.ones((3, 4))), T.Tensor(np.ones((2, 4, 2))))
+
+
+def test_batched_ops_equal_their_2d_slices_bitwise():
+    a, b, w = RNG.normal(size=(3, 4, 5)), RNG.normal(size=(3, 5, 2)), RNG.normal(size=(5, 5))
+    batched = [T.matmul(T.Tensor(a), T.Tensor(b)), T.matmul(T.Tensor(a), T.Tensor(w)),
+               T.softmax_rows(T.Tensor(a)), T.l2_normalize_rows(T.Tensor(a)),
+               T.transpose(T.Tensor(a)), T.mean_axis(T.Tensor(a), 1), T.slice_rows(T.Tensor(a), 1, 3)]
+    for i in range(3):
+        x = T.Tensor(a[i])
+        single = [T.matmul(x, T.Tensor(b[i])), T.matmul(x, T.Tensor(w)), T.softmax_rows(x),
+                  T.l2_normalize_rows(x), T.transpose(x), T.mean_axis(x, 0), T.slice_rows(x, 1, 3)]
+        for whole, part in zip(batched, single):
+            assert np.array_equal(whole.data[i], part.data), whole.op
+
+
+def test_stack_refuses_ragged_parts():
+    parts = [T.Tensor(np.ones((3, 2))), T.Tensor(np.ones((4, 2)))]
+    with pytest.raises(ValueError, match=r"stack: parts have different shapes \[\(3, 2\), \(4, 2\)\]"):
+        T.stack(parts)
+    with pytest.raises(ValueError, match="stack: need at least one tensor"):
+        T.stack([])
+
+
+def test_expand_and_reshape_check_their_arguments():
+    x = T.Tensor(np.ones((2, 3)))
+    assert T.expand(x, 2, 4).shape == (2, 3, 4)
+    with pytest.raises(ValueError, match="expand: axis 3 out of range"):
+        T.expand(x, 3, 2)
+    assert T.reshape(x, (3, 1, 2)).shape == (3, 1, 2)
+    with pytest.raises(ValueError, match="reshape: cannot reshape"):
+        T.reshape(x, (4, 2))
