@@ -238,6 +238,21 @@ def read_records(path):
     return records
 
 
+def check_equal_lengths(records):
+    """Refuse records whose token fields differ in length across the set.
+
+    A batch whose sequences are stacked needs one length per field; checking
+    the whole set up front catches a record before any epoch can draw it.
+    """
+    for name in ("ref_tokens", "text_tokens", "target_tokens"):
+        lengths = sorted({len(getattr(r, name)) for r in records})
+        if len(lengths) > 1:
+            raise ValueError(
+                f"{name} lengths differ across the records: {lengths}; the auxiliary "
+                f"losses stack each batch, so every record needs one length per field"
+            )
+
+
 def batches(records, batch_size: int, seed: int, epoch: int = 0):
     """Shuffled batches for one epoch, yielded lazily; the short final batch is dropped.
 

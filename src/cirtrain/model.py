@@ -89,6 +89,12 @@ class RetrievalModel:
         """CLS row of the target features, L2-normalized."""
         return l2_normalize_rows(slice_rows(f_t, 0, 1))
 
+    @property
+    def stacks_batches(self) -> bool:
+        """Whether batch_losses runs an auxiliary loss, which stacks the batch's sequences."""
+        ab, ob = self.cfg.ablation, self.cfg.objective
+        return (ab.use_alignment and ob.alpha > 0) or (ab.use_reasoning and ob.beta > 0)
+
     def batch_losses(self, records) -> tuple:
         """Joint loss over one batch; returns (total tensor, LossBreakdown)."""
         ab, ob = self.cfg.ablation, self.cfg.objective

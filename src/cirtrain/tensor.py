@@ -162,8 +162,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     # d(sum g.C)/dA = g @ B^T, d/dB = A^T @ g; a shared weight sums A^T @ g over every matrix
     def back(g):
-        if ad.ndim == 2:
-            return g @ bd.T, ad.T @ g
         if bd.ndim == 2:
             return g @ bd.T, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
         return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g

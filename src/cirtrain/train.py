@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .data import batches, generate, synth_spec_from_config
+from .data import batches, check_equal_lengths, generate, synth_spec_from_config
 from .model import RetrievalModel
 from .tensor import NonFiniteError, no_grad
 
@@ -52,9 +52,12 @@ def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
     """Run the configured number of epochs; returns per-epoch mean breakdowns.
 
     Aborts with a diagnostic naming the offending op if any engine output
-    turns non-finite.
+    turns non-finite.  Records the auxiliary losses could not stack are
+    refused before the first step.
     """
     tc = cfg.training
+    if model.stacks_batches and tc.batch_size > 1:
+        check_equal_lengths(records)
     optimizer = Adam(model.trainable(), lr=tc.learning_rate)
     history = []
     log_fh = None

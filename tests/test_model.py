@@ -8,11 +8,18 @@ from cirtrain import tensor as T
 from cirtrain.bridge import BridgeParams, alignment_loss
 from cirtrain.compositor import CompositorParams, reasoning_loss
 from cirtrain.config import RunConfig
-from cirtrain.data import SynthSpec, TripletRecord, generate, read_records, write_records
+from cirtrain.data import (
+    SynthSpec,
+    TripletRecord,
+    batches,
+    generate,
+    read_records,
+    write_records,
+)
 from cirtrain.model import RetrievalModel, load_checkpoint, save_checkpoint
 from cirtrain.objective import score_query_against_gallery
 from cirtrain.tensor import no_grad
-from cirtrain.train import Adam
+from cirtrain.train import Adam, train_model
 
 
 def small_config(**training_kw):
@@ -270,3 +277,37 @@ def test_ragged_batch_trains_on_the_matching_loss_alone(tmp_path):
     Adam(model.trainable(), lr=0.05).step()
     assert np.isfinite(breakdown.matching) and breakdown.alignment is None
     assert not np.array_equal(model.parameters()["fusion.wv"].data, before)
+
+
+def _ragged_set_and_config():
+    """Two 3-token-image records and one 4-token one; at batch size 2 the
+    first epoch's remainder drops the 4-token record."""
+    records = [
+        TripletRecord("a", (1, 2, 3), (0, 1), (4, 5, 6)),
+        TripletRecord("b", (1, 2, 3, 7), (2, 3), (4, 5, 6)),
+        TripletRecord("c", (1, 2, 3), (2, 3), (4, 5, 6)),
+    ]
+    cfg = small_config(epochs=3)
+    cfg.training = dataclasses.replace(cfg.training, batch_size=2, seed=next(
+        seed for seed in range(100)
+        if all(r.id != "b" for batch in batches(records, 2, seed, 0) for r in batch)
+    ))
+    return records, cfg
+
+
+def test_ragged_records_are_refused_before_the_first_step(tmp_path):
+    records, cfg = _ragged_set_and_config()
+    model = RetrievalModel(cfg)
+    before = model.parameters()["fusion.wv"].data.copy()
+    log_path = tmp_path / "train_log.jsonl"
+    with pytest.raises(ValueError, match=r"ref_tokens lengths differ across the records: \[3, 4\]"):
+        train_model(model, records, cfg, log_path=log_path)
+    assert not log_path.exists()
+    assert np.array_equal(model.parameters()["fusion.wv"].data, before)
+
+
+def test_ragged_records_train_on_the_matching_loss_alone(tmp_path):
+    records, cfg = _ragged_set_and_config()
+    cfg.ablation = dataclasses.replace(cfg.ablation, use_alignment=False, use_reasoning=False)
+    history = train_model(RetrievalModel(cfg), records, cfg, log_path=tmp_path / "log.jsonl")
+    assert len(history) == 3 and all(row["alignment"] is None for row in history)
