@@ -101,6 +101,9 @@ class RunConfig:
 
 
 def _from_dict(cls, data: dict, prefix: str = ""):
+    if not isinstance(data, dict):
+        where = f"section {prefix[:-1]!r}" if prefix else "top level"
+        raise ValueError(f"config {where} must be a JSON object, got {data!r}")
     unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(prefix + k for k in unknown)}")

@@ -41,9 +41,13 @@ class TripletRecord:
 
     def __post_init__(self):
         for name in ("ref_tokens", "text_tokens", "target_tokens"):
-            value = tuple(int(t) for t in getattr(self, name))
+            value = tuple(getattr(self, name))
             if not value:
                 raise ValueError(f"{name} must be non-empty")
+            # refused, not rounded: int() would read 1.7 as 1, true as 1 and "3" as 3
+            for t in value:
+                if isinstance(t, bool) or not isinstance(t, int):
+                    raise ValueError(f"{name}: token id {t!r} is not an integer")
             object.__setattr__(self, name, value)
         if self.subset_ids is not None:
             subset = tuple(str(s) for s in self.subset_ids)

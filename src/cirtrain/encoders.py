@@ -114,7 +114,7 @@ class ImageEncoder:
         if seq.kind not in IMAGE_KINDS:
             raise ValueError(f"image encoder got a {seq.kind!r} sequence")
         _check_tokens(seq.tokens, self.vocab, self.max_tokens)
-        rows = concat([self.cls.tensor, matmul(_one_hot(seq.tokens, self.vocab), self.embedding.tensor)], axis=0)
+        rows = concat([self.cls.tensor, matmul(_one_hot(seq.tokens, self.vocab), self.embedding.tensor)])
         rows = add(rows, slice_rows(self.positions.tensor, 0, len(seq.tokens) + 1))
         return add(rows, self.attn(rows, rows))
 
@@ -170,7 +170,8 @@ class QueryFusion:
     Learnable prompt rows are concatenated with the text features on the
     query side and cross-attend into the reference image (values come from
     the image).  The mean-pooled text feature is then added back onto the
-    text-side output rows so the fused result keeps explicit text guidance.
+    text-side output rows through a 0/1 row mask (P zeros for the prompt
+    rows, then L ones), so the fused result keeps explicit text guidance.
     """
 
     def __init__(self, name: str, dim: int, n_prompts: int, rng: np.random.Generator):
@@ -182,13 +183,9 @@ class QueryFusion:
 
     def fuse(self, f_c: Tensor, f_r: Tensor) -> Tensor:
         p, length = self.n_prompts, f_c.shape[0]
-        query_side = concat([self.prompts.tensor, f_c], axis=0) if p else f_c
-        out = self.attn(query_side, f_r)
-        pooled_text = matmul(Tensor(np.ones((length, 1))), mean_axis(f_c, axis=0))
-        text_rows = add(slice_rows(out, p, p + length), pooled_text)
-        if p:
-            return concat([slice_rows(out, 0, p), text_rows], axis=0)
-        return text_rows
+        query_side = concat([self.prompts.tensor, f_c]) if p else f_c
+        text_mask = Tensor((np.arange(p + length) >= p)[:, None])
+        return add(self.attn(query_side, f_r), matmul(text_mask, mean_axis(f_c, axis=0)))
 
     def query_embedding(self, f_c: Tensor, f_r: Tensor) -> Tensor:
         """Mean-pool the fused sequence and L2-normalize: the 1 x d query vector."""

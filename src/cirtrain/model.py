@@ -181,5 +181,7 @@ def load_checkpoint(model: RetrievalModel, path):
         if bool(entry["frozen"]) != p.frozen:
             raise ValueError(f"{name}: frozen flag mismatch")
         values[name] = np.array(entry["data"], dtype=np.float64).reshape(p.shape)
+        if not np.isfinite(values[name]).all():
+            raise ValueError(f"{name}: checkpoint holds non-finite values")
     for name, value in values.items():
         params[name].data[...] = value

@@ -50,7 +50,7 @@ def matching_loss(query_embs, target_embs, tau: float) -> Tensor:
     Both inputs are lists of L2-normalized 1 x d tensors; entry i of each list
     belongs to triplet i, so the similarity diagonal holds the positives.
     """
-    sim = matmul(concat(query_embs, axis=0), transpose(concat(target_embs, axis=0)))
+    sim = matmul(concat(query_embs), transpose(concat(target_embs)))
     return in_batch_nll(sim, tau)
 
 

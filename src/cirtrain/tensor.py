@@ -203,26 +203,18 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
     return _result(x.data.mean(axis=axis, keepdims=True), (x,), back, "mean_axis")
 
 
-def concat(parts, axis: int) -> Tensor:
+def concat(parts) -> Tensor:
+    """Join 2-D parts by rows, top to bottom; every part needs the same number of columns."""
     parts = list(parts)
     if not parts:
         raise ValueError("concat: need at least one tensor")
-    if axis not in (0, 1):
-        raise ValueError(f"concat: axis must be 0 or 1, got {axis}")
     for p in parts:
         _check_2d(p, "concat")
-    other = 1 - axis
-    if len({p.shape[other] for p in parts}) != 1:
-        raise ValueError(f"concat: mismatched shapes along axis {other}")
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def back(g):
-        if axis == 0:
-            return tuple(g[offsets[i]:offsets[i + 1], :] for i in range(len(sizes)))
-        return tuple(g[:, offsets[i]:offsets[i + 1]] for i in range(len(sizes)))
-
-    return _result(np.concatenate([p.data for p in parts], axis=axis), parts, back, "concat")
+    if len({p.shape[1] for p in parts}) != 1:
+        raise ValueError("concat: parts have different numbers of columns")
+    splits = np.cumsum([p.shape[0] for p in parts[:-1]])
+    return _result(np.concatenate([p.data for p in parts]), parts,
+                   lambda g: tuple(np.split(g, splits)), "concat")
 
 
 def stack(parts) -> Tensor:

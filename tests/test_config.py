@@ -52,6 +52,18 @@ def test_removed_model_keys_rejected():
             apply_override(RunConfig(), f"model.{key}=1")
 
 
+@pytest.mark.parametrize("doc,where", [
+    ([1, 2], "top level"),
+    ({"model": 5}, "section 'model'"),
+    ({"training": [1]}, "section 'training'"),
+])
+def test_config_that_is_not_an_object_names_where(tmp_path, doc, where):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"^config {where} must be a JSON object"):
+        load_config(path)
+
+
 def test_partial_dict_keeps_defaults():
     cfg = config_from_dict({"training": {"epochs": 3}})
     assert cfg.training.epochs == 3

@@ -153,6 +153,20 @@ def test_jsonl_rejects_repeated_subset_ids(tmp_path):
         read_records(path)
 
 
+@pytest.mark.parametrize("field,tokens,shown", [
+    ("ref_tokens", "[1.7, 2.2]", "1.7"),
+    ("text_tokens", "[true, 1]", "True"),
+    ("target_tokens", '[2, "3"]', "'3'"),
+], ids=["float", "bool", "string"])
+def test_jsonl_refuses_token_ids_that_are_not_integers(tmp_path, field, tokens, shown):
+    row = {"id": '"a"', "ref_tokens": "[1]", "text_tokens": "[0]", "target_tokens": "[2]"}
+    row[field] = tokens
+    path = tmp_path / "bad.jsonl"
+    path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}\n")
+    with pytest.raises(ValueError, match=f"^{field}: token id {shown} is not an integer$"):
+        read_records(path)
+
+
 def test_batches_count_and_drop_last():
     train, _ = generate(SPEC)
     got = list(batches(train[:10], 4, seed=0))

@@ -231,6 +231,22 @@ class TestQueryFusion:
         assert np.allclose(fused.data, out, atol=1e-12)
         assert [p.name for p in fusion.params()] == ["q.prompts", "q.wq", "q.wk", "q.wv"]
 
+    @pytest.mark.parametrize("n_prompts,concats", [(0, 0), (2, 1)])
+    def test_fuse_adds_the_pooled_text_without_slicing(self, n_prompts, concats):
+        # only the query side is joined; the pooled text goes in through a row mask
+        fusion = QueryFusion("q", DIM, n_prompts=n_prompts, rng=self.rng)
+        f_c = T.Tensor(self.rng.normal(size=(3, DIM)), requires_grad=True)
+        f_r = T.Tensor(self.rng.normal(size=(4, DIM)))
+        ops, seen, stack = [], set(), [fusion.fuse(f_c, f_r)]
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen.add(id(node))
+                ops.append(node.op)
+                stack.extend(node._parents)
+        assert "slice_rows" not in ops
+        assert ops.count("concat") == concats
+
     @pytest.mark.parametrize("n_prompts", [0, 2])
     def test_dim_mismatch_rejected(self, n_prompts):
         # the engine's concat and matmul refuse features of the wrong width

@@ -223,6 +223,23 @@ def test_failed_load_leaves_every_parameter_unchanged(tmp_path, name, field, bad
         assert np.array_equal(p.data, before[n]), n
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_non_finite_checkpoint_values_refused(tmp_path, bad):
+    cfg = small_config()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(RetrievalModel(cfg), path)
+    doc = json.loads(path.read_text())
+    doc["fusion.wq"]["data"][5] = bad
+    path.write_text(json.dumps(doc))  # NaN / Infinity literals, which json.load accepts
+
+    target = RetrievalModel(cfg, seed=999)
+    before = {n: p.data.copy() for n, p in target.parameters().items()}
+    with pytest.raises(ValueError, match="^fusion.wq: checkpoint holds non-finite values$"):
+        load_checkpoint(target, path)
+    for n, p in target.parameters().items():
+        assert np.array_equal(p.data, before[n]), n
+
+
 def _graph_nodes(loss):
     """Recorded (non-leaf) nodes reachable from `loss` through `_parents`."""
     seen, stack = set(), [loss]
