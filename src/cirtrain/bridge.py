@@ -25,7 +25,6 @@ from .tensor import (
     reshape,
     scalar_mul,
     softmax_rows,
-    stack,
     transpose,
 )
 
@@ -75,18 +74,17 @@ def hinge_attention(a_r2c: Tensor, a_c2t: Tensor, dim: int) -> Tensor:
     return softmax_rows(scalar_mul(matmul(a_r2c, a_c2t), 1.0 / math.sqrt(dim)))
 
 
-def alignment_loss(triplet_features, p: BridgeParams, tau: float) -> Tensor:
+def alignment_loss(f_r_bar: Tensor, f_c: Tensor, f_t: Tensor, p: BridgeParams,
+                   tau: float) -> Tensor:
     """Contrastive alignment of reference features with bridged target features.
 
-    triplet_features is a list of (f_r_bar, f_c, f_t) tensors, one per batch
-    item; items must share their shapes.  For every query the chain is
-    computed against every in-batch target (each candidate target supplies
-    its own keys and values), the two sides are mean-pooled, and their
-    cosine similarities feed the in-batch softmax with the matched target on
-    the diagonal.
+    The features are B x N x d, B x L x d and B x M x d tensors, item i of
+    each belonging to triplet i.  For every query the chain is computed
+    against every in-batch target (each candidate target supplies its own
+    keys and values), the two sides are mean-pooled, and their cosine
+    similarities feed the in-batch softmax with the matched target on the
+    diagonal.
     """
-    triplets = list(triplet_features)
-    f_r_bar, f_c, f_t = (stack([t[k] for t in triplets]) for k in range(3))
     b, dim = f_r_bar.shape[0], p.w_ref.shape[0]
 
     # projections are made once per item; cell (i, j) of the B x B grid

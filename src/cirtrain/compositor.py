@@ -25,7 +25,6 @@ from .tensor import (
     reshape,
     scalar_mul,
     slice_rows,
-    stack,
     transpose,
 )
 
@@ -72,16 +71,15 @@ def compose(f_r_prime: Tensor, f_t: Tensor, p: CompositorParams) -> Tensor:
     return l2_normalize_rows(mean_cls)
 
 
-def reasoning_loss(triplet_features, p: CompositorParams, tau: float) -> Tensor:
+def reasoning_loss(f_r_prime: Tensor, f_t: Tensor, f_c: Tensor, p: CompositorParams,
+                   tau: float) -> Tensor:
     """Contrast each composite visual vector against all in-batch texts.
 
-    triplet_features is a list of (f_r_prime, f_t, f_c) tensors per batch
-    item; items must share their shapes.  Texts are mean-pooled and
-    L2-normalized; row i of the similarity matrix scores composite i against
-    every text, diagonal matched.
+    The features are B x N x d, B x M x d and B x L x d tensors, item i of
+    each belonging to triplet i.  Texts are mean-pooled and L2-normalized;
+    row i of the similarity matrix scores composite i against every text,
+    diagonal matched.
     """
-    triplets = list(triplet_features)
-    f_r_prime, f_t, f_c = (stack([t[k] for t in triplets]) for k in range(3))
     b, dim = f_c.shape[0], f_c.shape[-1]
     composites = reshape(compose(f_r_prime, f_t, p), (b, dim))
     texts = reshape(l2_normalize_rows(mean_axis(f_c, axis=1)), (b, dim))

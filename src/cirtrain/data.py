@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
+from .encoders import integer_tokens
 
 JSONL_FIELDS = ("id", "ref_tokens", "text_tokens", "target_tokens", "subset_ids")
 SUBSET_SIZE = 5
@@ -41,13 +42,9 @@ class TripletRecord:
 
     def __post_init__(self):
         for name in ("ref_tokens", "text_tokens", "target_tokens"):
-            value = tuple(getattr(self, name))
+            value = integer_tokens(name, getattr(self, name))
             if not value:
                 raise ValueError(f"{name} must be non-empty")
-            # refused, not rounded: int() would read 1.7 as 1, true as 1 and "3" as 3
-            for t in value:
-                if isinstance(t, bool) or not isinstance(t, int):
-                    raise ValueError(f"{name}: token id {t!r} is not an integer")
             object.__setattr__(self, name, value)
         if self.subset_ids is not None:
             subset = tuple(str(s) for s in self.subset_ids)
@@ -245,15 +242,16 @@ def read_records(path):
 def check_equal_lengths(records):
     """Refuse records whose token fields differ in length across the set.
 
-    A batch whose sequences are stacked needs one length per field; checking
-    the whole set up front catches a record before any epoch can draw it.
+    Training stacks each batch, so a batch needs one length per field;
+    checking the whole set up front catches a record before any epoch can
+    draw it.
     """
     for name in ("ref_tokens", "text_tokens", "target_tokens"):
         lengths = sorted({len(getattr(r, name)) for r in records})
         if len(lengths) > 1:
             raise ValueError(
-                f"{name} lengths differ across the records: {lengths}; the auxiliary "
-                f"losses stack each batch, so every record needs one length per field"
+                f"{name} lengths differ across the records: {lengths}; training "
+                f"stacks each batch, so every record needs one length per field"
             )
 
 

@@ -5,7 +5,9 @@ system would use.  Each encoder is an embedding lookup (realised as a
 one-hot matmul so gradients reach the table through the ordinary matmul
 rule), learned positional vectors, and one self-attention block with a
 residual connection.  Image encoders prepend a CLS row; the text encoder
-does not.
+does not.  The frozen image encoders take one sequence at a time; the text
+encoder, cross encoder and query fusion run the same code on one item's
+L x d rows at inference and on a B x L x d batch in training.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from .tensor import (
     Tensor,
     add,
     concat,
+    expand,
     l2_normalize_rows,
     matmul,
     mean_axis,
@@ -35,6 +38,16 @@ KIND_TEXT = "text"
 IMAGE_KINDS = (KIND_REFERENCE, KIND_TARGET)
 
 
+def integer_tokens(name: str, tokens) -> tuple:
+    """`tokens` as a tuple; every id must be an int, and a bool is not one."""
+    value = tuple(tokens)
+    # refused, not rounded: int() would read 1.7 as 1, true as 1 and "3" as 3
+    for t in value:
+        if isinstance(t, bool) or not isinstance(t, int):
+            raise ValueError(f"{name}: token id {t!r} is not an integer")
+    return value
+
+
 @dataclass(frozen=True)
 class TokenSeq:
     """A sequence of integer token ids (image patches or text words)."""
@@ -43,26 +56,27 @@ class TokenSeq:
     kind: str
 
     def __post_init__(self):
-        object.__setattr__(self, "tokens", tuple(int(t) for t in self.tokens))
-        if len(self.tokens) == 0:
-            raise ValueError("token sequence must be non-empty")
         if self.kind not in IMAGE_KINDS + (KIND_TEXT,):
             raise ValueError(f"unknown sequence kind {self.kind!r}")
+        object.__setattr__(self, "tokens", integer_tokens(self.kind, self.tokens))
+        if len(self.tokens) == 0:
+            raise ValueError("token sequence must be non-empty")
 
 
 def _one_hot(tokens, vocab: int) -> Tensor:
-    """Constant N x V indicator matrix; the lookup becomes one_hot @ table."""
-    m = np.zeros((len(tokens), vocab))
-    m[np.arange(len(tokens)), list(tokens)] = 1.0
-    return Tensor(m)
+    """Constant (..., N, V) indicator rows of (..., N) ids; the lookup becomes one_hot @ table."""
+    return Tensor(np.asarray(tokens)[..., None] == np.arange(vocab))
 
 
-def _check_tokens(tokens, vocab: int, max_tokens: int):
-    if len(tokens) > max_tokens:
-        raise ValueError(f"sequence length {len(tokens)} exceeds maximum {max_tokens}")
-    for t in tokens:
-        if not (0 <= t < vocab):
-            raise ValueError(f"token id {t} outside vocabulary [0, {vocab})")
+def _check_tokens(encoder, seq: TokenSeq, kinds: tuple):
+    """Refuse a sequence of a kind `encoder` does not take, or one it cannot embed."""
+    if seq.kind not in kinds:
+        raise ValueError(f"{type(encoder).__name__} got a {seq.kind!r} sequence")
+    if len(seq.tokens) > encoder.max_tokens:
+        raise ValueError(f"sequence length {len(seq.tokens)} exceeds maximum {encoder.max_tokens}")
+    for t in seq.tokens:
+        if not (0 <= t < encoder.vocab):
+            raise ValueError(f"token id {t} outside vocabulary [0, {encoder.vocab})")
 
 
 class Attention:
@@ -111,9 +125,7 @@ class ImageEncoder:
         self.attn = Attention(f"{name}.attn", dim, rng, frozen=True, scale_qk=0.25 / math.sqrt(dim))
 
     def encode(self, seq: TokenSeq) -> Tensor:
-        if seq.kind not in IMAGE_KINDS:
-            raise ValueError(f"image encoder got a {seq.kind!r} sequence")
-        _check_tokens(seq.tokens, self.vocab, self.max_tokens)
+        _check_tokens(self, seq, IMAGE_KINDS)
         rows = concat([self.cls.tensor, matmul(_one_hot(seq.tokens, self.vocab), self.embedding.tensor)])
         rows = add(rows, slice_rows(self.positions.tensor, 0, len(seq.tokens) + 1))
         return add(rows, self.attn(rows, rows))
@@ -140,12 +152,15 @@ class TextEncoder:
         self.positions = Param(f"{name}.positions", rng.normal(0.0, 0.1, (max_tokens, dim)))
         self.attn = Attention(f"{name}.attn", dim, rng)
 
-    def encode(self, seq: TokenSeq) -> Tensor:
-        if seq.kind != KIND_TEXT:
-            raise ValueError(f"text encoder got a {seq.kind!r} sequence")
-        _check_tokens(seq.tokens, self.vocab, self.max_tokens)
-        rows = matmul(_one_hot(seq.tokens, self.vocab), self.embedding.tensor)
-        rows = add(rows, slice_rows(self.positions.tensor, 0, len(seq.tokens)))
+    def encode(self, seqs) -> Tensor:
+        """One TokenSeq gives L x d rows; a list of B of one length L gives B x L x d."""
+        single = isinstance(seqs, TokenSeq)
+        for seq in [seqs] if single else seqs:
+            _check_tokens(self, seq, (KIND_TEXT,))
+        tokens = np.array(seqs.tokens if single else [seq.tokens for seq in seqs])
+        rows = matmul(_one_hot(tokens, self.vocab), self.embedding.tensor)
+        positions = slice_rows(self.positions.tensor, 0, tokens.shape[-1])
+        rows = add(rows, positions if single else expand(positions, 0, len(seqs)))
         return add(rows, self.attn(rows, rows))
 
     def params(self):
@@ -156,8 +171,8 @@ class CrossEncoder(Attention):
     """Refines reference-image features with the text: one cross-attention block.
 
     The reference rows act as queries over text keys/values and the result is
-    added residually, so the output keeps the reference shape and routes
-    gradients into the text encoder.
+    added residually, so the output keeps the reference shape (one item or a
+    batch) and routes gradients into the text encoder.
     """
 
     def __call__(self, f_r: Tensor, f_c: Tensor) -> Tensor:
@@ -172,6 +187,7 @@ class QueryFusion:
     the image).  The mean-pooled text feature is then added back onto the
     text-side output rows through a 0/1 row mask (P zeros for the prompt
     rows, then L ones), so the fused result keeps explicit text guidance.
+    For a batch of features, prompts and mask are repeated over the batch.
     """
 
     def __init__(self, name: str, dim: int, n_prompts: int, rng: np.random.Generator):
@@ -182,14 +198,16 @@ class QueryFusion:
         self.attn = Attention(name, dim, rng)
 
     def fuse(self, f_c: Tensor, f_r: Tensor) -> Tensor:
-        p, length = self.n_prompts, f_c.shape[0]
-        query_side = concat([self.prompts.tensor, f_c]) if p else f_c
-        text_mask = Tensor((np.arange(p + length) >= p)[:, None])
-        return add(self.attn(query_side, f_r), matmul(text_mask, mean_axis(f_c, axis=0)))
+        lead, p, length = f_c.shape[:-2], self.n_prompts, f_c.shape[-2]
+        prompts = self.prompts.tensor if p else None
+        query_side = concat([expand(prompts, 0, lead[0]) if lead else prompts, f_c]) if p else f_c
+        text_mask = np.zeros(lead + (p + length, 1))
+        text_mask[..., p:, :] = 1.0
+        return add(self.attn(query_side, f_r), matmul(Tensor(text_mask), mean_axis(f_c, axis=-2)))
 
     def query_embedding(self, f_c: Tensor, f_r: Tensor) -> Tensor:
-        """Mean-pool the fused sequence and L2-normalize: the 1 x d query vector."""
-        return l2_normalize_rows(mean_axis(self.fuse(f_c, f_r), axis=0))
+        """Mean-pool the fused sequence and L2-normalize: one 1 x d query vector per item."""
+        return l2_normalize_rows(mean_axis(self.fuse(f_c, f_r), axis=-2))
 
     def params(self):
         base = [self.prompts] if self.prompts is not None else []

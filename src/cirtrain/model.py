@@ -16,7 +16,6 @@ import numpy as np
 from .bridge import BridgeParams, alignment_loss
 from .compositor import CompositorParams, reasoning_loss
 from .config import RunConfig
-from .data import TripletRecord
 from .encoders import (
     KIND_REFERENCE,
     KIND_TARGET,
@@ -28,7 +27,7 @@ from .encoders import (
     TokenSeq,
 )
 from .objective import LossBreakdown, matching_loss, total_loss
-from .tensor import Tensor, l2_normalize_rows, slice_rows
+from .tensor import Tensor, l2_normalize_rows, reshape, slice_rows, stack
 
 
 class RetrievalModel:
@@ -74,48 +73,38 @@ class RetrievalModel:
 
     # ------------------------------------------------------------------ forward
 
-    def encode_triplet(self, record: TripletRecord) -> dict:
-        """All per-triplet feature sequences the three losses consume."""
-        ref_seq = TokenSeq(record.ref_tokens, KIND_REFERENCE)
-        f_r = self.ref_encoder.encode(ref_seq)
-        f_t = self.tgt_encoder.encode(TokenSeq(record.target_tokens, KIND_TARGET))
-        f_c = self.text_encoder.encode(TokenSeq(record.text_tokens, KIND_TEXT))
-        f_r_bar = self.cross_encoder(f_r, f_c)
-        # the reference re-encoded through the image branch, train-time only
-        f_r_prime = self.tgt_encoder.encode(TokenSeq(record.ref_tokens, KIND_REFERENCE))
-        return {"f_r": f_r, "f_t": f_t, "f_c": f_c, "f_r_bar": f_r_bar, "f_r_prime": f_r_prime}
-
     def pooled_target(self, f_t: Tensor) -> Tensor:
-        """CLS row of the target features, L2-normalized."""
+        """CLS row of the target features, L2-normalized (per item of a batch)."""
         return l2_normalize_rows(slice_rows(f_t, 0, 1))
 
-    @property
-    def stacks_batches(self) -> bool:
-        """Whether batch_losses runs an auxiliary loss, which stacks the batch's sequences."""
-        ab, ob = self.cfg.ablation, self.cfg.objective
-        return (ab.use_alignment and ob.alpha > 0) or (ab.use_reasoning and ob.beta > 0)
-
     def batch_losses(self, records) -> tuple:
-        """Joint loss over one batch; returns (total tensor, LossBreakdown)."""
-        ab, ob = self.cfg.ablation, self.cfg.objective
-        feats = [self.encode_triplet(r) for r in records]
+        """Joint loss over one batch; returns (total tensor, LossBreakdown).
 
-        query_embs = [self.fusion.query_embedding(f["f_c"], f["f_r"]) for f in feats]
-        target_embs = [self.pooled_target(f["f_t"]) for f in feats]
-        l_match = matching_loss(query_embs, target_embs, ob.tau)
+        Features are stacked once (B x N x d), so records need one length per
+        token field; only the frozen image encoders run per record.
+        """
+        ab, ob = self.cfg.ablation, self.cfg.objective
+        refs = [TokenSeq(r.ref_tokens, KIND_REFERENCE) for r in records]
+        f_r = stack([self.ref_encoder.encode(seq) for seq in refs])
+        f_t = stack([self.tgt_encoder.encode(TokenSeq(r.target_tokens, KIND_TARGET))
+                     for r in records])
+        # the reference re-encoded through the image branch, train-time only
+        f_r_prime = stack([self.tgt_encoder.encode(seq) for seq in refs])
+        f_c = self.text_encoder.encode([TokenSeq(r.text_tokens, KIND_TEXT) for r in records])
+        f_r_bar = self.cross_encoder(f_r, f_c)
+
+        rows = (len(records), f_c.shape[-1])
+        l_match = matching_loss(reshape(self.fusion.query_embedding(f_c, f_r), rows),
+                                reshape(self.pooled_target(f_t), rows), ob.tau)
 
         l_align = None
         if ab.use_alignment and ob.alpha > 0:
-            ref_key = "f_r_bar" if ab.attentive_reference else "f_r"
-            l_align = alignment_loss(
-                [(f[ref_key], f["f_c"], f["f_t"]) for f in feats], self.bridge, ob.tau
-            )
+            f_ref = f_r_bar if ab.attentive_reference else f_r
+            l_align = alignment_loss(f_ref, f_c, f_t, self.bridge, ob.tau)
 
         l_reason = None
         if ab.use_reasoning and ob.beta > 0:
-            l_reason = reasoning_loss(
-                [(f["f_r_prime"], f["f_t"], f["f_c"]) for f in feats], self.compositor, ob.tau
-            )
+            l_reason = reasoning_loss(f_r_prime, f_t, f_c, self.compositor, ob.tau)
 
         total = total_loss(l_match, l_align, l_reason, ob.alpha, ob.beta)
         breakdown = LossBreakdown(
@@ -180,7 +169,10 @@ def load_checkpoint(model: RetrievalModel, path):
             raise ValueError(f"{name}: checkpoint shape {entry['shape']} vs model {list(p.shape)}")
         if bool(entry["frozen"]) != p.frozen:
             raise ValueError(f"{name}: frozen flag mismatch")
-        values[name] = np.array(entry["data"], dtype=np.float64).reshape(p.shape)
+        data = entry.get("data")
+        if type(data) is not list or len(data) != p.data.size or {*map(type, data)} - {int, float}:
+            raise ValueError(f"{name}: checkpoint data must be a list of {p.data.size} numbers")
+        values[name] = np.array(data, dtype=np.float64).reshape(p.shape)
         if not np.isfinite(values[name]).all():
             raise ValueError(f"{name}: checkpoint holds non-finite values")
     for name, value in values.items():

@@ -9,7 +9,6 @@ import numpy as np
 from .tensor import (
     Tensor,
     add,
-    concat,
     log,
     matmul,
     mul,
@@ -44,14 +43,13 @@ def in_batch_nll(sim: Tensor, tau: float) -> Tensor:
     return scalar_mul(diag_sum, -1.0 / b)
 
 
-def matching_loss(query_embs, target_embs, tau: float) -> Tensor:
+def matching_loss(query_embs: Tensor, target_embs: Tensor, tau: float) -> Tensor:
     """In-batch contrastive loss between pooled query and pooled target embeddings.
 
-    Both inputs are lists of L2-normalized 1 x d tensors; entry i of each list
+    Both inputs are B x d matrices of L2-normalized rows; row i of each
     belongs to triplet i, so the similarity diagonal holds the positives.
     """
-    sim = matmul(concat(query_embs), transpose(concat(target_embs)))
-    return in_batch_nll(sim, tau)
+    return in_batch_nll(matmul(query_embs, transpose(target_embs)), tau)
 
 
 def total_loss(l_match: Tensor, l_align: Tensor | None, l_reason: Tensor | None,

@@ -3,7 +3,7 @@
 Shapes are explicit everywhere: elementwise ops demand identical shapes,
 which keeps every gradient rule below auditable by eye.  Tensors may carry
 leading batch axes: at any rank the last two axes are a matrix's rows and
-columns, which `transpose`, `slice_rows`, `softmax_rows` and
+columns, which `transpose`, `slice_rows`, `concat`, `softmax_rows` and
 `l2_normalize_rows` act on, `mean_axis` takes any axis, and `matmul` pairs
 matrices over equal leading axes.  There are three broadcasts and no
 others: scalar times tensor, a 2-D weight on the right of `matmul` (applied
@@ -114,11 +114,6 @@ def _result(data, parents, backprop, op: str) -> Tensor:
     return out
 
 
-def _check_2d(x: Tensor, op: str):
-    if x.data.ndim != 2:
-        raise ValueError(f"{op}: expected a 2-D tensor, got shape {x.shape}")
-
-
 def _check_rows(x: Tensor, op: str):
     if x.data.ndim < 2:
         raise ValueError(f"{op}: expected at least 2 axes, got shape {x.shape}")
@@ -204,17 +199,20 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
 
 
 def concat(parts) -> Tensor:
-    """Join 2-D parts by rows, top to bottom; every part needs the same number of columns."""
+    """Join parts along the row axis (second-to-last), top to bottom.
+
+    Every other axis, leading batch axes and columns alike, must agree.
+    """
     parts = list(parts)
     if not parts:
         raise ValueError("concat: need at least one tensor")
     for p in parts:
-        _check_2d(p, "concat")
-    if len({p.shape[1] for p in parts}) != 1:
-        raise ValueError("concat: parts have different numbers of columns")
-    splits = np.cumsum([p.shape[0] for p in parts[:-1]])
-    return _result(np.concatenate([p.data for p in parts]), parts,
-                   lambda g: tuple(np.split(g, splits)), "concat")
+        _check_rows(p, "concat")
+    if len({p.shape[:-2] + p.shape[-1:] for p in parts}) != 1:
+        raise ValueError(f"concat: parts differ outside the row axis {[p.shape for p in parts]}")
+    splits = np.cumsum([p.shape[-2] for p in parts[:-1]])
+    return _result(np.concatenate([p.data for p in parts], axis=-2), parts,
+                   lambda g: tuple(np.split(g, splits, axis=-2)), "concat")
 
 
 def stack(parts) -> Tensor:

@@ -52,11 +52,11 @@ def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
     """Run the configured number of epochs; returns per-epoch mean breakdowns.
 
     Aborts with a diagnostic naming the offending op if any engine output
-    turns non-finite.  Records the auxiliary losses could not stack are
-    refused before the first step.
+    turns non-finite.  Above a batch size of 1, records whose token fields
+    differ in length cannot be stacked and are refused before the first step.
     """
     tc = cfg.training
-    if model.stacks_batches and tc.batch_size > 1:
+    if tc.batch_size > 1:
         check_equal_lengths(records)
     optimizer = Adam(model.trainable(), lr=tc.learning_rate)
     history = []

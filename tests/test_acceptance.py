@@ -75,17 +75,17 @@ def test_c2_loss_formula_oracles():
 
         triplets = [(rng.normal(size=(n_ref, d)), rng.normal(size=(length, d)),
                      rng.normal(size=(n_tgt, d))) for _ in range(b)]
-        tensors = [tuple(T.Tensor(x) for x in tri) for tri in triplets]
+        tensors = [T.Tensor(np.stack(part)) for part in zip(*triplets)]
 
-        got = alignment_loss(tensors, bridge, tau).item()
+        got = alignment_loss(*tensors, bridge, tau).item()
         want = alignment_loss_oracle(
             triplets, bridge.w_ref.data, bridge.w_text.data, bridge.w_text_query.data,
             bridge.w_target.data, bridge.w_value.data, tau=tau)
         worst = max(worst, abs(got - want))
 
         comp_triplets = [(f_r, f_t, f_c) for f_r, f_c, f_t in triplets]
-        comp_tensors = [tuple(T.Tensor(x) for x in tri) for tri in comp_triplets]
-        got = reasoning_loss(comp_tensors, comp, tau).item()
+        comp_tensors = [T.Tensor(np.stack(part)) for part in zip(*comp_triplets)]
+        got = reasoning_loss(*comp_tensors, comp, tau).item()
         tgt_w = (comp.target_branch.wq.data, comp.target_branch.wk.data, comp.target_branch.wv.data)
         ref_w = (comp.reference_branch.wq.data, comp.reference_branch.wk.data, comp.reference_branch.wv.data)
         want = reasoning_loss_oracle(comp_triplets, tgt_w, ref_w, comp.layers, tau=tau)
@@ -93,8 +93,7 @@ def test_c2_loss_formula_oracles():
 
         q = np_l2n(rng.normal(size=(b, d)))
         t = np_l2n(rng.normal(size=(b, d)))
-        got = matching_loss([T.Tensor(r.reshape(1, -1)) for r in q],
-                            [T.Tensor(r.reshape(1, -1)) for r in t], tau).item()
+        got = matching_loss(T.Tensor(q), T.Tensor(t), tau).item()
         want = matching_loss_oracle(list(q), list(t), tau)
         worst = max(worst, abs(got - want))
 
@@ -130,27 +129,25 @@ def test_c3_invariant_suite():
     perm = [2, 0, 3, 1]
 
     def tensors(rows):
-        return [tuple(T.Tensor(x) for x in tri) for tri in rows]
+        return [T.Tensor(np.stack(part)) for part in zip(*rows)]
 
-    a = alignment_loss(tensors(triplets), bridge, tau).item()
-    b = alignment_loss(tensors([triplets[i] for i in perm]), bridge, tau).item()
+    a = alignment_loss(*tensors(triplets), bridge, tau).item()
+    b = alignment_loss(*tensors([triplets[i] for i in perm]), bridge, tau).item()
     assert abs(a - b) < 1e-9
     comp_rows = [(f_r, f_t, f_c) for f_r, f_c, f_t in triplets]
-    a = reasoning_loss(tensors(comp_rows), comp, tau).item()
-    b = reasoning_loss(tensors([comp_rows[i] for i in perm]), comp, tau).item()
+    a = reasoning_loss(*tensors(comp_rows), comp, tau).item()
+    b = reasoning_loss(*tensors([comp_rows[i] for i in perm]), comp, tau).item()
     assert abs(a - b) < 1e-9
     q = np_l2n(rng.normal(size=(4, d)))
     t = np_l2n(rng.normal(size=(4, d)))
-    rows_q = [T.Tensor(r.reshape(1, -1)) for r in q]
-    rows_t = [T.Tensor(r.reshape(1, -1)) for r in t]
-    a = matching_loss(rows_q, rows_t, tau).item()
-    b = matching_loss([rows_q[i] for i in perm], [rows_t[i] for i in perm], tau).item()
+    a = matching_loss(T.Tensor(q), T.Tensor(t), tau).item()
+    b = matching_loss(T.Tensor(q[perm]), T.Tensor(t[perm]), tau).item()
     assert abs(a - b) < 1e-9
 
     # single-item batches are exactly zero
-    assert alignment_loss(tensors(triplets[:1]), bridge, tau).item() == 0.0
-    assert reasoning_loss(tensors(comp_rows[:1]), comp, tau).item() == 0.0
-    assert matching_loss(rows_q[:1], rows_t[:1], tau).item() == 0.0
+    assert alignment_loss(*tensors(triplets[:1]), bridge, tau).item() == 0.0
+    assert reasoning_loss(*tensors(comp_rows[:1]), comp, tau).item() == 0.0
+    assert matching_loss(T.Tensor(q[:1]), T.Tensor(t[:1]), tau).item() == 0.0
 
     # temperature changes sharpness, not the per-query argmax
     sims = np_l2n(rng.normal(size=(5, d))) @ np_l2n(rng.normal(size=(5, d))).T

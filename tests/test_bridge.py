@@ -145,13 +145,14 @@ def _random_triplets(rng, b, n=3, length=2, m=4):
 
 
 def as_tensors(triplets):
-    return [tuple(T.Tensor(x) for x in tri) for tri in triplets]
+    """The batch's three features, each stacked into one B x rows x d tensor."""
+    return [T.Tensor(np.stack(part)) for part in zip(*triplets)]
 
 
 def test_loss_single_item_batch_is_zero():
     rng = np.random.default_rng(13)
     p = make_params()
-    loss = alignment_loss(as_tensors(_random_triplets(rng, 1)), p, TAU)
+    loss = alignment_loss(*as_tensors(_random_triplets(rng, 1)), p, TAU)
     assert loss.item() == 0.0
 
 
@@ -161,7 +162,7 @@ def test_loss_two_identical_targets_is_ln2():
     base = _random_triplets(rng, 1)[0]
     shared_target = base[2]
     triplets = [(base[0], base[1], shared_target), (base[0], base[1], shared_target)]
-    loss = alignment_loss(as_tensors(triplets), p, TAU)
+    loss = alignment_loss(*as_tensors(triplets), p, TAU)
     assert abs(loss.item() - math.log(2.0)) < 1e-12
 
 
@@ -170,7 +171,7 @@ def test_loss_matches_brute_force_oracle():
     for trial in range(5):
         p = make_params(seed=trial, share=bool(trial % 2))
         triplets = _random_triplets(rng, 3)
-        loss = alignment_loss(as_tensors(triplets), p, TAU)
+        loss = alignment_loss(*as_tensors(triplets), p, TAU)
         expected = alignment_loss_oracle(triplets, *weight_arrays(p), tau=TAU)
         assert abs(loss.item() - expected) < 1e-9
 
@@ -179,8 +180,8 @@ def test_loss_batch_permutation_invariance():
     rng = np.random.default_rng(16)
     p = make_params()
     triplets = _random_triplets(rng, 4)
-    a = alignment_loss(as_tensors(triplets), p, TAU).item()
-    b = alignment_loss(as_tensors([triplets[i] for i in (2, 0, 3, 1)]), p, TAU).item()
+    a = alignment_loss(*as_tensors(triplets), p, TAU).item()
+    b = alignment_loss(*as_tensors([triplets[i] for i in (2, 0, 3, 1)]), p, TAU).item()
     assert abs(a - b) < 1e-9
 
 
@@ -205,7 +206,7 @@ def test_temperature_preserves_per_query_ranking():
     for tau in (0.1, 1.0):
         probs = np.exp(sims / tau) / np.exp(sims / tau).sum(axis=1, keepdims=True)
         # the loss is the mean NLL of these probabilities' diagonal
-        loss = alignment_loss(as_tensors(triplets), p, tau).item()
+        loss = alignment_loss(*as_tensors(triplets), p, tau).item()
         assert abs(loss + np.log(np.diag(probs)).mean()) < 1e-9
         argmaxes.append(probs.argmax(axis=1))
     # tau scales probabilities, not similarities: argmax per query identical
@@ -226,12 +227,12 @@ def test_gradients_match_finite_differences():
     p = make_params(seed=22, share=True)
     triplets = _random_triplets(rng, 3)
 
-    loss = alignment_loss(as_tensors(triplets), p, TAU)
+    loss = alignment_loss(*as_tensors(triplets), p, TAU)
     loss.backward()
 
     def value():
         with T.no_grad():
-            return alignment_loss(as_tensors(triplets), p, TAU).item()
+            return alignment_loss(*as_tensors(triplets), p, TAU).item()
 
     for param in p.params():
         numeric = finite_diff(value, param.data)
@@ -239,5 +240,5 @@ def test_gradients_match_finite_differences():
 
 
 def test_empty_batch_rejected():
-    with pytest.raises(ValueError):
-        alignment_loss([], make_params(), TAU)
+    with pytest.raises(ValueError, match="softmax_rows: rows have no entries"):
+        alignment_loss(*(T.Tensor(np.zeros((0, 3, DIM))) for _ in range(3)), make_params(), TAU)

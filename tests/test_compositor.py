@@ -191,13 +191,14 @@ def _random_triplets(rng, b, n_ref=3, n_tgt=4, length=2):
 
 
 def as_tensors(triplets):
-    return [tuple(T.Tensor(x) for x in tri) for tri in triplets]
+    """The batch's three features, each stacked into one B x rows x d tensor."""
+    return [T.Tensor(np.stack(part)) for part in zip(*triplets)]
 
 
 def test_loss_single_item_batch_is_zero():
     rng = np.random.default_rng(14)
     p = make_params()
-    assert reasoning_loss(as_tensors(_random_triplets(rng, 1)), p, TAU).item() == 0.0
+    assert reasoning_loss(*as_tensors(_random_triplets(rng, 1)), p, TAU).item() == 0.0
 
 
 def test_loss_two_identical_texts_is_ln2():
@@ -206,7 +207,7 @@ def test_loss_two_identical_texts_is_ln2():
     base = _random_triplets(rng, 2)
     triplets = [(base[0][0], base[0][1], base[0][2]),
                 (base[1][0], base[1][1], base[0][2])]
-    loss = reasoning_loss(as_tensors(triplets), p, TAU)
+    loss = reasoning_loss(*as_tensors(triplets), p, TAU)
     assert abs(loss.item() - math.log(2.0)) < 1e-12
 
 
@@ -215,7 +216,7 @@ def test_loss_matches_brute_force_oracle():
     for trial in range(5):
         p = make_params(seed=30 + trial, layers=1 + trial % 3)
         triplets = _random_triplets(rng, 3)
-        loss = reasoning_loss(as_tensors(triplets), p, TAU)
+        loss = reasoning_loss(*as_tensors(triplets), p, TAU)
         expected = reasoning_loss_oracle(
             triplets, branch_arrays(p.target_branch),
             branch_arrays(p.reference_branch), p.layers, tau=TAU)
@@ -226,8 +227,8 @@ def test_loss_batch_permutation_invariance():
     rng = np.random.default_rng(17)
     p = make_params()
     triplets = _random_triplets(rng, 4)
-    a = reasoning_loss(as_tensors(triplets), p, TAU).item()
-    b = reasoning_loss(as_tensors([triplets[i] for i in (3, 1, 0, 2)]), p, TAU).item()
+    a = reasoning_loss(*as_tensors(triplets), p, TAU).item()
+    b = reasoning_loss(*as_tensors([triplets[i] for i in (3, 1, 0, 2)]), p, TAU).item()
     assert abs(a - b) < 1e-9
 
 
@@ -236,12 +237,12 @@ def test_gradients_match_finite_differences():
     p = make_params(seed=19, layers=2)
     triplets = _random_triplets(rng, 3)
 
-    loss = reasoning_loss(as_tensors(triplets), p, TAU)
+    loss = reasoning_loss(*as_tensors(triplets), p, TAU)
     loss.backward()
 
     def value():
         with T.no_grad():
-            return reasoning_loss(as_tensors(triplets), p, TAU).item()
+            return reasoning_loss(*as_tensors(triplets), p, TAU).item()
 
     for param in p.params():
         numeric = finite_diff(value, param.data)
@@ -249,5 +250,5 @@ def test_gradients_match_finite_differences():
 
 
 def test_empty_batch_rejected():
-    with pytest.raises(ValueError):
-        reasoning_loss([], make_params(), TAU)
+    with pytest.raises(ValueError, match="softmax_rows: rows have no entries"):
+        reasoning_loss(*(T.Tensor(np.zeros((0, 3, DIM))) for _ in range(3)), make_params(), TAU)

@@ -154,6 +154,29 @@ def test_frozen_encoder_untouched_by_optimizer():
     assert any(not np.array_equal(p.data, text_before[p.name]) for p in trainable.params())
 
 
+@pytest.mark.parametrize("n_prompts", [0, 3])
+def test_batched_front_end_equals_each_item_bitwise(n_prompts):
+    # training runs the text encoder, cross encoder and fusion once over the batch;
+    # inference runs the same code on one item
+    rng = np.random.default_rng(31)
+    text = TextEncoder("txt", vocab=12, dim=DIM, max_tokens=8, rng=rng)
+    cross = CrossEncoder("cross", DIM, rng)
+    fusion = QueryFusion("q", DIM, n_prompts=n_prompts, rng=rng)
+    seqs = [TokenSeq(tuple(int(t) for t in rng.integers(0, 12, size=4)), KIND_TEXT)
+            for _ in range(3)]
+    f_r = rng.normal(size=(3, 5, DIM))
+    f_c = text.encode(seqs)
+    f_r_bar = cross(T.Tensor(f_r), f_c)
+    query = fusion.query_embedding(f_c, T.Tensor(f_r))
+    assert f_c.shape == (3, 4, DIM) and query.shape == (3, 1, DIM)
+    for i, seq in enumerate(seqs):
+        item_c = text.encode(seq)
+        assert np.array_equal(f_c.data[i], item_c.data)
+        assert np.array_equal(f_r_bar.data[i], cross(T.Tensor(f_r[i]), item_c).data)
+        assert np.array_equal(query.data[i],
+                              fusion.query_embedding(item_c, T.Tensor(f_r[i])).data)
+
+
 class TestCrossEncoder:
     def setup_method(self):
         rng = np.random.default_rng(8)

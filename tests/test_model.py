@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -54,7 +55,7 @@ def test_batch_losses_breakdown_consistent():
 
 
 def test_empty_batch_rejected():
-    with pytest.raises(ValueError, match="concat: need at least one tensor"):
+    with pytest.raises(ValueError, match="stack: need at least one tensor"):
         RetrievalModel(small_config()).batch_losses([])
 
 
@@ -170,6 +171,17 @@ def test_query_and_target_embeddings_unit_norm():
     assert np.linalg.norm(t.data) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize("ref, text, message", [
+    ((1.9, 2.2, 3), (0, 1), "reference-image: token id 1.9 is not an integer"),
+    ((1, 2, 3), (True, 2.5), "text: token id True is not an integer"),
+    ((1, 2, 3), ("3", 1), "text: token id '3' is not an integer"),
+])
+def test_query_embedding_refuses_non_integer_token_ids(ref, text, message):
+    # refused by the rule TripletRecord applies, never rounded to an id
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RetrievalModel(small_config()).query_embedding(ref, text)
+
+
 def _default_layout():
     d, img, txt, n = 20, 28, 16, 16  # RunConfig defaults
     square = (d, d)
@@ -206,6 +218,8 @@ def test_default_checkpoint_layout_pinned(tmp_path):
     ("tgt_encoder.positions", "shape", [3, 8]),
     ("fusion.wq", "frozen", True),
     ("compositor.reference_branch.wv", "data", [0.0]),
+    ("compositor.reference_branch.wv", "data", [1.0] * 63 + ["x"]),
+    ("compositor.reference_branch.wv", "data", None),  # the entry has no data at all
 ])
 def test_failed_load_leaves_every_parameter_unchanged(tmp_path, name, field, bad):
     cfg = small_config()
@@ -213,11 +227,13 @@ def test_failed_load_leaves_every_parameter_unchanged(tmp_path, name, field, bad
     save_checkpoint(RetrievalModel(cfg), path)
     doc = json.loads(path.read_text())
     doc[name][field] = bad
+    if bad is None:
+        del doc[name][field]
     path.write_text(json.dumps(doc))
 
     target = RetrievalModel(cfg, seed=999)
     before = {n: p.data.copy() for n, p in target.parameters().items()}
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{re.escape(name)}: "):
         load_checkpoint(target, path)
     for n, p in target.parameters().items():
         assert np.array_equal(p.data, before[n]), n
@@ -251,19 +267,26 @@ def _graph_nodes(loss):
     return len(seen)
 
 
-@pytest.mark.parametrize("loss", ["alignment", "reasoning"])
+@pytest.mark.parametrize("loss", ["alignment", "reasoning", "full step", "matching-only step"])
 def test_auxiliary_loss_graphs_do_not_grow_with_the_batch(loss):
-    # a loss built per item or per (query, candidate) pair would grow with B
+    # a loss built per item or per (query, candidate) pair would grow with B;
+    # so would a training step whose encoders or fusion ran per triplet
     d, rng = 6, np.random.default_rng(0)
     bridge = BridgeParams(d, np.random.default_rng(1), share_text_projection=True)
     comp = CompositorParams(d, np.random.default_rng(2), layers=2, share_branches=False)
+    cfg = small_config()
+    if loss == "matching-only step":
+        cfg.ablation = dataclasses.replace(cfg.ablation, use_alignment=False, use_reasoning=False)
+    model, records = RetrievalModel(cfg), small_records(16)
     counts = []
     for b in (2, 16):
-        triplets = [tuple(T.Tensor(rng.normal(size=(n, d))) for n in (4, 2, 4)) for _ in range(b)]
+        f_r, f_c, f_t = (T.Tensor(rng.normal(size=(b, n, d))) for n in (4, 2, 4))
         if loss == "alignment":
-            total = alignment_loss(triplets, bridge, 0.1)
+            total = alignment_loss(f_r, f_c, f_t, bridge, 0.1)
+        elif loss == "reasoning":
+            total = reasoning_loss(f_r, f_t, f_c, comp, 0.1)
         else:
-            total = reasoning_loss([(r, t, c) for r, c, t in triplets], comp, 0.1)
+            total, _ = model.batch_losses(records[:b])
         counts.append(_graph_nodes(total))
     assert counts[0] == counts[1] > 0
 
@@ -284,16 +307,12 @@ def test_ragged_batch_fails_clearly_with_the_full_objective(tmp_path):
         model.batch_losses(_ragged_batch(tmp_path))
 
 
-def test_ragged_batch_trains_on_the_matching_loss_alone(tmp_path):
+def test_ragged_batch_fails_clearly_with_the_matching_loss_alone(tmp_path):
+    # the matching loss stacks the batch too: there is no per-triplet path left
     cfg = small_config()
     cfg.ablation = dataclasses.replace(cfg.ablation, use_alignment=False, use_reasoning=False)
-    model = RetrievalModel(cfg)
-    before = model.parameters()["fusion.wv"].data.copy()
-    total, breakdown = model.batch_losses(_ragged_batch(tmp_path))
-    total.backward()
-    Adam(model.trainable(), lr=0.05).step()
-    assert np.isfinite(breakdown.matching) and breakdown.alignment is None
-    assert not np.array_equal(model.parameters()["fusion.wv"].data, before)
+    with pytest.raises(ValueError, match=r"stack: parts have different shapes \[\(4, 8\), \(5, 8\)\]"):
+        RetrievalModel(cfg).batch_losses(_ragged_batch(tmp_path))
 
 
 def _ragged_set_and_config():
@@ -314,17 +333,13 @@ def _ragged_set_and_config():
 
 def test_ragged_records_are_refused_before_the_first_step(tmp_path):
     records, cfg = _ragged_set_and_config()
-    model = RetrievalModel(cfg)
-    before = model.parameters()["fusion.wv"].data.copy()
-    log_path = tmp_path / "train_log.jsonl"
-    with pytest.raises(ValueError, match=r"ref_tokens lengths differ across the records: \[3, 4\]"):
-        train_model(model, records, cfg, log_path=log_path)
-    assert not log_path.exists()
-    assert np.array_equal(model.parameters()["fusion.wv"].data, before)
-
-
-def test_ragged_records_train_on_the_matching_loss_alone(tmp_path):
-    records, cfg = _ragged_set_and_config()
-    cfg.ablation = dataclasses.replace(cfg.ablation, use_alignment=False, use_reasoning=False)
-    history = train_model(RetrievalModel(cfg), records, cfg, log_path=tmp_path / "log.jsonl")
-    assert len(history) == 3 and all(row["alignment"] is None for row in history)
+    matching_only = dataclasses.replace(cfg, ablation=dataclasses.replace(
+        cfg.ablation, use_alignment=False, use_reasoning=False))
+    for run_cfg in (cfg, matching_only):
+        model = RetrievalModel(run_cfg)
+        before = model.parameters()["fusion.wv"].data.copy()
+        log_path = tmp_path / "train_log.jsonl"
+        with pytest.raises(ValueError, match=r"ref_tokens lengths differ across the records: \[3, 4\]"):
+            train_model(model, records, run_cfg, log_path=log_path)
+        assert not log_path.exists()
+        assert np.array_equal(model.parameters()["fusion.wv"].data, before)

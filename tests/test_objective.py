@@ -19,10 +19,6 @@ def unit_rows(rng, b, d):
     return np_l2n(rng.normal(size=(b, d)))
 
 
-def as_row_tensors(matrix):
-    return [T.Tensor(row.reshape(1, -1)) for row in matrix]
-
-
 W = ObjectiveConfig()
 
 
@@ -47,13 +43,13 @@ def test_weights_validation(tmp_path):
 def test_matching_loss_single_item_is_zero():
     rng = np.random.default_rng(0)
     rows = unit_rows(rng, 1, 8)
-    assert matching_loss(as_row_tensors(rows), as_row_tensors(rows), W.tau).item() == 0.0
+    assert matching_loss(T.Tensor(rows), T.Tensor(rows), W.tau).item() == 0.0
 
 
 def test_matching_loss_orthogonal_pair_closed_form():
     # diagonal similarity 1, off-diagonal 0, tau=0.1 -> ln(1 + e^-10)
     q = np.eye(2, 8)
-    loss = matching_loss(as_row_tensors(q), as_row_tensors(q), W.tau)
+    loss = matching_loss(T.Tensor(q), T.Tensor(q), W.tau)
     assert abs(loss.item() - math.log(1.0 + math.exp(-10.0))) < 1e-12
 
 
@@ -62,7 +58,7 @@ def test_matching_loss_matches_oracle():
     for _ in range(10):
         q = unit_rows(rng, 3, 6)
         t = unit_rows(rng, 3, 6)
-        loss = matching_loss(as_row_tensors(q), as_row_tensors(t), W.tau)
+        loss = matching_loss(T.Tensor(q), T.Tensor(t), W.tau)
         assert abs(loss.item() - matching_loss_oracle(list(q), list(t), W.tau)) < 1e-9
 
 
@@ -70,20 +66,20 @@ def test_matching_loss_permutation_invariance():
     rng = np.random.default_rng(2)
     q = unit_rows(rng, 4, 6)
     t = unit_rows(rng, 4, 6)
-    a = matching_loss(as_row_tensors(q), as_row_tensors(t), W.tau).item()
+    a = matching_loss(T.Tensor(q), T.Tensor(t), W.tau).item()
     perm = [2, 0, 3, 1]
-    b = matching_loss(as_row_tensors(q[perm]), as_row_tensors(t[perm]), W.tau).item()
+    b = matching_loss(T.Tensor(q[perm]), T.Tensor(t[perm]), W.tau).item()
     assert abs(a - b) < 1e-9
 
 
 def test_matching_loss_empty_batch():
-    with pytest.raises(ValueError):
-        matching_loss([], [], W.tau)
+    with pytest.raises(ValueError, match="softmax_rows: rows have no entries"):
+        matching_loss(T.Tensor(np.zeros((0, 4))), T.Tensor(np.zeros((0, 4))), W.tau)
 
 
 def test_matching_loss_count_mismatch_rejected():
     rng = np.random.default_rng(3)
-    queries, targets = as_row_tensors(unit_rows(rng, 3, 4)), as_row_tensors(unit_rows(rng, 2, 4))
+    queries, targets = T.Tensor(unit_rows(rng, 3, 4)), T.Tensor(unit_rows(rng, 2, 4))
     with pytest.raises(ValueError, match="in_batch_nll: expected a square matrix"):
         matching_loss(queries, targets, W.tau)
 

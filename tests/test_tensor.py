@@ -192,6 +192,9 @@ def _fd_case(name, build, shapes):
     ("slice_rows3", lambda a: T.mul(T.slice_rows(a, 1, 3), T.slice_rows(a, 0, 2)), [(2, 4, 3)]),
     ("slice_rows4", lambda a: T.mul(T.slice_rows(a, 1, 3), T.slice_rows(a, 0, 2)),
      [(2, 2, 4, 3)]),
+    ("concat_rank3", lambda a, b, c: T.mul(T.concat([a, b]), c), [(2, 1, 4), (2, 3, 4), (2, 4, 4)]),
+    ("concat_rank4", lambda a, b, c: T.mul(T.concat([a, b, a]), c),
+     [(2, 2, 1, 3), (2, 2, 2, 3), (2, 2, 4, 3)]),
 ])
 def test_gradients_match_finite_differences(name, build, shapes):
     _fd_case(name, build, shapes)
@@ -267,6 +270,16 @@ def test_stack_refuses_ragged_parts():
         T.stack(parts)
     with pytest.raises(ValueError, match="stack: need at least one tensor"):
         T.stack([])
+
+
+def test_concat_refuses_parts_that_differ_outside_the_row_axis():
+    rows = T.Tensor(np.ones((2, 1, 4)))
+    assert T.concat([rows, T.Tensor(np.ones((2, 3, 4)))]).shape == (2, 4, 4)
+    for other in ((3, 1, 4), (2, 1, 5), (1, 4)):
+        with pytest.raises(ValueError, match="concat: parts differ outside the row axis"):
+            T.concat([rows, T.Tensor(np.ones(other))])
+    with pytest.raises(ValueError, match="concat: expected at least 2 axes"):
+        T.concat([T.Tensor(np.ones(4))])
 
 
 def test_expand_and_reshape_check_their_arguments():
