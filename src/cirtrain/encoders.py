@@ -155,8 +155,12 @@ class TextEncoder:
     def encode(self, seqs) -> Tensor:
         """One TokenSeq gives L x d rows; a list of B of one length L gives B x L x d."""
         single = isinstance(seqs, TokenSeq)
-        for seq in [seqs] if single else seqs:
+        items = [seqs] if single else seqs
+        for seq in items:
             _check_tokens(self, seq, (KIND_TEXT,))
+        lengths = sorted({len(seq.tokens) for seq in items})
+        if len(lengths) > 1:
+            raise ValueError(f"TextEncoder: texts of one batch differ in length: {lengths}")
         tokens = np.array(seqs.tokens if single else [seq.tokens for seq in seqs])
         rows = matmul(_one_hot(tokens, self.vocab), self.embedding.tensor)
         positions = slice_rows(self.positions.tensor, 0, tokens.shape[-1])

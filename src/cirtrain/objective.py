@@ -6,17 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    add,
-    log,
-    matmul,
-    mul,
-    scalar_mul,
-    softmax_rows,
-    sum_all,
-    transpose,
-)
+from .tensor import Tensor, add, diagonal_nll, matmul, scalar_mul, transpose
 
 
 @dataclass
@@ -35,12 +25,7 @@ def in_batch_nll(sim: Tensor, tau: float) -> Tensor:
     Row i holds query i's similarity to every in-batch candidate; candidate i
     is the positive and the rest are negatives.  Shared by all three losses.
     """
-    b = sim.shape[0]
-    if sim.shape != (b, b):
-        raise ValueError(f"in_batch_nll: expected a square matrix, got {sim.shape}")
-    log_probs = log(softmax_rows(scalar_mul(sim, 1.0 / tau)))
-    diag_sum = sum_all(mul(log_probs, Tensor(np.eye(b))))
-    return scalar_mul(diag_sum, -1.0 / b)
+    return diagonal_nll(scalar_mul(sim, 1.0 / tau))
 
 
 def matching_loss(query_embs: Tensor, target_embs: Tensor, tau: float) -> Tensor:

@@ -9,8 +9,9 @@ matrices over equal leading axes.  There are three broadcasts and no
 others: scalar times tensor, a 2-D weight on the right of `matmul` (applied
 to every matrix on the left; its gradient sums over the leading axes), and
 an explicit `expand` along a new axis (its gradient sums over that axis).
-Each op validates its output, so a NaN or Inf fails loudly at the op that
-produced it instead of poisoning the loss.
+`diagonal_nll` fuses the in-batch NLL into one log-sum-exp op.  Each op
+validates its output, so a NaN or Inf fails loudly at the op that produced
+it instead of poisoning the loss.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ __all__ = [
     "scalar_mul",
     "matmul",
     "transpose",
-    "log",
     "sum_all",
     "mean_axis",
     "concat",
@@ -40,6 +40,7 @@ __all__ = [
     "slice_rows",
     "softmax_rows",
     "l2_normalize_rows",
+    "diagonal_nll",
     "backward",
 ]
 
@@ -171,12 +172,6 @@ def transpose(x: Tensor) -> Tensor:
                    "transpose")
 
 
-def log(x: Tensor) -> Tensor:
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out_data = np.log(x.data)
-    return _result(out_data, (x,), lambda g: (g / x.data,), "log")
-
-
 def sum_all(x: Tensor) -> Tensor:
     shape = x.data.shape
 
@@ -295,6 +290,24 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
         return (np.where(degenerate, g, gx),)
 
     return _result(y, (x,), back, "l2_normalize_rows")
+
+
+def diagonal_nll(x: Tensor) -> Tensor:
+    """1 x 1 mean of -log softmax(row i)[i] over the rows i of a non-empty square matrix."""
+    if x.data.ndim != 2 or not 0 < x.shape[0] == x.shape[1]:
+        raise ValueError(f"diagonal_nll: expected a non-empty square matrix, got shape {x.shape}")
+    b = x.shape[0]
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    sums = np.exp(shifted).sum(axis=-1, keepdims=True)
+
+    def back(g):
+        grad = np.exp(shifted) / sums  # g * (softmax - I) / B
+        grad[np.diag_indices(b)] -= 1.0
+        return (grad * (g.reshape(-1)[0] / b),)
+
+    # each row's log-sum-exp minus its diagonal entry: >= 0, finite where the softmax underflows
+    rows = np.log(sums[:, 0]) - np.diagonal(shifted)
+    return _result(np.array([[rows.sum() / b]]), (x,), back, "diagonal_nll")
 
 
 def backward(loss: Tensor):

@@ -51,9 +51,9 @@ class Adam:
 def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
     """Run the configured number of epochs; returns per-epoch mean breakdowns.
 
-    Aborts with a diagnostic naming the offending op if any engine output
-    turns non-finite.  Above a batch size of 1, records whose token fields
-    differ in length cannot be stacked and are refused before the first step.
+    Aborts, naming the epoch, step and op, if any engine output turns
+    non-finite.  Above a batch size of 1, records whose token fields differ
+    in length cannot be stacked and are refused before the first step.
     """
     tc = cfg.training
     if tc.batch_size > 1:
@@ -64,16 +64,14 @@ def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
     try:
         for epoch in range(tc.epochs):
             steps = []
-            for batch in batches(records, tc.batch_size, tc.seed, epoch):
+            for step, batch in enumerate(batches(records, tc.batch_size, tc.seed, epoch)):
                 model.zero_grad()
                 try:
                     total, breakdown = model.batch_losses(batch)
                     total.backward()
                 except NonFiniteError as err:
-                    raise RuntimeError(
-                        f"training aborted at epoch {epoch}: {err} "
-                        f"(first non-finite tensor came from op '{err.op}')"
-                    ) from err
+                    raise RuntimeError(f"training aborted at epoch {epoch}, step {step}: non-finite "
+                                       f"values in output of op '{err.op}'") from err
                 optimizer.step()
                 steps.append(dataclasses.asdict(breakdown))
             row = {"epoch": epoch, "batches": len(steps)}

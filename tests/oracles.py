@@ -33,6 +33,15 @@ def np_softmax_rows(x):
     return e / e.sum(axis=1, keepdims=True)
 
 
+def np_diagonal_nll(x):
+    """Mean over rows i of -log softmax(row i)[i], one row's log-sum-exp at a time."""
+    total = 0.0
+    for i, row in enumerate(x):
+        m = max(row)
+        total += m + np.log(sum(np.exp(v - m) for v in row)) - row[i]
+    return total / len(x)
+
+
 def np_l2n(x, eps=1e-12):
     n = np.linalg.norm(x, axis=1, keepdims=True)
     return x / np.where(n < eps, 1.0, n)

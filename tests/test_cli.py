@@ -14,7 +14,7 @@ from cirtrain.config import RunConfig, load_config
 from cirtrain.data import generate, read_records, synth_spec_from_config
 from cirtrain.metrics import METRIC_KEYS
 from cirtrain.model import RetrievalModel
-from cirtrain.tensor import no_grad
+from cirtrain.tensor import NonFiniteError, no_grad
 from cirtrain.train import train_model
 from oracles import rank_oracle
 
@@ -197,9 +197,12 @@ def test_training_aborts_with_diagnostic_on_nonfinite(tmp_path):
     model = RetrievalModel(cfg)
     # poison one trainable parameter so a matmul overflows during the forward pass
     model.parameters()["text_encoder.embedding"].data[...] = 1e200
-    with pytest.raises(RuntimeError, match="non-finite") as err:
-        train_model(model, records, cfg)
-    assert "op '" in str(err.value)  # diagnostic names the producing op
+    with pytest.raises(RuntimeError) as err:
+        train_model(model, records, cfg, log_path=cfg.paths.train_log)
+    assert str(err.value) == ("training aborted at epoch 0, step 0: "
+                              "non-finite values in output of op 'matmul'")
+    assert isinstance(err.value.__cause__, NonFiniteError)
+    assert not Path(cfg.paths.train_log).exists()
 
 
 def test_main_smoke_via_argv(tmp_path, capsys):

@@ -303,8 +303,16 @@ def _ragged_batch(tmp_path):
 
 def test_ragged_batch_fails_clearly_with_the_full_objective(tmp_path):
     model = RetrievalModel(small_config())
-    with pytest.raises(ValueError, match=r"stack: parts have different shapes \[\(4, 8\), \(5, 8\)\]"):
-        model.batch_losses(_ragged_batch(tmp_path))
+    # a direct call skips train_model's check: images of 3 and 4 tokens, then
+    # images that agree and texts of 2 and 1 tokens
+    ragged_texts = [TripletRecord("a", (1, 2, 3), (0, 1), (4, 5, 6)),
+                    TripletRecord("b", (1, 2, 3), (2,), (4, 5, 6))]
+    for batch, message in (
+        (_ragged_batch(tmp_path), r"stack: parts have different shapes \[\(4, 8\), \(5, 8\)\]"),
+        (ragged_texts, r"TextEncoder: texts of one batch differ in length: \[1, 2\]"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            model.batch_losses(batch)
 
 
 def test_ragged_batch_fails_clearly_with_the_matching_loss_alone(tmp_path):

@@ -1,9 +1,13 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from cirtrain import tensor as T
+from cirtrain.config import RunConfig
+from cirtrain.data import generate, synth_spec_from_config
+from cirtrain.model import RetrievalModel
 from cirtrain.train import (
     GRADCHECK_TOLERANCE,
     Adam,
@@ -11,6 +15,7 @@ from cirtrain.train import (
     gradcheck_passed,
     relative_error,
     run_gradient_check,
+    train_model,
 )
 
 
@@ -35,6 +40,19 @@ def test_adam_skips_frozen_and_gradless():
     assert np.array_equal(frozen.data, np.ones((2, 2)))
     assert np.array_equal(idle.data, np.ones((2, 2)))
     assert not np.array_equal(active.data, np.ones((2, 2)))
+
+
+def test_training_at_a_small_temperature_stays_finite():
+    # at tau = 1e-3 the in-batch softmax underflows on the first batches
+    cfg = RunConfig()
+    cfg.objective = dataclasses.replace(cfg.objective, tau=0.001)
+    cfg.synth = dataclasses.replace(cfg.synth, n_train=64)
+    cfg.training = dataclasses.replace(cfg.training, epochs=2)
+    records, _ = generate(synth_spec_from_config(cfg))
+    history = train_model(RetrievalModel(cfg), records, cfg)
+    assert len(history) == 2
+    assert all(math.isfinite(row[key]) for row in history
+               for key in ("matching", "alignment", "reasoning", "total"))
 
 
 def test_relative_error_clamps_denominator():
