@@ -8,6 +8,7 @@ in that order.  Set CIRTRAIN_LOG=debug|info|warning for logging verbosity.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import os
@@ -21,7 +22,7 @@ from .data import generate, read_records, synth_spec_from_config, write_records
 from .metrics import format_report, rank_gallery, rank_within_subset, summarize
 from .model import RetrievalModel, load_checkpoint, save_checkpoint
 from .objective import score_query_against_gallery
-from .tensor import no_grad
+from .tensor import Tensor, no_grad
 from .train import gradcheck_passed, run_gradient_check, train_model
 
 
@@ -58,9 +59,29 @@ def cmd_train(cfg: RunConfig) -> int:
     return 0
 
 
+EVAL_CHUNK = 256  # the most records one batched eval forward embeds
+
+
+def _length_runs(records):
+    """Runs of consecutive records with equal ref, text and target lengths,
+    at most EVAL_CHUNK long: each run stacks without padding."""
+    def lengths(r):
+        return len(r.ref_tokens), len(r.text_tokens), len(r.target_tokens)
+
+    for _, run in itertools.groupby(records, lengths):
+        run = list(run)
+        for start in range(0, len(run), EVAL_CHUNK):
+            yield run[start:start + EVAL_CHUNK]
+
+
 def evaluate_model(model: RetrievalModel, val_records) -> dict:
     """Score every validation query against the gallery of all validation
-    targets and summarize full-gallery plus subset recalls."""
+    targets and summarize full-gallery plus subset recalls.
+
+    Queries and targets are embedded in length runs (`_length_runs`); each
+    query is then scored and ranked on its own, so no Q x G score matrix is
+    ever held.
+    """
     if not val_records:
         raise ValueError("validation set is empty")
     position = {}
@@ -69,11 +90,16 @@ def evaluate_model(model: RetrievalModel, val_records) -> dict:
             raise ValueError(f"validation id {record.id!r} is repeated")
     id_keys = np.array(list(position))
     with no_grad():
-        gallery = np.vstack([model.target_embedding(r.target_tokens).data for r in val_records])
+        runs = list(_length_runs(val_records))
+        # each run embeds as B x 1 x d; [:, 0] takes its B rows
+        gallery = np.vstack([model.target_embedding([r.target_tokens for r in run]).data[:, 0]
+                             for run in runs])
+        queries = np.vstack([model.query_embedding([r.ref_tokens for r in run],
+                                                   [r.text_tokens for r in run]).data[:, 0]
+                             for run in runs])
         full_ranks, subset_ranks = [], []
         for column, record in enumerate(val_records):
-            query = model.query_embedding(record.ref_tokens, record.text_tokens)
-            scores = score_query_against_gallery(query, gallery)
+            scores = score_query_against_gallery(Tensor(queries[column]), gallery)
             full_ranks.append(rank_gallery(scores, id_keys, column))
             if record.subset_ids is not None:
                 subset_ranks.append(

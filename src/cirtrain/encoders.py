@@ -6,8 +6,8 @@ one-hot matmul so gradients reach the table through the ordinary matmul
 rule), learned positional vectors, and one self-attention block with a
 residual connection.  Image encoders prepend a CLS row; the text encoder
 does not.  The frozen image encoders take one sequence at a time; the text
-encoder, cross encoder and query fusion run the same code on one item's
-L x d rows at inference and on a B x L x d batch in training.
+encoder, cross encoder and query fusion run the same code on a B x L x d
+batch (training and evaluation) and on one item's L x d rows.
 """
 
 from __future__ import annotations

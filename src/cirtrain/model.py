@@ -119,13 +119,30 @@ class RetrievalModel:
 
     def query_embedding(self, ref_tokens, text_tokens) -> Tensor:
         """The multimodal query vector; this and pooled targets are the whole
-        inference surface (no bridge or compositor involvement)."""
-        f_r = self.ref_encoder.encode(TokenSeq(ref_tokens, KIND_REFERENCE))
-        f_c = self.text_encoder.encode(TokenSeq(text_tokens, KIND_TEXT))
-        return self.fusion.query_embedding(f_c, f_r)
+        inference surface (no bridge or compositor involvement).
+
+        One record's ids give 1 x d; lists of B records' ids, one length per
+        field, give B x 1 x d.  One record runs as a batch of one.
+        """
+        single = _one_record(ref_tokens)
+        refs, texts = ([ref_tokens], [text_tokens]) if single else (ref_tokens, text_tokens)
+        f_r = stack([self.ref_encoder.encode(TokenSeq(t, KIND_REFERENCE)) for t in refs])
+        f_c = self.text_encoder.encode([TokenSeq(t, KIND_TEXT) for t in texts])
+        rows = self.fusion.query_embedding(f_c, f_r)
+        return reshape(rows, rows.shape[1:]) if single else rows
 
     def target_embedding(self, target_tokens) -> Tensor:
-        return self.pooled_target(self.tgt_encoder.encode(TokenSeq(target_tokens, KIND_TARGET)))
+        """Pooled target vector: 1 x d for one record's ids, B x 1 x d for a list of B."""
+        single = _one_record(target_tokens)
+        f_t = stack([self.tgt_encoder.encode(TokenSeq(t, KIND_TARGET))
+                     for t in ([target_tokens] if single else target_tokens)])
+        rows = self.pooled_target(f_t)
+        return reshape(rows, rows.shape[1:]) if single else rows
+
+
+def _one_record(ids) -> bool:
+    """Whether `ids` is one record's token ids rather than a list of records' ids."""
+    return not (isinstance(ids, list) and ids and isinstance(ids[0], (list, tuple)))
 
 
 # ---------------------------------------------------------------------- checkpoints
@@ -165,10 +182,13 @@ def load_checkpoint(model: RetrievalModel, path):
     values = {}
     for name, p in params.items():
         entry = doc[name]
-        if tuple(entry["shape"]) != p.shape:
-            raise ValueError(f"{name}: checkpoint shape {entry['shape']} vs model {list(p.shape)}")
-        if bool(entry["frozen"]) != p.frozen:
-            raise ValueError(f"{name}: frozen flag mismatch")
+        if type(entry) is not dict:
+            raise ValueError(f"{name}: checkpoint entry is a {type(entry).__name__}, not an object")
+        shape, frozen = entry.get("shape"), entry.get("frozen")
+        if shape != list(p.shape):
+            raise ValueError(f"{name}: checkpoint shape {shape} vs model {list(p.shape)}")
+        if frozen is not p.frozen:
+            raise ValueError(f"{name}: checkpoint frozen flag {frozen} vs model {p.frozen}")
         data = entry.get("data")
         if type(data) is not list or len(data) != p.data.size or {*map(type, data)} - {int, float}:
             raise ValueError(f"{name}: checkpoint data must be a list of {p.data.size} numbers")

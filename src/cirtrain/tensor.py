@@ -263,7 +263,9 @@ def softmax_rows(x: Tensor) -> Tensor:
     _check_rows(x, "softmax_rows")
     if x.shape[-1] == 0:
         raise ValueError(f"softmax_rows: rows have no entries, got shape {x.shape}")
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
+    # a row spanning more than the float range overflows the shift to -inf, which exp maps to 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     y = e / e.sum(axis=-1, keepdims=True)
 
@@ -297,17 +299,20 @@ def diagonal_nll(x: Tensor) -> Tensor:
     if x.data.ndim != 2 or not 0 < x.shape[0] == x.shape[1]:
         raise ValueError(f"diagonal_nll: expected a non-empty square matrix, got shape {x.shape}")
     b = x.shape[0]
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    sums = np.exp(shifted).sum(axis=-1, keepdims=True)
+    # as in softmax_rows; a diagonal entry past the float range, or a loss summed past it,
+    # gives an inf output, which the op then refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        shifted = x.data - x.data.max(axis=-1, keepdims=True)
+        sums = np.exp(shifted).sum(axis=-1, keepdims=True)
+        # each row's log-sum-exp minus its diagonal entry: >= 0, finite where the softmax underflows
+        loss = (np.log(sums[:, 0]) - np.diagonal(shifted)).sum() / b
 
     def back(g):
         grad = np.exp(shifted) / sums  # g * (softmax - I) / B
         grad[np.diag_indices(b)] -= 1.0
         return (grad * (g.reshape(-1)[0] / b),)
 
-    # each row's log-sum-exp minus its diagonal entry: >= 0, finite where the softmax underflows
-    rows = np.log(sums[:, 0]) - np.diagonal(shifted)
-    return _result(np.array([[rows.sum() / b]]), (x,), back, "diagonal_nll")
+    return _result(np.array([[loss]]), (x,), back, "diagonal_nll")
 
 
 def backward(loss: Tensor):

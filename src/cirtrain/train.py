@@ -7,6 +7,7 @@ import dataclasses
 import functools
 import json
 import logging
+import math
 import operator
 import time
 from pathlib import Path
@@ -33,26 +34,39 @@ class Adam:
         self._v = [np.zeros(p.shape) for p in self.params]
 
     def step(self):
-        self.step_count += 1
+        """Update every param that has a gradient.  All new moments are checked
+        before any is stored: a second moment that overflows (a huge or
+        non-finite gradient squared) raises NonFiniteError naming its param,
+        leaving every param and moment as it was."""
         b1, b2 = self.beta1, self.beta2
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = p.grad
-            if g is None:
-                continue
-            m *= b1
-            m += (1 - b1) * g
-            v *= b2
-            v += (1 - b2) * g * g
-            m_hat = m / (1 - b1 ** self.step_count)
-            v_hat = v / (1 - b2 ** self.step_count)
-            p.data[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        moments = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i, p in enumerate(self.params):
+                g = p.grad
+                if g is None:
+                    continue
+                m = self._m[i] * b1
+                m += (1 - b1) * g
+                v = self._v[i] * b2
+                v += (1 - b2) * g * g
+                # v >= 0 and max propagates NaN, so a finite max means every entry is finite
+                if not math.isfinite(v.max()):
+                    raise NonFiniteError(f"Adam.step[{p.name}]")
+                moments.append((i, m, v))
+        self.step_count += 1
+        t = self.step_count
+        for i, m, v in moments:
+            self._m[i], self._v[i] = m, v
+            m_hat = m / (1 - b1 ** t)
+            v_hat = v / (1 - b2 ** t)
+            self.params[i].data[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
 
 def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
     """Run the configured number of epochs; returns per-epoch mean breakdowns.
 
-    Aborts, naming the epoch, step and op, if any engine output turns
-    non-finite.  Above a batch size of 1, records whose token fields differ
+    Aborts, naming the epoch, step and op, if any engine output or Adam
+    moment turns non-finite.  Above a batch size of 1, records whose token fields differ
     in length cannot be stacked and are refused before the first step.
     """
     tc = cfg.training
@@ -69,10 +83,10 @@ def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
                 try:
                     total, breakdown = model.batch_losses(batch)
                     total.backward()
+                    optimizer.step()
                 except NonFiniteError as err:
                     raise RuntimeError(f"training aborted at epoch {epoch}, step {step}: non-finite "
                                        f"values in output of op '{err.op}'") from err
-                optimizer.step()
                 steps.append(dataclasses.asdict(breakdown))
             row = {"epoch": epoch, "batches": len(steps)}
             for key in steps[0]:

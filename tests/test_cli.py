@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import cirtrain
+import cirtrain.cli as cli
 from cirtrain.cli import cmd_eval, cmd_synth, cmd_train, evaluate_model, main
 from cirtrain.config import RunConfig, load_config
 from cirtrain.data import generate, read_records, synth_spec_from_config
@@ -131,6 +132,49 @@ def test_evaluate_model_matches_full_sort_oracle(tmp_path):
     expected, gallery = full_sort_report(model, val)
     assert len({row.tobytes() for row in gallery}) == 1
     assert evaluate_model(model, val) == expected
+
+
+def _embedded_batch_sizes(monkeypatch):
+    """Record the number of records each query_embedding call embeds."""
+    sizes = []
+    original = RetrievalModel.query_embedding
+
+    def spy(model, ref_tokens, text_tokens):
+        out = original(model, ref_tokens, text_tokens)
+        sizes.append(out.shape[0] if out.data.ndim == 3 else 1)
+        return out
+
+    monkeypatch.setattr(RetrievalModel, "query_embedding", spy)
+    return sizes
+
+
+def test_evaluate_model_embeds_a_ragged_set_in_length_runs(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path)
+    _, val = generate(synth_spec_from_config(cfg))
+    # interleaved lengths: every 3rd reference loses a token, every 4th text gains one,
+    # every 6th target loses one, so runs of equal lengths are 1 to 3 records long
+    val = [dataclasses.replace(
+        r,
+        ref_tokens=r.ref_tokens[:-1] if i % 3 == 0 else r.ref_tokens,
+        text_tokens=r.text_tokens + (0,) if i % 4 == 0 else r.text_tokens,
+        target_tokens=r.target_tokens[:-1] if i % 6 == 0 else r.target_tokens,
+    ) for i, r in enumerate(val)]
+    model = RetrievalModel(cfg)
+    expected, _ = full_sort_report(model, val)
+    sizes = _embedded_batch_sizes(monkeypatch)
+    assert evaluate_model(model, val) == expected
+    assert sum(sizes) == len(val) and 1 < max(sizes) < 4 and len(sizes) < len(val)
+
+
+def test_evaluate_model_across_chunk_boundaries(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path)
+    _, val = generate(synth_spec_from_config(cfg))
+    model = RetrievalModel(cfg)
+    expected, _ = full_sort_report(model, val)
+    monkeypatch.setattr(cli, "EVAL_CHUNK", 5)
+    sizes = _embedded_batch_sizes(monkeypatch)
+    assert evaluate_model(model, val) == expected
+    assert sizes == [5, 5, 5, 5, 4]
 
 
 def test_evaluate_model_rejects_repeated_and_unknown_ids(tmp_path):

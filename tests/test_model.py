@@ -122,6 +122,8 @@ def test_inference_never_reads_training_only_params():
         for r in records:
             q = model.query_embedding(r.ref_tokens, r.text_tokens)
             score_query_against_gallery(q, gallery)
+        model.target_embedding([r.target_tokens for r in records])
+        model.query_embedding([r.ref_tokens for r in records], [r.text_tokens for r in records])
 
     for p in training_only:
         assert p.reads == baseline[p.name], p.name
@@ -171,6 +173,21 @@ def test_query_and_target_embeddings_unit_norm():
     assert np.linalg.norm(t.data) == pytest.approx(1.0, abs=1e-9)
 
 
+def test_batched_embeddings_equal_single_record_calls_bitwise():
+    model = RetrievalModel(small_config())
+    records = small_records(5)
+    with no_grad():
+        queries = model.query_embedding([r.ref_tokens for r in records],
+                                        [r.text_tokens for r in records])
+        targets = model.target_embedding([r.target_tokens for r in records])
+        assert queries.shape == targets.shape == (5, 1, 8)
+        for i, r in enumerate(records):
+            single = model.query_embedding(r.ref_tokens, r.text_tokens)
+            assert single.data.tobytes() == queries.data[i].tobytes()
+            single = model.target_embedding(r.target_tokens)
+            assert single.data.tobytes() == targets.data[i].tobytes()
+
+
 @pytest.mark.parametrize("ref, text, message", [
     ((1.9, 2.2, 3), (0, 1), "reference-image: token id 1.9 is not an integer"),
     ((1, 2, 3), (True, 2.5), "text: token id True is not an integer"),
@@ -214,6 +231,24 @@ def test_default_checkpoint_layout_pinned(tmp_path):
     assert layout == _default_layout()
 
 
+def _refused_load(tmp_path, edit, message):
+    """Save a model, `edit` the document, load it into another: refused with
+    a ValueError matching `message`, every parameter left as it was."""
+    cfg = small_config()
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(RetrievalModel(cfg), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))  # NaN / Infinity become literals, which json.load accepts
+
+    target = RetrievalModel(cfg, seed=999)
+    before = {n: p.data.copy() for n, p in target.parameters().items()}
+    with pytest.raises(ValueError, match=message):
+        load_checkpoint(target, path)
+    for n, p in target.parameters().items():
+        assert np.array_equal(p.data, before[n]), n
+
+
 @pytest.mark.parametrize("name,field,bad", [
     ("tgt_encoder.positions", "shape", [3, 8]),
     ("fusion.wq", "frozen", True),
@@ -222,38 +257,33 @@ def test_default_checkpoint_layout_pinned(tmp_path):
     ("compositor.reference_branch.wv", "data", None),  # the entry has no data at all
 ])
 def test_failed_load_leaves_every_parameter_unchanged(tmp_path, name, field, bad):
-    cfg = small_config()
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(RetrievalModel(cfg), path)
-    doc = json.loads(path.read_text())
-    doc[name][field] = bad
-    if bad is None:
-        del doc[name][field]
-    path.write_text(json.dumps(doc))
+    def edit(doc):
+        doc[name][field] = bad
+        if bad is None:
+            del doc[name][field]
 
-    target = RetrievalModel(cfg, seed=999)
-    before = {n: p.data.copy() for n, p in target.parameters().items()}
-    with pytest.raises(ValueError, match=f"^{re.escape(name)}: "):
-        load_checkpoint(target, path)
-    for n, p in target.parameters().items():
-        assert np.array_equal(p.data, before[n]), n
+    _refused_load(tmp_path, edit, f"^{re.escape(name)}: ")
+
+
+@pytest.mark.parametrize("malform", [
+    lambda entry: {k: v for k, v in entry.items() if k != "shape"},
+    lambda entry: {k: v for k, v in entry.items() if k != "frozen"},
+    lambda entry: list(entry.values()),
+    lambda entry: dict(entry, shape=20),
+], ids=["no shape", "no frozen", "entry is a list", "shape is a number"])
+def test_malformed_checkpoint_entry_is_refused_by_name(tmp_path, malform):
+    def edit(doc):
+        doc["text_encoder.positions"] = malform(doc["text_encoder.positions"])
+
+    _refused_load(tmp_path, edit, "^text_encoder.positions: checkpoint ")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_non_finite_checkpoint_values_refused(tmp_path, bad):
-    cfg = small_config()
-    path = tmp_path / "ckpt.json"
-    save_checkpoint(RetrievalModel(cfg), path)
-    doc = json.loads(path.read_text())
-    doc["fusion.wq"]["data"][5] = bad
-    path.write_text(json.dumps(doc))  # NaN / Infinity literals, which json.load accepts
+    def edit(doc):
+        doc["fusion.wq"]["data"][5] = bad
 
-    target = RetrievalModel(cfg, seed=999)
-    before = {n: p.data.copy() for n, p in target.parameters().items()}
-    with pytest.raises(ValueError, match="^fusion.wq: checkpoint holds non-finite values$"):
-        load_checkpoint(target, path)
-    for n, p in target.parameters().items():
-        assert np.array_equal(p.data, before[n]), n
+    _refused_load(tmp_path, edit, "^fusion.wq: checkpoint holds non-finite values$")
 
 
 def _graph_nodes(loss):

@@ -89,6 +89,15 @@ def test_in_batch_nll_requires_square():
         in_batch_nll(T.Tensor(np.ones((2, 3))), 0.1)
 
 
+def test_in_batch_nll_overflow_at_the_smallest_temperature_raises_the_engine_error():
+    # at tau = 1e-308 the logits reach 1e308 and the row-max shift overflows to -inf:
+    # the separated batch still gives its exact 0.0, the reversed one an inf loss
+    # that the op refuses, with no numpy warning on the way
+    assert in_batch_nll(T.Tensor([[1.0, -1.0], [-1.0, 1.0]]), tau=1e-308).item() == 0.0
+    with pytest.raises(T.NonFiniteError, match="^non-finite values in output of 'diagonal_nll'$"):
+        in_batch_nll(T.Tensor([[-1.0, 1.0], [1.0, -1.0]]), tau=1e-308)
+
+
 def test_total_loss_arithmetic():
     out = total_loss(T.Tensor([[1.0]]), T.Tensor([[2.0]]), T.Tensor([[3.0]]), W.alpha, W.beta)
     assert abs(out.item() - 2.2) < 1e-12

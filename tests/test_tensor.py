@@ -47,6 +47,12 @@ def test_softmax_huge_logits_no_overflow():
     assert np.allclose(out.data, [[0.5, 0.5]], atol=1e-12)
 
 
+def test_softmax_rows_wider_than_the_float_range():
+    # the row-max shift overflows to -inf, which exp takes to exactly 0, without a warning
+    out = T.softmax_rows(T.Tensor([[1e308, -1e308]]))
+    assert out.data.tolist() == [[1.0, 0.0]]
+
+
 def test_softmax_closed_form():
     out = T.softmax_rows(T.Tensor([[0.0, math.log(3.0)]]))
     assert np.allclose(out.data, [[0.25, 0.75]], atol=1e-12)

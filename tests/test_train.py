@@ -42,6 +42,38 @@ def test_adam_skips_frozen_and_gradless():
     assert not np.array_equal(active.data, np.ones((2, 2)))
 
 
+def test_adam_names_an_overflowed_moment_and_writes_nothing():
+    # 1e200 squared overflows the second moment; its update would silently be 0
+    ok, huge = T.Param("ok", np.ones((1, 2))), T.Param("huge", np.ones((2, 2)))
+    T.sum_all(ok.tensor).backward()
+    T.sum_all(T.scalar_mul(huge.tensor, 1e200)).backward()
+    opt = Adam([ok, huge], lr=0.1)
+    with pytest.raises(T.NonFiniteError, match=r"output of 'Adam.step\[huge\]'$"):
+        opt.step()
+    assert np.array_equal(ok.data, np.ones((1, 2))) and np.array_equal(huge.data, np.ones((2, 2)))
+    assert opt.step_count == 0
+
+
+@pytest.mark.parametrize("tau, op", [(1e-300, "Adam.step[text_encoder.embedding]"),
+                                     (1e-308, "diagonal_nll")])
+def test_training_at_the_smallest_temperatures_aborts_by_name(tmp_path, tau, op):
+    # at tau = 1e-300 every op stays finite but the gradients reach 1e300, whose square
+    # overflows in Adam; at 1e-308 the first loss itself passes the float range
+    cfg = RunConfig()
+    cfg.objective = dataclasses.replace(cfg.objective, tau=tau)
+    cfg.synth = dataclasses.replace(cfg.synth, n_train=64)
+    records, _ = generate(synth_spec_from_config(cfg))
+    model = RetrievalModel(cfg)
+    before = {name: p.data.copy() for name, p in model.parameters().items()}
+    with pytest.raises(RuntimeError) as err:
+        train_model(model, records, cfg, log_path=tmp_path / "log.jsonl")
+    assert str(err.value) == ("training aborted at epoch 0, step 0: non-finite values in output "
+                              f"of op '{op}'")
+    assert isinstance(err.value.__cause__, T.NonFiniteError)
+    assert not (tmp_path / "log.jsonl").exists()
+    assert all(np.array_equal(p.data, before[name]) for name, p in model.parameters().items())
+
+
 def test_training_at_a_small_temperature_stays_finite():
     # at tau = 1e-3 the in-batch softmax underflows on the first batches
     cfg = RunConfig()
