@@ -91,11 +91,10 @@ def evaluate_model(model: RetrievalModel, val_records) -> dict:
     id_keys = np.array(list(position))
     with no_grad():
         runs = list(_length_runs(val_records))
-        # each run embeds as B x 1 x d; [:, 0] takes its B rows
-        gallery = np.vstack([model.target_embedding([r.target_tokens for r in run]).data[:, 0]
+        gallery = np.vstack([model.target_embedding([r.target_tokens for r in run]).data
                              for run in runs])
         queries = np.vstack([model.query_embedding([r.ref_tokens for r in run],
-                                                   [r.text_tokens for r in run]).data[:, 0]
+                                                   [r.text_tokens for r in run]).data
                              for run in runs])
         full_ranks, subset_ranks = [], []
         for column, record in enumerate(val_records):

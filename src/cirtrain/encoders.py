@@ -6,8 +6,8 @@ one-hot matmul so gradients reach the table through the ordinary matmul
 rule), learned positional vectors, and one self-attention block with a
 residual connection.  Image encoders prepend a CLS row; the text encoder
 does not.  The frozen image encoders take one sequence at a time; the text
-encoder, cross encoder and query fusion run the same code on a B x L x d
-batch (training and evaluation) and on one item's L x d rows.
+encoder, cross encoder and query fusion take only batches, B x L x d, in
+training and evaluation alike (one item is a batch of one).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .tensor import (
     l2_normalize_rows,
     matmul,
     mean_axis,
+    reshape,
     scalar_mul,
     slice_rows,
     softmax_rows,
@@ -153,18 +154,16 @@ class TextEncoder:
         self.attn = Attention(f"{name}.attn", dim, rng)
 
     def encode(self, seqs) -> Tensor:
-        """One TokenSeq gives L x d rows; a list of B of one length L gives B x L x d."""
-        single = isinstance(seqs, TokenSeq)
-        items = [seqs] if single else seqs
-        for seq in items:
+        """A list of B TokenSeqs of one length L gives B x L x d rows."""
+        for seq in seqs:
             _check_tokens(self, seq, (KIND_TEXT,))
-        lengths = sorted({len(seq.tokens) for seq in items})
+        lengths = sorted({len(seq.tokens) for seq in seqs})
         if len(lengths) > 1:
             raise ValueError(f"TextEncoder: texts of one batch differ in length: {lengths}")
-        tokens = np.array(seqs.tokens if single else [seq.tokens for seq in seqs])
+        tokens = np.array([seq.tokens for seq in seqs])
         rows = matmul(_one_hot(tokens, self.vocab), self.embedding.tensor)
         positions = slice_rows(self.positions.tensor, 0, tokens.shape[-1])
-        rows = add(rows, positions if single else expand(positions, 0, len(seqs)))
+        rows = add(rows, expand(positions, 0, len(seqs)))
         return add(rows, self.attn(rows, rows))
 
     def params(self):
@@ -175,8 +174,8 @@ class CrossEncoder(Attention):
     """Refines reference-image features with the text: one cross-attention block.
 
     The reference rows act as queries over text keys/values and the result is
-    added residually, so the output keeps the reference shape (one item or a
-    batch) and routes gradients into the text encoder.
+    added residually, so the output keeps the reference shape, B x N x d, and
+    routes gradients into the text encoder.
     """
 
     def __call__(self, f_r: Tensor, f_c: Tensor) -> Tensor:
@@ -191,7 +190,7 @@ class QueryFusion:
     the image).  The mean-pooled text feature is then added back onto the
     text-side output rows through a 0/1 row mask (P zeros for the prompt
     rows, then L ones), so the fused result keeps explicit text guidance.
-    For a batch of features, prompts and mask are repeated over the batch.
+    Prompts and mask are repeated over the leading batch axis.
     """
 
     def __init__(self, name: str, dim: int, n_prompts: int, rng: np.random.Generator):
@@ -202,16 +201,16 @@ class QueryFusion:
         self.attn = Attention(name, dim, rng)
 
     def fuse(self, f_c: Tensor, f_r: Tensor) -> Tensor:
-        lead, p, length = f_c.shape[:-2], self.n_prompts, f_c.shape[-2]
-        prompts = self.prompts.tensor if p else None
-        query_side = concat([expand(prompts, 0, lead[0]) if lead else prompts, f_c]) if p else f_c
-        text_mask = np.zeros(lead + (p + length, 1))
-        text_mask[..., p:, :] = 1.0
+        b, p, length = f_c.shape[0], self.n_prompts, f_c.shape[-2]
+        query_side = concat([expand(self.prompts.tensor, 0, b), f_c]) if p else f_c
+        text_mask = np.zeros((b, p + length, 1))
+        text_mask[:, p:] = 1.0
         return add(self.attn(query_side, f_r), matmul(Tensor(text_mask), mean_axis(f_c, axis=-2)))
 
     def query_embedding(self, f_c: Tensor, f_r: Tensor) -> Tensor:
-        """Mean-pool the fused sequence and L2-normalize: one 1 x d query vector per item."""
-        return l2_normalize_rows(mean_axis(self.fuse(f_c, f_r), axis=-2))
+        """Mean-pool the fused sequence and L2-normalize: B x d, one query row per item."""
+        pooled = mean_axis(self.fuse(f_c, f_r), axis=-2)
+        return l2_normalize_rows(reshape(pooled, (pooled.shape[0], pooled.shape[-1])))
 
     def params(self):
         base = [self.prompts] if self.prompts is not None else []

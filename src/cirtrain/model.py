@@ -74,8 +74,8 @@ class RetrievalModel:
     # ------------------------------------------------------------------ forward
 
     def pooled_target(self, f_t: Tensor) -> Tensor:
-        """CLS row of the target features, L2-normalized (per item of a batch)."""
-        return l2_normalize_rows(slice_rows(f_t, 0, 1))
+        """CLS rows of B x N x d target features, L2-normalized: B x d."""
+        return l2_normalize_rows(reshape(slice_rows(f_t, 0, 1), (f_t.shape[0], f_t.shape[-1])))
 
     def batch_losses(self, records) -> tuple:
         """Joint loss over one batch; returns (total tensor, LossBreakdown).
@@ -93,9 +93,8 @@ class RetrievalModel:
         f_c = self.text_encoder.encode([TokenSeq(r.text_tokens, KIND_TEXT) for r in records])
         f_r_bar = self.cross_encoder(f_r, f_c)
 
-        rows = (len(records), f_c.shape[-1])
-        l_match = matching_loss(reshape(self.fusion.query_embedding(f_c, f_r), rows),
-                                reshape(self.pooled_target(f_t), rows), ob.tau)
+        l_match = matching_loss(self.fusion.query_embedding(f_c, f_r), self.pooled_target(f_t),
+                                ob.tau)
 
         l_align = None
         if ab.use_alignment and ob.alpha > 0:
@@ -121,23 +120,21 @@ class RetrievalModel:
         """The multimodal query vector; this and pooled targets are the whole
         inference surface (no bridge or compositor involvement).
 
-        One record's ids give 1 x d; lists of B records' ids, one length per
-        field, give B x 1 x d.  One record runs as a batch of one.
+        Lists of B records' ids, one length per field, give B x d; one
+        record's ids run as a batch of one and give 1 x d.
         """
-        single = _one_record(ref_tokens)
-        refs, texts = ([ref_tokens], [text_tokens]) if single else (ref_tokens, text_tokens)
-        f_r = stack([self.ref_encoder.encode(TokenSeq(t, KIND_REFERENCE)) for t in refs])
-        f_c = self.text_encoder.encode([TokenSeq(t, KIND_TEXT) for t in texts])
-        rows = self.fusion.query_embedding(f_c, f_r)
-        return reshape(rows, rows.shape[1:]) if single else rows
+        if _one_record(ref_tokens):
+            ref_tokens, text_tokens = [ref_tokens], [text_tokens]
+        f_r = stack([self.ref_encoder.encode(TokenSeq(t, KIND_REFERENCE)) for t in ref_tokens])
+        f_c = self.text_encoder.encode([TokenSeq(t, KIND_TEXT) for t in text_tokens])
+        return self.fusion.query_embedding(f_c, f_r)
 
     def target_embedding(self, target_tokens) -> Tensor:
-        """Pooled target vector: 1 x d for one record's ids, B x 1 x d for a list of B."""
-        single = _one_record(target_tokens)
-        f_t = stack([self.tgt_encoder.encode(TokenSeq(t, KIND_TARGET))
-                     for t in ([target_tokens] if single else target_tokens)])
-        rows = self.pooled_target(f_t)
-        return reshape(rows, rows.shape[1:]) if single else rows
+        """Pooled target vectors: B x d for a list of B records' ids, 1 x d for one record's."""
+        if _one_record(target_tokens):
+            target_tokens = [target_tokens]
+        return self.pooled_target(stack([self.tgt_encoder.encode(TokenSeq(t, KIND_TARGET))
+                                         for t in target_tokens]))
 
 
 def _one_record(ids) -> bool:
@@ -173,6 +170,8 @@ def load_checkpoint(model: RetrievalModel, path):
     """Restore parameter values in place; names, shapes and flags must match."""
     with Path(path).open("r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    if type(doc) is not dict:
+        raise ValueError(f"checkpoint is a {type(doc).__name__}, not an object")
     params = model.parameters()
     if set(doc) != set(params):
         missing = sorted(set(params) - set(doc))

@@ -280,7 +280,11 @@ def softmax_rows(x: Tensor) -> Tensor:
 def l2_normalize_rows(x: Tensor) -> Tensor:
     """Scale each last-axis row to unit L2 norm; rows with norm < 1e-12 pass through unchanged."""
     _check_rows(x, "l2_normalize_rows")
-    norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
+    # a row whose squares sum past the float range has an inf norm, which would divide it to 0
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise NonFiniteError("l2_normalize_rows")
     degenerate = norms < NORM_EPS
     safe = np.where(degenerate, 1.0, norms)
     y = x.data / safe

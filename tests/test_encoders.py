@@ -62,7 +62,7 @@ def test_text_encode_matches_oracle():
     tokens = (3, 11, 3)
     rows = enc.embedding.data[list(tokens)] + enc.positions.data[: len(tokens)]
     expected = rows + attention_oracle(rows, rows, *attention_arrays(enc.attn))
-    assert np.allclose(enc.encode(TokenSeq(tokens, KIND_TEXT)).data, expected, atol=1e-12)
+    assert np.allclose(enc.encode([TokenSeq(tokens, KIND_TEXT)]).data[0], expected, atol=1e-12)
 
 
 def test_token_seq_rejects_empty():
@@ -120,11 +120,11 @@ def test_text_encode_shape_and_determinism():
     enc = TextEncoder("txt", vocab=12, dim=DIM, max_tokens=8,
                       rng=np.random.default_rng(0))
     seq = TokenSeq((3, 1, 4), KIND_TEXT)
-    out = enc.encode(seq)
-    assert out.shape == (3, DIM)
-    assert np.array_equal(out.data, enc.encode(seq).data)
+    out = enc.encode([seq])
+    assert out.shape == (1, 3, DIM)
+    assert np.array_equal(out.data, enc.encode([seq]).data)
     with pytest.raises(ValueError):
-        enc.encode(TokenSeq((0,), KIND_REFERENCE))
+        enc.encode([TokenSeq((0,), KIND_REFERENCE)])
 
 
 def test_separate_encoders_get_separate_gradients():
@@ -132,7 +132,7 @@ def test_separate_encoders_get_separate_gradients():
     a = TextEncoder("a", vocab=12, dim=DIM, max_tokens=8, rng=np.random.default_rng(1))
     b = TextEncoder("b", vocab=12, dim=DIM, max_tokens=8, rng=np.random.default_rng(2))
     seq = TokenSeq((1, 2, 3), KIND_TEXT)
-    T.sum_all(a.encode(seq)).backward()
+    T.sum_all(a.encode([seq])).backward()
     assert any(p.grad is not None for p in a.params())
     assert all(p.grad is None for p in b.params())
 
@@ -143,8 +143,9 @@ def test_frozen_encoder_untouched_by_optimizer():
                             rng=np.random.default_rng(5))
     frozen_before = {p.name: p.data.copy() for p in frozen.params()}
     text_before = {p.name: p.data.copy() for p in trainable.params()}
-    loss = T.sum_all(T.matmul(frozen.encode(TokenSeq((1, 2), KIND_REFERENCE)),
-                              T.transpose(trainable.encode(TokenSeq((3, 1), KIND_TEXT)))))
+    image_rows = T.stack([frozen.encode(TokenSeq((1, 2), KIND_REFERENCE))])
+    text_rows = trainable.encode([TokenSeq((3, 1), KIND_TEXT)])
+    loss = T.sum_all(T.matmul(image_rows, T.transpose(text_rows)))
     loss.backward()
     opt = Adam(frozen.params() + trainable.params(), lr=0.1)
     opt.step()
@@ -156,8 +157,7 @@ def test_frozen_encoder_untouched_by_optimizer():
 
 @pytest.mark.parametrize("n_prompts", [0, 3])
 def test_batched_front_end_equals_each_item_bitwise(n_prompts):
-    # training runs the text encoder, cross encoder and fusion once over the batch;
-    # inference runs the same code on one item
+    # a batch and batches of one run the same code: each item's rows agree bit for bit
     rng = np.random.default_rng(31)
     text = TextEncoder("txt", vocab=12, dim=DIM, max_tokens=8, rng=rng)
     cross = CrossEncoder("cross", DIM, rng)
@@ -168,21 +168,20 @@ def test_batched_front_end_equals_each_item_bitwise(n_prompts):
     f_c = text.encode(seqs)
     f_r_bar = cross(T.Tensor(f_r), f_c)
     query = fusion.query_embedding(f_c, T.Tensor(f_r))
-    assert f_c.shape == (3, 4, DIM) and query.shape == (3, 1, DIM)
+    assert f_c.shape == (3, 4, DIM) and query.shape == (3, DIM)
     for i, seq in enumerate(seqs):
-        item_c = text.encode(seq)
-        assert np.array_equal(f_c.data[i], item_c.data)
-        assert np.array_equal(f_r_bar.data[i], cross(T.Tensor(f_r[i]), item_c).data)
-        assert np.array_equal(query.data[i],
-                              fusion.query_embedding(item_c, T.Tensor(f_r[i])).data)
+        item_c, item_r = text.encode([seq]), T.Tensor(f_r[i:i + 1])
+        assert np.array_equal(f_c.data[i:i + 1], item_c.data)
+        assert np.array_equal(f_r_bar.data[i:i + 1], cross(item_r, item_c).data)
+        assert np.array_equal(query.data[i:i + 1], fusion.query_embedding(item_c, item_r).data)
 
 
 class TestCrossEncoder:
     def setup_method(self):
         rng = np.random.default_rng(8)
         self.cross = CrossEncoder("cross", DIM, rng)
-        self.f_r = T.Tensor(rng.normal(size=(5, DIM)))
-        self.f_c = T.Tensor(rng.normal(size=(3, DIM)))
+        self.f_r = T.Tensor(rng.normal(size=(1, 5, DIM)))
+        self.f_c = T.Tensor(rng.normal(size=(1, 3, DIM)))
 
     def test_disabled_attention_is_identity(self):
         self.cross.wv.data[...] = 0.0  # zero values switch the attention term off
@@ -190,19 +189,19 @@ class TestCrossEncoder:
         assert np.array_equal(out.data, self.f_r.data)
 
     def test_matches_oracle(self):
-        expected = self.f_r.data + attention_oracle(
-            self.f_r.data, self.f_c.data, *attention_arrays(self.cross))
-        assert np.allclose(self.cross(self.f_r, self.f_c).data, expected, atol=1e-12)
+        expected = self.f_r.data[0] + attention_oracle(
+            self.f_r.data[0], self.f_c.data[0], *attention_arrays(self.cross))
+        assert np.allclose(self.cross(self.f_r, self.f_c).data[0], expected, atol=1e-12)
 
     def test_shape_preserved(self):
-        assert self.cross(self.f_r, self.f_c).shape == (5, DIM)
+        assert self.cross(self.f_r, self.f_c).shape == (1, 5, DIM)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            self.cross(self.f_r, T.Tensor(np.ones((3, DIM + 1))))
+            self.cross(self.f_r, T.Tensor(np.ones((1, 3, DIM + 1))))
 
     def test_gradient_reaches_text_features(self):
-        f_c = T.Tensor(np.random.default_rng(9).normal(size=(3, DIM)), requires_grad=True)
+        f_c = T.Tensor(np.random.default_rng(9).normal(size=(1, 3, DIM)), requires_grad=True)
         T.sum_all(self.cross(self.f_r, f_c)).backward()
         assert f_c.grad is not None and np.abs(f_c.grad).max() > 0
 
@@ -213,35 +212,35 @@ class TestQueryFusion:
 
     def test_output_shape(self):
         fusion = QueryFusion("q", 16, n_prompts=8, rng=self.rng)
-        f_c = T.Tensor(self.rng.normal(size=(6, 16)))
-        f_r = T.Tensor(self.rng.normal(size=(10, 16)))
-        assert fusion.fuse(f_c, f_r).shape == (14, 16)
+        f_c = T.Tensor(self.rng.normal(size=(1, 6, 16)))
+        f_r = T.Tensor(self.rng.normal(size=(1, 10, 16)))
+        assert fusion.fuse(f_c, f_r).shape == (1, 14, 16)
 
     def test_no_prompts_disabled_attention_reduces_to_text_mean(self):
         fusion = QueryFusion("q", DIM, n_prompts=0, rng=self.rng)
         fusion.attn.wv.data[...] = 0.0  # zero values switch the attention term off
-        f_c = T.Tensor(self.rng.normal(size=(4, DIM)))
-        f_r = T.Tensor(self.rng.normal(size=(5, DIM)))
+        f_c = T.Tensor(self.rng.normal(size=(1, 4, DIM)))
+        f_r = T.Tensor(self.rng.normal(size=(1, 5, DIM)))
         emb = fusion.query_embedding(f_c, f_r)
-        mean = f_c.data.mean(axis=0, keepdims=True)
+        mean = f_c.data[0].mean(axis=0, keepdims=True)
         assert np.allclose(emb.data, mean / np.linalg.norm(mean), atol=1e-12)
 
     def test_gradient_reaches_prompts(self):
         fusion = QueryFusion("q", DIM, n_prompts=4, rng=self.rng)
-        f_c = T.Tensor(self.rng.normal(size=(3, DIM)))
-        f_r = T.Tensor(self.rng.normal(size=(5, DIM)))
+        f_c = T.Tensor(self.rng.normal(size=(1, 3, DIM)))
+        f_r = T.Tensor(self.rng.normal(size=(1, 5, DIM)))
         T.sum_all(fusion.fuse(f_c, f_r)).backward()
         assert fusion.prompts.grad is not None
         assert np.abs(fusion.prompts.grad).max() > 0
 
     def test_pooled_text_added_to_text_rows_only(self):
         fusion = QueryFusion("q", DIM, n_prompts=2, rng=self.rng)
-        f_c = T.Tensor(self.rng.normal(size=(3, DIM)))
-        f_r = T.Tensor(self.rng.normal(size=(4, DIM)))
+        f_c = T.Tensor(self.rng.normal(size=(1, 3, DIM)))
+        f_r = T.Tensor(self.rng.normal(size=(1, 4, DIM)))
         fusion.attn.wv.data[...] = 0.0  # zero values isolate the add
-        fused = fusion.fuse(f_c, f_r).data
+        fused = fusion.fuse(f_c, f_r).data[0]
         assert np.allclose(fused[:2], 0.0, atol=1e-12)
-        assert np.allclose(fused[2:], np.tile(f_c.data.mean(axis=0), (3, 1)), atol=1e-12)
+        assert np.allclose(fused[2:], np.tile(f_c.data[0].mean(axis=0), (3, 1)), atol=1e-12)
 
     def test_fuse_matches_oracle(self):
         fusion = QueryFusion("q", DIM, n_prompts=2, rng=self.rng)
@@ -250,16 +249,16 @@ class TestQueryFusion:
         out = attention_oracle(np.vstack([fusion.prompts.data, f_c]), f_r,
                                *attention_arrays(fusion.attn))
         out[2:] += f_c.mean(axis=0)
-        fused = fusion.fuse(T.Tensor(f_c), T.Tensor(f_r))
-        assert np.allclose(fused.data, out, atol=1e-12)
+        fused = fusion.fuse(T.Tensor(f_c[None]), T.Tensor(f_r[None]))
+        assert np.allclose(fused.data[0], out, atol=1e-12)
         assert [p.name for p in fusion.params()] == ["q.prompts", "q.wq", "q.wk", "q.wv"]
 
     @pytest.mark.parametrize("n_prompts,concats", [(0, 0), (2, 1)])
     def test_fuse_adds_the_pooled_text_without_slicing(self, n_prompts, concats):
         # only the query side is joined; the pooled text goes in through a row mask
         fusion = QueryFusion("q", DIM, n_prompts=n_prompts, rng=self.rng)
-        f_c = T.Tensor(self.rng.normal(size=(3, DIM)), requires_grad=True)
-        f_r = T.Tensor(self.rng.normal(size=(4, DIM)))
+        f_c = T.Tensor(self.rng.normal(size=(1, 3, DIM)), requires_grad=True)
+        f_r = T.Tensor(self.rng.normal(size=(1, 4, DIM)))
         ops, seen, stack = [], set(), [fusion.fuse(f_c, f_r)]
         while stack:
             node = stack.pop()
@@ -274,7 +273,15 @@ class TestQueryFusion:
     def test_dim_mismatch_rejected(self, n_prompts):
         # the engine's concat and matmul refuse features of the wrong width
         fusion = QueryFusion("q", DIM, n_prompts=n_prompts, rng=self.rng)
-        good, wide = T.Tensor(np.ones((3, DIM))), T.Tensor(np.ones((3, DIM + 1)))
+        good, wide = T.Tensor(np.ones((1, 3, DIM))), T.Tensor(np.ones((1, 3, DIM + 1)))
         for f_c, f_r in ((wide, good), (good, wide)):
             with pytest.raises(ValueError, match="concat|matmul"):
                 fusion.fuse(f_c, f_r)
+
+    @pytest.mark.parametrize("n_prompts,op", [(0, "add"), (2, "concat")])
+    def test_unbatched_rows_rejected(self, n_prompts, op):
+        # fuse has no unbatched form: L x d rows are refused by the engine, not fused
+        fusion = QueryFusion("q", DIM, n_prompts=n_prompts, rng=self.rng)
+        f_c, f_r = T.Tensor(np.ones((3, DIM))), T.Tensor(np.ones((4, DIM)))
+        with pytest.raises(ValueError, match=f"^{op}: "):
+            fusion.fuse(f_c, f_r)

@@ -180,12 +180,12 @@ def test_batched_embeddings_equal_single_record_calls_bitwise():
         queries = model.query_embedding([r.ref_tokens for r in records],
                                         [r.text_tokens for r in records])
         targets = model.target_embedding([r.target_tokens for r in records])
-        assert queries.shape == targets.shape == (5, 1, 8)
+        assert queries.shape == targets.shape == (5, 8)
         for i, r in enumerate(records):
             single = model.query_embedding(r.ref_tokens, r.text_tokens)
-            assert single.data.tobytes() == queries.data[i].tobytes()
+            assert single.data.tobytes() == queries.data[i:i + 1].tobytes()
             single = model.target_embedding(r.target_tokens)
-            assert single.data.tobytes() == targets.data[i].tobytes()
+            assert single.data.tobytes() == targets.data[i:i + 1].tobytes()
 
 
 @pytest.mark.parametrize("ref, text, message", [
@@ -232,14 +232,16 @@ def test_default_checkpoint_layout_pinned(tmp_path):
 
 
 def _refused_load(tmp_path, edit, message):
-    """Save a model, `edit` the document, load it into another: refused with
-    a ValueError matching `message`, every parameter left as it was."""
+    """Save a model, `edit` the document in place or return a replacement, load
+    it into another: refused with a ValueError matching `message`, every
+    parameter left as it was."""
     cfg = small_config()
     path = tmp_path / "ckpt.json"
     save_checkpoint(RetrievalModel(cfg), path)
     doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))  # NaN / Infinity become literals, which json.load accepts
+    replaced = edit(doc)
+    # NaN / Infinity become literals, which json.load accepts
+    path.write_text(json.dumps(doc if replaced is None else replaced))
 
     target = RetrievalModel(cfg, seed=999)
     before = {n: p.data.copy() for n, p in target.parameters().items()}
@@ -276,6 +278,11 @@ def test_malformed_checkpoint_entry_is_refused_by_name(tmp_path, malform):
         doc["text_encoder.positions"] = malform(doc["text_encoder.positions"])
 
     _refused_load(tmp_path, edit, "^text_encoder.positions: checkpoint ")
+
+
+@pytest.mark.parametrize("doc,kind", [([{"a": 1}], "list"), (5, "int"), ("x", "str")])
+def test_checkpoint_that_is_not_an_object_is_refused(tmp_path, doc, kind):
+    _refused_load(tmp_path, lambda _: doc, f"^checkpoint is a {kind}, not an object$")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])

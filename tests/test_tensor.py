@@ -53,6 +53,12 @@ def test_softmax_rows_wider_than_the_float_range():
     assert out.data.tolist() == [[1.0, 0.0]]
 
 
+def test_l2_normalize_rows_whose_norm_overflows_rejected():
+    # the sum of squares overflows to inf, and dividing by it would silently give a zero row
+    with pytest.raises(T.NonFiniteError, match="'l2_normalize_rows'"):
+        T.l2_normalize_rows(T.Tensor([[1e200, 1e200]]))
+
+
 def test_softmax_closed_form():
     out = T.softmax_rows(T.Tensor([[0.0, math.log(3.0)]]))
     assert np.allclose(out.data, [[0.25, 0.75]], atol=1e-12)
