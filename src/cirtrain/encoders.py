@@ -21,16 +21,14 @@ from .tensor import (
     Param,
     Tensor,
     add,
+    attention,
     concat,
     expand,
     l2_normalize_rows,
     matmul,
     mean_axis,
     reshape,
-    scalar_mul,
     slice_rows,
-    softmax_rows,
-    transpose,
 )
 
 KIND_REFERENCE = "reference-image"
@@ -81,7 +79,8 @@ def _check_tokens(encoder, seq: TokenSeq, kinds: tuple):
 
 
 class Attention:
-    """Single-head attention, softmax((x_q Wq)(x_kv Wk)ᵀ/√d)(x_kv Wv).
+    """Single-head attention, softmax((x_q Wq)(x_kv Wk)ᵀ/√d)(x_kv Wv), run as
+    one engine op (`tensor.attention`) with its own backward.
 
     Every q/k/v site of the model is one of these: the encoders' self
     attention (x_q is x_kv), the cross encoder, query fusion and both
@@ -97,11 +96,7 @@ class Attention:
         self.wv = Param(f"{name}.wv", rng.normal(0.0, base, (dim, dim)), frozen)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor) -> Tensor:
-        q = matmul(x_q, self.wq.tensor)
-        k = matmul(x_kv, self.wk.tensor)
-        v = matmul(x_kv, self.wv.tensor)
-        logits = scalar_mul(matmul(q, transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
-        return matmul(softmax_rows(logits), v)
+        return attention(x_q, x_kv, self.wq.tensor, self.wk.tensor, self.wv.tensor)
 
     def params(self):
         return [self.wq, self.wk, self.wv]
@@ -155,6 +150,8 @@ class TextEncoder:
 
     def encode(self, seqs) -> Tensor:
         """A list of B TokenSeqs of one length L gives B x L x d rows."""
+        if not seqs:
+            raise ValueError("TextEncoder: the batch is empty")
         for seq in seqs:
             _check_tokens(self, seq, (KIND_TEXT,))
         lengths = sorted({len(seq.tokens) for seq in seqs})

@@ -123,7 +123,7 @@ class RetrievalModel:
         Lists of B records' ids, one length per field, give B x d; one
         record's ids run as a batch of one and give 1 x d.
         """
-        if _one_record(ref_tokens):
+        if _one_record(ref_tokens, "query_embedding"):
             ref_tokens, text_tokens = [ref_tokens], [text_tokens]
         f_r = stack([self.ref_encoder.encode(TokenSeq(t, KIND_REFERENCE)) for t in ref_tokens])
         f_c = self.text_encoder.encode([TokenSeq(t, KIND_TEXT) for t in text_tokens])
@@ -131,15 +131,20 @@ class RetrievalModel:
 
     def target_embedding(self, target_tokens) -> Tensor:
         """Pooled target vectors: B x d for a list of B records' ids, 1 x d for one record's."""
-        if _one_record(target_tokens):
+        if _one_record(target_tokens, "target_embedding"):
             target_tokens = [target_tokens]
         return self.pooled_target(stack([self.tgt_encoder.encode(TokenSeq(t, KIND_TARGET))
                                          for t in target_tokens]))
 
 
-def _one_record(ids) -> bool:
-    """Whether `ids` is one record's token ids rather than a list of records' ids."""
-    return not (isinstance(ids, list) and ids and isinstance(ids[0], (list, tuple)))
+def _one_record(ids, entry: str) -> bool:
+    """Whether `ids` is one record's token ids rather than a list of records' ids.
+
+    An empty list is an empty batch, which `entry` refuses.
+    """
+    if isinstance(ids, list) and not ids:
+        raise ValueError(f"{entry}: the batch is empty")
+    return not (isinstance(ids, list) and isinstance(ids[0], (list, tuple)))
 
 
 # ---------------------------------------------------------------------- checkpoints

@@ -9,9 +9,12 @@ matrices over equal leading axes.  There are three broadcasts and no
 others: scalar times tensor, a 2-D weight on the right of `matmul` (applied
 to every matrix on the left; its gradient sums over the leading axes), and
 an explicit `expand` along a new axis (its gradient sums over that axis).
-`diagonal_nll` fuses the in-batch NLL into one log-sum-exp op.  Each op
-validates its output, so a NaN or Inf fails loudly at the op that produced
-it instead of poisoning the loss.
+Two ops are fused, each owning its softmax and its backward: `diagonal_nll`
+takes the in-batch NLL as one log-sum-exp op, and `attention` is a whole
+single-head attention block.  Each op does its forward arithmetic under
+`np.errstate` and validates its output, so a NaN or Inf fails loudly, as
+`NonFiniteError` rather than a numpy warning, at the op that produced it
+instead of poisoning the loss.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ __all__ = [
     "softmax_rows",
     "l2_normalize_rows",
     "diagonal_nll",
+    "attention",
     "backward",
 ]
 
@@ -125,19 +129,45 @@ def _check_same_shape(a: Tensor, b: Tensor, op: str):
         raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
 
 
+def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of a 2-D weight W in a @ W: aᵀ @ g summed over every leading axis."""
+    return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+
+
+def _softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis, each row shifted by its max; call under np.errstate.
+
+    A row spanning more than the float range overflows the shift to -inf, which exp maps to 0.
+    """
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """dL/dx of y = softmax(x) given g = dL/dy: y * (g - sum_j g_j y_j) per row."""
+    dot = (g * y).sum(axis=-1, keepdims=True)
+    return y * (g - dot)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "add")
-    return _result(a.data + b.data, (a, b), lambda g: (g, g), "add")
+    with np.errstate(over="ignore"):
+        out_data = a.data + b.data
+    return _result(out_data, (a, b), lambda g: (g, g), "add")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_shape(a, b, "mul")
-    return _result(a.data * b.data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
+    with np.errstate(over="ignore"):
+        out_data = a.data * b.data
+    return _result(out_data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
 
 
 def scalar_mul(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    return _result(x.data * c, (x,), lambda g: (g * c,), "scalar_mul")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_data = x.data * c
+    return _result(out_data, (x,), lambda g: (g * c,), "scalar_mul")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -159,7 +189,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     # d(sum g.C)/dA = g @ B^T, d/dB = A^T @ g; a shared weight sums A^T @ g over every matrix
     def back(g):
         if bd.ndim == 2:
-            return g @ bd.T, ad.reshape(-1, ad.shape[-1]).T @ g.reshape(-1, g.shape[-1])
+            return g @ bd.T, _weight_grad(ad, g)
         return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
 
     return _result(out_data, (a, b), back, "matmul")
@@ -178,7 +208,9 @@ def sum_all(x: Tensor) -> Tensor:
     def back(g):
         return (np.full(shape, g.reshape(-1)[0]),)
 
-    return _result(np.array([[x.data.sum()]]), (x,), back, "sum_all")
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_data = np.array([[x.data.sum()]])
+    return _result(out_data, (x,), back, "sum_all")
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:
@@ -186,11 +218,13 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
     if not -x.data.ndim <= axis < x.data.ndim:
         raise ValueError(f"mean_axis: axis {axis} out of range for shape {x.shape}")
     n = x.shape[axis]
+    with np.errstate(over="ignore", invalid="ignore"):
+        out_data = x.data.mean(axis=axis, keepdims=True)
 
     def back(g):
         return (np.repeat(g, n, axis=axis) / n,)
 
-    return _result(x.data.mean(axis=axis, keepdims=True), (x,), back, "mean_axis")
+    return _result(out_data, (x,), back, "mean_axis")
 
 
 def concat(parts) -> Tensor:
@@ -263,18 +297,9 @@ def softmax_rows(x: Tensor) -> Tensor:
     _check_rows(x, "softmax_rows")
     if x.shape[-1] == 0:
         raise ValueError(f"softmax_rows: rows have no entries, got shape {x.shape}")
-    # a row spanning more than the float range overflows the shift to -inf, which exp maps to 0
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def back(g):
-        # dL/dx = y * (g - sum_j g_j y_j) per row
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _result(y, (x,), back, "softmax_rows")
+        y = _softmax(x.data)
+    return _result(y, (x,), lambda g: (_softmax_grad(y, g),), "softmax_rows")
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
@@ -317,6 +342,46 @@ def diagonal_nll(x: Tensor) -> Tensor:
         return (grad * (g.reshape(-1)[0] / b),)
 
     return _result(np.array([[loss]]), (x,), back, "diagonal_nll")
+
+
+def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> Tensor:
+    """Single-head attention softmax((x_q wq)(x_kv wk)ᵀ/√d)(x_kv wv) as one op; d = wq's columns.
+
+    `x_q` and `x_kv` share their leading axes (`x_q` may be `x_kv`); the three
+    2-D weights apply to every matrix, their gradients summed over the leading
+    axes as in `matmul`.  The forward repeats the values of the
+    matmul/transpose/scalar_mul/softmax_rows chain bit for bit.
+    """
+    xq, xkv = x_q.data, x_kv.data
+    if xq.ndim < 2 or xkv.ndim < 2 or {wq.data.ndim, wk.data.ndim, wv.data.ndim} != {2}:
+        raise ValueError(f"attention: expected at least 2 axes and 2-D weights, got shapes "
+                         f"{x_q.shape}, {x_kv.shape} and {wq.shape}, {wk.shape}, {wv.shape}")
+    if xq.shape[:-2] != xkv.shape[:-2]:
+        raise ValueError(f"attention: leading axes disagree, {x_q.shape} vs {x_kv.shape}")
+    if not (xq.shape[-1] == wq.shape[0] and xkv.shape[-1] == wk.shape[0] == wv.shape[0]
+            and wq.shape[1] == wk.shape[1]):
+        raise ValueError(f"attention: feature dims of {x_q.shape} and {x_kv.shape} do not match "
+                         f"the weights {wq.shape}, {wk.shape}, {wv.shape}")
+    if xkv.shape[-2] == 0:
+        raise ValueError(f"attention: the key/value side has no rows, got shape {x_kv.shape}")
+    c = 1.0 / math.sqrt(wq.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        q, k, v = xq @ wq.data, xkv @ wk.data, xkv @ wv.data
+        kt = k.swapaxes(-1, -2).copy()  # contiguous, as `transpose` makes it: BLAS sums alike
+        y = _softmax((q @ kt) * c)
+        out_data = y @ v
+
+    # the chain's backward rules, in its order: the value product, softmax_rows, the 1/√d
+    # scale, the q kᵀ product and the three projections
+    def back(g):
+        gl = _softmax_grad(y, g @ v.swapaxes(-1, -2)) * c
+        gq = gl @ kt.swapaxes(-1, -2)
+        gk = (q.swapaxes(-1, -2) @ gl).swapaxes(-1, -2)
+        gv = y.swapaxes(-1, -2) @ g
+        return (gq @ wq.data.T, gk @ wk.data.T + gv @ wv.data.T,
+                _weight_grad(xq, gq), _weight_grad(xkv, gk), _weight_grad(xkv, gv))
+
+    return _result(out_data, (x_q, x_kv, wq, wk, wv), back, "attention")
 
 
 def backward(loss: Tensor):

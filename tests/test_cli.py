@@ -239,12 +239,12 @@ def test_training_aborts_with_diagnostic_on_nonfinite(tmp_path):
     cmd_synth(cfg)
     records = read_records(cfg.paths.train_set)
     model = RetrievalModel(cfg)
-    # poison one trainable parameter so a matmul overflows during the forward pass
+    # poison one trainable parameter so the text encoder's attention overflows in the forward pass
     model.parameters()["text_encoder.embedding"].data[...] = 1e200
     with pytest.raises(RuntimeError) as err:
         train_model(model, records, cfg, log_path=cfg.paths.train_log)
     assert str(err.value) == ("training aborted at epoch 0, step 0: "
-                              "non-finite values in output of op 'matmul'")
+                              "non-finite values in output of op 'attention'")
     assert isinstance(err.value.__cause__, NonFiniteError)
     assert not Path(cfg.paths.train_log).exists()
 

@@ -45,7 +45,7 @@ def test_inputs_without_a_cls_row_rejected():
     p = make_params()
     rows, empty = T.Tensor(np.ones((3, DIM))), T.Tensor(np.ones((0, DIM)))
     for f_r_prime, f_t in ((empty, rows), (rows, empty)):
-        with pytest.raises(ValueError, match="softmax_rows: rows have no entries"):
+        with pytest.raises(ValueError, match="attention: the key/value side has no rows"):
             compose(f_r_prime, f_t, p)
 
 
@@ -74,7 +74,7 @@ def test_dim_mismatch_rejected():
     p = make_params()
     good, wide = T.Tensor(np.ones((3, DIM))), T.Tensor(np.ones((3, DIM + 1)))
     for anchor, other in ((wide, good), (good, wide)):
-        with pytest.raises(ValueError, match="matmul: inner dimensions disagree"):
+        with pytest.raises(ValueError, match="attention: feature dims .* do not match the weights"):
             fuse_branch(anchor, other, p.target_branch, p.layers)
 
 

@@ -65,6 +65,12 @@ def test_text_encode_matches_oracle():
     assert np.allclose(enc.encode([TokenSeq(tokens, KIND_TEXT)]).data[0], expected, atol=1e-12)
 
 
+def test_text_encode_refuses_an_empty_batch():
+    enc = TextEncoder("txt", vocab=12, dim=DIM, max_tokens=8, rng=np.random.default_rng(4))
+    with pytest.raises(ValueError, match="TextEncoder: the batch is empty"):
+        enc.encode([])
+
+
 def test_token_seq_rejects_empty():
     with pytest.raises(ValueError):
         TokenSeq((), KIND_TEXT)
@@ -271,11 +277,11 @@ class TestQueryFusion:
 
     @pytest.mark.parametrize("n_prompts", [0, 2])
     def test_dim_mismatch_rejected(self, n_prompts):
-        # the engine's concat and matmul refuse features of the wrong width
+        # the engine's concat and attention refuse features of the wrong width
         fusion = QueryFusion("q", DIM, n_prompts=n_prompts, rng=self.rng)
         good, wide = T.Tensor(np.ones((1, 3, DIM))), T.Tensor(np.ones((1, 3, DIM + 1)))
         for f_c, f_r in ((wide, good), (good, wide)):
-            with pytest.raises(ValueError, match="concat|matmul"):
+            with pytest.raises(ValueError, match="concat|attention"):
                 fusion.fuse(f_c, f_r)
 
     @pytest.mark.parametrize("n_prompts,op", [(0, "add"), (2, "concat")])

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from cirtrain.data import (
     read_records,
     write_records,
 )
+from cirtrain.encoders import KIND_REFERENCE, TokenSeq
 from cirtrain.model import RetrievalModel, load_checkpoint, save_checkpoint
 from cirtrain.objective import score_query_against_gallery
 from cirtrain.tensor import no_grad
@@ -57,6 +59,43 @@ def test_batch_losses_breakdown_consistent():
 def test_empty_batch_rejected():
     with pytest.raises(ValueError, match="stack: need at least one tensor"):
         RetrievalModel(small_config()).batch_losses([])
+
+
+@pytest.mark.parametrize("entry,args", [("target_embedding", ([],)),
+                                        ("query_embedding", ([], []))])
+def test_embeddings_refuse_an_empty_batch(entry, args):
+    # an empty list is an empty batch, not one record without tokens
+    with pytest.raises(ValueError, match=f"^{entry}: the batch is empty$"):
+        getattr(RetrievalModel(small_config()), entry)(*args)
+
+
+def _op_census(loss) -> Counter:
+    """Recorded graph nodes reachable from `loss`, counted by op."""
+    counts, seen, stack = Counter(), set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node.requires_grad:
+            seen.add(id(node))
+            counts[node.op] += node.op != "leaf"
+            stack.extend(node._parents)
+    return counts
+
+
+@pytest.mark.parametrize("sets,attention", [((), 11),
+                                            (("use_alignment", "use_reasoning"), 2)])
+def test_every_attention_site_is_one_fused_node(sets, attention):
+    # default: text, cross and fusion attention plus 4 layers in each compositor branch;
+    # matching only reads the text encoder and fusion.  The bridge's hinge is the only
+    # softmax left outside the fused op.
+    cfg = RunConfig()
+    cfg.ablation = dataclasses.replace(cfg.ablation, **{key: False for key in sets})
+    model = RetrievalModel(cfg)
+    records = small_records(4)
+    census = _op_census(model.batch_losses(records)[0])
+    assert census["attention"] == attention
+    assert census["softmax_rows"] == (0 if sets else 1)
+    frozen = model.ref_encoder.encode(TokenSeq(records[0].ref_tokens, KIND_REFERENCE))
+    assert not frozen.requires_grad and not frozen._parents
 
 
 def test_disabled_auxiliaries_leave_their_params_unchanged():

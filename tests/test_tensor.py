@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from cirtrain import tensor as T
-from oracles import finite_diff, max_rel_err, np_diagonal_nll
+from oracles import attention_oracle, finite_diff, max_rel_err, np_diagonal_nll
 
 
 def _rng(key: str) -> np.random.Generator:
@@ -231,6 +231,11 @@ FD_CASES = [
     ("concat_rank3", lambda a, b, c: T.mul(T.concat([a, b]), c), [(2, 1, 4), (2, 3, 4), (2, 4, 4)]),
     ("concat_rank4", lambda a, b, c: T.mul(T.concat([a, b, a]), c),
      [(2, 2, 1, 3), (2, 2, 2, 3), (2, 2, 4, 3)]),
+    # the fused attention op: rank-2 self attention (x_q is x_kv), rank-3 cross attention
+    ("attention_self", lambda x, wq, wk, wv: T.mul(T.attention(x, x, wq, wk, wv), x),
+     [(3, 4), (4, 4), (4, 4), (4, 4)]),
+    ("attention_cross3", lambda xq, xkv, wq, wk, wv: T.mul(T.attention(xq, xkv, wq, wk, wv), xq),
+     [(2, 3, 4), (2, 5, 4), (4, 2), (4, 2), (4, 4)]),
 ]
 
 
@@ -250,6 +255,77 @@ def test_every_exported_op_has_a_finite_difference_case():
             stack.extend(node._parents)
     not_ops = {"NonFiniteError", "Tensor", "Param", "no_grad", "backward"}
     assert not set(T.__all__) - not_ops - recorded
+
+
+def _attention_chain(x_q, x_kv, wq, wk, wv):
+    """The primitive chain that `attention` fuses."""
+    q, k, v = T.matmul(x_q, wq), T.matmul(x_kv, wk), T.matmul(x_kv, wv)
+    logits = T.scalar_mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
+    return T.matmul(T.softmax_rows(logits), v)
+
+
+@pytest.mark.parametrize("q_shape,kv_shape", [((4, 5), None), ((3, 5), (6, 5)),
+                                              ((2, 3, 5), (2, 6, 5)), ((2, 2, 3, 5), None)])
+def test_attention_equals_the_primitive_chain(q_shape, kv_shape, rng):
+    # kv_shape None is self attention: the same tensor on both sides
+    arrays = [rng.normal(size=q_shape)] + ([rng.normal(size=kv_shape)] if kv_shape else [])
+    arrays += [rng.normal(size=(5, 3)), rng.normal(size=(5, 3)), rng.normal(size=(5, 4))]
+    upstream = T.Tensor(rng.normal(size=q_shape[:-1] + (4,)))
+    runs = []
+    for build in (T.attention, _attention_chain):
+        inputs = [T.Tensor(a, requires_grad=True) for a in arrays]
+        x_q, x_kv, weights = inputs[0], inputs[-4], inputs[-3:]
+        out = build(x_q, x_kv, *weights)
+        T.sum_all(T.mul(out, upstream)).backward()
+        runs.append((out, inputs))
+    (fused, fused_inputs), (chain, chain_inputs) = runs
+    assert fused.op == "attention" and np.array_equal(fused.data, chain.data)
+    for f, c in zip(fused_inputs, chain_inputs):
+        assert np.abs(f.grad - c.grad).max() <= 1e-15 * np.abs(c.grad).max()
+
+
+def test_attention_matches_the_oracle_at_a_batched_shape(rng):
+    x_q, x_kv = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 5, 4))
+    wq, wk, wv = (rng.normal(size=(4, 4)) for _ in range(3))
+    out = T.attention(*map(T.Tensor, (x_q, x_kv, wq, wk, wv)))
+    for i in range(3):
+        assert np.allclose(out.data[i], attention_oracle(x_q[i], x_kv[i], wq, wk, wv), atol=1e-12)
+
+
+def test_attention_refuses_bad_inputs():
+    x, w = T.Tensor(np.ones((2, 3, 4))), T.Tensor(np.ones((4, 4)))
+    cases = [
+        ((T.Tensor(np.ones(4)), x, w, w, w), "expected at least 2 axes"),
+        ((x, x, T.Tensor(np.ones((2, 4, 4))), w, w), "2-D weights"),
+        ((x, T.Tensor(np.ones((3, 3, 4))), w, w, w), "leading axes disagree"),
+        ((x, T.Tensor(np.ones((2, 3, 5))), w, w, w), "do not match the weights"),
+        ((T.Tensor(np.ones((2, 3, 5))), x, w, w, w), "do not match the weights"),
+        ((x, x, w, T.Tensor(np.ones((4, 3))), w), "do not match the weights"),
+        ((x, T.Tensor(np.ones((2, 0, 4))), w, w, w), "the key/value side has no rows"),
+    ]
+    for args, message in cases:
+        with pytest.raises(ValueError, match=f"^attention: .*{message}"):
+            T.attention(*args)
+
+
+def test_attention_overflow_raises_the_engine_error():
+    # the projections overflow; the op checks only its output, which that turns to NaN
+    x, w = T.Tensor([[1e200, 1e200]]), T.Tensor(np.full((2, 2), 1e200))
+    with pytest.raises(T.NonFiniteError, match="'attention'"):
+        T.attention(x, x, w, w, T.Tensor(np.eye(2)))
+
+
+@pytest.mark.parametrize("op,build", [
+    ("add", lambda: T.add(T.Tensor([[1e308]]), T.Tensor([[1e308]]))),
+    ("scalar_mul", lambda: T.scalar_mul(T.Tensor([[2.0]]), 1e308)),
+    ("mean_axis", lambda: T.mean_axis(T.Tensor([[1e308, 1e308]]), -1)),
+    ("mul", lambda: T.mul(T.Tensor([[1e200]]), T.Tensor([[1e200]]))),
+    ("sum_all", lambda: T.sum_all(T.Tensor([[1e308, 1e308]]))),
+])
+def test_overflow_raises_the_engine_error_not_a_numpy_warning(op, build):
+    # the suite turns warnings into errors, so a numpy RuntimeWarning would fail this test
+    with pytest.raises(T.NonFiniteError, match=f"'{op}'"):
+        build()
 
 
 def test_gradient_of_composite_expression(rng):
