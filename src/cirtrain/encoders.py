@@ -8,6 +8,14 @@ residual connection.  Image encoders prepend a CLS row; the text encoder
 does not.  The frozen image encoders take one sequence at a time; the text
 encoder, cross encoder and query fusion take only batches, B x L x d, in
 training and evaluation alike (one item is a batch of one).
+
+A frozen encode is a pure function of the token tuple and the frozen
+weights, so each image encoder computes it once per tuple and keeps the
+read-only rows in an instance memo.  The memo is valid only for the weight
+tensor objects it was built from: every call reads them (and checks its
+sequence) afresh, and the memo is dropped when any of them is not the one
+it was built from.  A frozen array cannot be written in place, and
+`Param.assign` installs a new tensor, so a stale row cannot be returned.
 """
 
 from __future__ import annotations
@@ -103,7 +111,14 @@ class Attention:
 
 
 class ImageEncoder:
-    """Frozen patch-token encoder: CLS row + embedded tokens through one attention block."""
+    """Frozen patch-token encoder: CLS row + embedded tokens through one attention block.
+
+    `encode` memoizes its (N + 1) x d output per token tuple; the sequence's
+    kind is checked but does not change the rows.  The memo holds rows for the
+    six weight tensors of its last build and is dropped when any changes
+    (`Param.assign`, as `load_checkpoint` does).  Rows are read-only because
+    every caller of one tuple shares them.
+    """
 
     def __init__(self, name: str, vocab: int, dim: int, max_tokens: int, rng: np.random.Generator):
         self.name = name
@@ -119,12 +134,21 @@ class ImageEncoder:
             f"{name}.positions", rng.normal(0.0, 0.1, (max_tokens + 1, dim)), frozen=True
         )
         self.attn = Attention(f"{name}.attn", dim, rng, frozen=True, scale_qk=0.25 / math.sqrt(dim))
+        self._weights, self._rows = (), {}
 
     def encode(self, seq: TokenSeq) -> Tensor:
         _check_tokens(self, seq, IMAGE_KINDS)
-        rows = concat([self.cls.tensor, matmul(_one_hot(seq.tokens, self.vocab), self.embedding.tensor)])
-        rows = add(rows, slice_rows(self.positions.tensor, 0, len(seq.tokens) + 1))
-        return add(rows, self.attn(rows, rows))
+        weights = tuple(p.tensor for p in self.params())
+        if weights != self._weights:
+            self._weights, self._rows = weights, {}
+        out = self._rows.get(seq.tokens)
+        if out is None:
+            embedding, cls, positions, wq, wk, wv = weights
+            rows = concat([cls, matmul(_one_hot(seq.tokens, self.vocab), embedding)])
+            rows = add(rows, slice_rows(positions, 0, len(seq.tokens) + 1))
+            out = self._rows[seq.tokens] = add(rows, attention(rows, rows, wq, wk, wv))
+            out.data.flags.writeable = False
+        return out
 
     def params(self):
         return [self.embedding, self.cls, self.positions] + self.attn.params()

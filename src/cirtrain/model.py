@@ -172,7 +172,7 @@ def save_checkpoint(model: RetrievalModel, path):
 
 
 def load_checkpoint(model: RetrievalModel, path):
-    """Restore parameter values in place; names, shapes and flags must match."""
+    """Restore parameter values through `Param.assign`; names, shapes and flags must match."""
     with Path(path).open("r", encoding="utf-8") as fh:
         doc = json.load(fh)
     if type(doc) is not dict:
@@ -200,4 +200,4 @@ def load_checkpoint(model: RetrievalModel, path):
         if not np.isfinite(values[name]).all():
             raise ValueError(f"{name}: checkpoint holds non-finite values")
     for name, value in values.items():
-        params[name].data[...] = value
+        params[name].assign(value)

@@ -186,11 +186,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore"):
         out_data = ad @ bd
 
-    # d(sum g.C)/dA = g @ B^T, d/dB = A^T @ g; a shared weight sums A^T @ g over every matrix
+    # d(sum g.C)/dA = g @ B^T, d/dB = A^T @ g; a shared weight sums A^T @ g over every matrix.
+    # An operand that takes no gradient (a one-hot or mask on the left) gets None, not a product.
     def back(g):
-        if bd.ndim == 2:
-            return g @ bd.T, _weight_grad(ad, g)
-        return g @ bd.swapaxes(-1, -2), ad.swapaxes(-1, -2) @ g
+        ga = g @ bd.swapaxes(-1, -2) if a.requires_grad else None
+        if not b.requires_grad:
+            return ga, None
+        return ga, _weight_grad(ad, g) if bd.ndim == 2 else ad.swapaxes(-1, -2) @ g
 
     return _result(out_data, (a, b), back, "matmul")
 
@@ -372,14 +374,18 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> 
         out_data = y @ v
 
     # the chain's backward rules, in its order: the value product, softmax_rows, the 1/√d
-    # scale, the q kᵀ product and the three projections
+    # scale, the q kᵀ product and the three projections; an input that takes no gradient
+    # (a frozen feature stack, a frozen weight) gets None instead of its projection
     def back(g):
         gl = _softmax_grad(y, g @ v.swapaxes(-1, -2)) * c
         gq = gl @ kt.swapaxes(-1, -2)
         gk = (q.swapaxes(-1, -2) @ gl).swapaxes(-1, -2)
         gv = y.swapaxes(-1, -2) @ g
-        return (gq @ wq.data.T, gk @ wk.data.T + gv @ wv.data.T,
-                _weight_grad(xq, gq), _weight_grad(xkv, gk), _weight_grad(xkv, gv))
+        return (gq @ wq.data.T if x_q.requires_grad else None,
+                gk @ wk.data.T + gv @ wv.data.T if x_kv.requires_grad else None,
+                _weight_grad(xq, gq) if wq.requires_grad else None,
+                _weight_grad(xkv, gk) if wk.requires_grad else None,
+                _weight_grad(xkv, gv) if wv.requires_grad else None)
 
     return _result(out_data, (x_q, x_kv, wq, wk, wv), back, "attention")
 
@@ -431,16 +437,31 @@ class Param:
     """A named, shaped, trainable array with a gradient buffer and frozen flag.
 
     Frozen params opt out of the graph entirely (requires_grad=False), so the
-    optimizer and gradient checks can skip them by flag alone.  The `reads`
-    counter ticks on every forward access, which lets tests assert that the
-    inference path never touches training-only parameters.
+    optimizer and gradient checks can skip them by flag alone.  A frozen
+    param's array is read-only: `assign` is its one writer, and it installs
+    a new `Tensor`, so whoever keeps results computed from the old tensor
+    object (the image encoders' memo) sees that they are stale.  Trainable
+    arrays stay writable for the optimizer and finite differences.  The
+    `reads` counter ticks on every forward access through `tensor`, a memo
+    hit's weight check included, which lets tests assert that the inference
+    path never touches training-only parameters.
     """
 
     def __init__(self, name: str, values, frozen: bool = False):
         self.name = name
         self.frozen = frozen
         self.reads = 0
-        self._tensor = Tensor(np.array(values, dtype=np.float64), requires_grad=not frozen)
+        self._tensor = None
+        self.assign(values)
+
+    def assign(self, values):
+        """Install a float64 copy of `values` as a new tensor of the same shape; its grad
+        starts empty, and a frozen param's copy is read-only."""
+        data = np.array(values, dtype=np.float64)
+        if self._tensor is not None and data.shape != self.shape:
+            raise ValueError(f"{self.name}: cannot assign shape {data.shape} to {self.shape}")
+        data.flags.writeable = not self.frozen
+        self._tensor = Tensor(data, requires_grad=not self.frozen)
 
     @property
     def tensor(self) -> Tensor:

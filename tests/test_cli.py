@@ -128,7 +128,7 @@ def test_evaluate_model_matches_full_sort_oracle(tmp_path):
     # and only the ascending-id tie-break orders the gallery
     for name, p in model.parameters().items():
         if name.startswith("tgt_encoder."):
-            p.data[...] = 0.0
+            p.assign(np.zeros(p.shape))
     expected, gallery = full_sort_report(model, val)
     assert len({row.tobytes() for row in gallery}) == 1
     assert evaluate_model(model, val) == expected

@@ -110,7 +110,8 @@ def test_image_encode_rejects_overlong():
 
 def test_permuting_tokens_permutes_rows_without_positions():
     enc = make_image_encoder()
-    enc.positions.data[...] = 0.0  # zero positional vectors: only token identity is left
+    # zero positional vectors: only token identity is left
+    enc.positions.assign(np.zeros(enc.positions.shape))
     tokens = (2, 7, 11, 3)
     perm = (11, 3, 2, 7)
     out = enc.encode(TokenSeq(tokens, KIND_REFERENCE)).data
@@ -120,6 +121,49 @@ def test_permuting_tokens_permutes_rows_without_positions():
     for i, t in enumerate(tokens):
         j = perm.index(t)
         assert np.allclose(out[1 + i], out_perm[1 + j], atol=1e-12)
+
+
+def _reads(enc):
+    return [p.reads for p in enc.params()]
+
+
+def test_a_memo_hit_shares_a_fresh_encoders_rows_and_reads_every_weight():
+    enc, seq = make_image_encoder(), TokenSeq((4, 9, 1), KIND_REFERENCE)
+    first = enc.encode(seq)
+    assert np.array_equal(first.data, make_image_encoder().encode(seq).data)
+    for kind in (KIND_REFERENCE, KIND_TARGET):  # the kind is checked, but keys no row
+        before = _reads(enc)
+        assert enc.encode(TokenSeq((4, 9, 1), kind)) is first
+        assert [after - b for after, b in zip(_reads(enc), before)] == [1] * 6
+
+
+@pytest.mark.parametrize("seq,message", [
+    (TokenSeq((4, 9, 1), KIND_TEXT), "got a 'text' sequence"),
+    (TokenSeq((4, 9, 32), KIND_REFERENCE), "outside vocabulary"),
+], ids=["wrong kind", "out of vocabulary"])
+def test_a_warm_memo_still_refuses_what_the_encoder_cannot_take(seq, message):
+    enc = make_image_encoder()
+    enc.encode(TokenSeq((4, 9, 1), KIND_REFERENCE))
+    before = _reads(enc)
+    with pytest.raises(ValueError, match=message):
+        enc.encode(seq)
+    assert _reads(enc) == before
+
+
+def test_frozen_arrays_and_encoded_rows_are_read_only():
+    enc = make_image_encoder()
+    rows = enc.encode(TokenSeq((4, 9, 1), KIND_REFERENCE))
+    for array in [rows.data] + [p.data for p in enc.params()]:
+        with pytest.raises(ValueError, match="read-only"):
+            array[0, 0] = 1.0
+    enc.positions.assign(np.zeros(enc.positions.shape))
+    with pytest.raises(ValueError, match="read-only"):
+        enc.positions.data[0, 0] = 1.0
+    with pytest.raises(ValueError, match=r"enc.positions: cannot assign shape \(2, 2\)"):
+        enc.positions.assign(np.zeros((2, 2)))
+    assert not enc.positions.data.any()
+    trainable = TextEncoder("txt", vocab=12, dim=DIM, max_tokens=8, rng=np.random.default_rng(5))
+    trainable.positions.data[0, 0] = 1.0  # the optimizer writes trainable arrays in place
 
 
 def test_text_encode_shape_and_determinism():

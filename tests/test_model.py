@@ -16,6 +16,7 @@ from cirtrain.data import (
     batches,
     generate,
     read_records,
+    synth_spec_from_config,
     write_records,
 )
 from cirtrain.encoders import KIND_REFERENCE, TokenSeq
@@ -135,6 +136,25 @@ def test_pure_reference_flag_changes_alignment_loss():
     assert with_cross.alignment != pytest.approx(without_cross.alignment, abs=1e-9)
 
 
+def test_a_default_step_skips_the_input_gradients_of_frozen_features():
+    # the 8 compositor layers and the cross encoder take frozen query rows; each branch's
+    # first layer and query fusion take frozen key/value rows
+    total, _ = RetrievalModel(RunConfig()).batch_losses(small_records(4))
+    skipped, seen, stack = Counter(), set(), [total]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen or not node.requires_grad:
+            continue
+        seen.add(id(node))
+        stack.extend(node._parents)
+        if node.op == "attention":
+            slots = node._backprop(np.ones(node.shape))
+            for side, slot, parent in zip(("x_q", "x_kv"), slots, node._parents):
+                assert (slot is None) == (not parent.requires_grad)
+                skipped[side] += slot is None
+    assert skipped == Counter(x_q=9, x_kv=3)
+
+
 def test_frozen_params_bitwise_stable_over_training_steps():
     model = RetrievalModel(small_config())
     frozen_before = {name: p.data.copy() for name, p in model.parameters().items() if p.frozen}
@@ -188,6 +208,32 @@ def test_checkpoint_round_trip_is_value_exact(tmp_path):
         q = restored.parameters()[name]
         assert np.array_equal(p.data, q.data), name
         assert p.frozen == q.frozen
+
+
+def test_encode_after_loading_other_frozen_values_returns_the_new_rows(tmp_path):
+    cfg = small_config()
+    model, source = RetrievalModel(cfg, seed=1), RetrievalModel(cfg, seed=2)
+    targets = [r.target_tokens for r in small_records(4)]
+    stale = model.target_embedding(targets).data  # fills the target encoder's memo
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(source, path)
+    load_checkpoint(model, path)
+    rows = model.target_embedding(targets).data
+    assert np.array_equal(rows, source.target_embedding(targets).data)
+    assert not np.array_equal(rows, stale)
+
+
+def test_memo_holds_one_row_per_distinct_tuple_after_an_epoch():
+    cfg = RunConfig()
+    cfg.training = dataclasses.replace(cfg.training, epochs=1)
+    train, _ = generate(synth_spec_from_config(cfg))
+    model = RetrievalModel(cfg)
+    train_model(model, train, cfg)
+    refs, targets = {r.ref_tokens for r in train}, {r.target_tokens for r in train}
+    assert (len(refs), len(targets)) == (64, 222)
+    # the target encoder also re-encodes every reference for the reasoning loss
+    assert len(model.ref_encoder._rows) == len(refs)
+    assert len(model.tgt_encoder._rows) == len(targets | refs)
 
 
 def test_checkpoint_mismatch_detected(tmp_path):

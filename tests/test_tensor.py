@@ -284,6 +284,31 @@ def test_attention_equals_the_primitive_chain(q_shape, kv_shape, rng):
         assert np.abs(f.grad - c.grad).max() <= 1e-15 * np.abs(c.grad).max()
 
 
+@pytest.mark.parametrize("op,shapes,constant", [
+    ("attention", [(2, 3, 5), (2, 4, 5), (5, 3), (5, 3), (5, 4)], {0}),
+    ("attention", [(2, 3, 5), (2, 4, 5), (5, 3), (5, 3), (5, 4)], {1}),
+    ("attention", [(2, 3, 5), (2, 4, 5), (5, 3), (5, 3), (5, 4)], {0, 2, 4}),
+    ("matmul", [(2, 3, 4), (4, 5)], {0}),
+    ("matmul", [(2, 3, 4), (2, 4, 5)], {1}),
+])
+def test_backward_gives_none_to_an_input_without_grad_and_keeps_the_rest(op, shapes, constant,
+                                                                         rng):
+    arrays = [rng.normal(size=shape) for shape in shapes]
+    upstream = rng.normal(size=getattr(T, op)(*map(T.Tensor, arrays)).shape)
+    runs = []
+    for skipped in (set(), constant):
+        inputs = [T.Tensor(a, requires_grad=i not in skipped) for i, a in enumerate(arrays)]
+        out = getattr(T, op)(*inputs)
+        T.sum_all(T.mul(out, T.Tensor(upstream))).backward()
+        runs.append((inputs, out._backprop(upstream)))
+    (every, every_slots), (some, slots) = runs
+    assert all(s is not None for s in every_slots)
+    assert [i for i, s in enumerate(slots) if s is None] == sorted(constant)
+    for i, (a, b) in enumerate(zip(every, some)):
+        if i not in constant:
+            assert np.array_equal(a.grad, b.grad) and np.array_equal(slots[i], every_slots[i])
+
+
 def test_attention_matches_the_oracle_at_a_batched_shape(rng):
     x_q, x_kv = rng.normal(size=(3, 2, 4)), rng.normal(size=(3, 5, 4))
     wq, wk, wv = (rng.normal(size=(4, 4)) for _ in range(3))
