@@ -22,7 +22,7 @@ from .data import generate, read_records, synth_spec_from_config, write_records
 from .metrics import format_report, rank_gallery, rank_within_subset, summarize
 from .model import RetrievalModel, load_checkpoint, save_checkpoint
 from .objective import score_query_against_gallery
-from .tensor import Tensor, no_grad
+from .tensor import no_grad
 from .train import gradcheck_passed, run_gradient_check, train_model
 
 
@@ -78,9 +78,9 @@ def evaluate_model(model: RetrievalModel, val_records) -> dict:
     """Score every validation query against the gallery of all validation
     targets and summarize full-gallery plus subset recalls.
 
-    Queries and targets are embedded in length runs (`_length_runs`); each
-    query is then scored and ranked on its own, so no Q x G score matrix is
-    ever held.
+    The gallery is embedded in length runs (`_length_runs`); each run's
+    queries are then embedded, scored with one product and ranked together,
+    so at most EVAL_CHUNK x G scores are held at a time.
     """
     if not val_records:
         raise ValueError("validation set is empty")
@@ -88,25 +88,23 @@ def evaluate_model(model: RetrievalModel, val_records) -> dict:
     for column, record in enumerate(val_records):
         if position.setdefault(record.id, column) != column:
             raise ValueError(f"validation id {record.id!r} is repeated")
-    id_keys = np.array(list(position))
+    id_keys = np.argsort(np.argsort(np.array(list(position))))  # unique ids: same order
+    full_ranks, subset_ranks = [], []
     with no_grad():
         runs = list(_length_runs(val_records))
         gallery = np.vstack([model.target_embedding([r.target_tokens for r in run]).data
                              for run in runs])
-        queries = np.vstack([model.query_embedding([r.ref_tokens for r in run],
-                                                   [r.text_tokens for r in run]).data
-                             for run in runs])
-        full_ranks, subset_ranks = [], []
-        for column, record in enumerate(val_records):
-            scores = score_query_against_gallery(Tensor(queries[column]), gallery)
-            full_ranks.append(rank_gallery(scores, id_keys, column))
-            if record.subset_ids is not None:
-                subset_ranks.append(
-                    rank_within_subset(scores, position, record.subset_ids, record.id)
-                )
-    if not subset_ranks:
+        for run in runs:
+            scores = score_query_against_gallery(
+                model.query_embedding([r.ref_tokens for r in run], [r.text_tokens for r in run]),
+                gallery)
+            full_ranks.append(rank_gallery(scores, id_keys, [position[r.id] for r in run]))
+            subset_ranks.append(rank_within_subset(
+                scores, position, [r.subset_ids for r in run], [r.id for r in run]))
+    subset_ranks = np.concatenate(subset_ranks)
+    if not subset_ranks.size:
         raise ValueError("validation records carry no candidate subsets")
-    return summarize(full_ranks, subset_ranks)
+    return summarize(np.concatenate(full_ranks), subset_ranks)
 
 
 def cmd_eval(cfg: RunConfig) -> int:

@@ -4,49 +4,68 @@ All fractions live in [0, 1] internally; the CLI multiplies by 100 for
 display.  Ties are broken by ascending gallery id so ranks (and hence
 every metric) are deterministic.  A rank is counted, not sorted: it is one
 plus the number of candidates that order ahead of the target, and the
-metrics need nothing else from a ranking.
+metrics need nothing else from a ranking.  Both rankers take a whole chunk
+of queries at once (a B x G score matrix) as well as a single query row.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 
-def rank_gallery(scores, ids, target: int) -> int:
+def rank_gallery(scores, ids, target):
     """1-based rank of column `target` under descending score, ties by
     ascending id: one plus the count of columns that score higher, or score
-    the same with a smaller id."""
-    scores, ids = np.asarray(scores, dtype=float), np.asarray(ids)
-    if scores.ndim != 1 or scores.shape != ids.shape:
+    the same with a smaller id.  `scores` is (..., G), `ids` (G,) and
+    `target` (...) column indices; the result is (...) ranks, an int for
+    one row."""
+    scores, ids, target = np.asarray(scores, dtype=float), np.asarray(ids), np.asarray(target)
+    if scores.ndim == 0 or scores.shape[-1:] != ids.shape or target.shape != scores.shape[:-1]:
         raise ValueError("scores and ids must be 1-D and of equal length")
-    if not 0 <= target < len(scores):
-        raise ValueError(f"target column {target} outside a gallery of {len(scores)}")
-    s_t, id_t = scores[target], ids[target]
-    ahead = (scores > s_t) | ((scores == s_t) & (ids < id_t))
-    return 1 + int(np.count_nonzero(ahead))
+    if ((target < 0) | (target >= ids.size)).any():
+        raise ValueError(f"target column {target} outside a gallery of {ids.size}")
+    s_t = np.take_along_axis(scores, target[..., None], axis=-1)
+    id_t = ids[target[..., None]]
+    ranks = 1 + np.count_nonzero((scores > s_t) | ((scores == s_t) & (ids < id_t)), axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
-def rank_within_subset(scores, position, subset_ids, target_id: str) -> int:
+def rank_within_subset(scores, position, subset_ids, target_id):
     """Rank among the candidate subset only; `position` maps a gallery id to
-    its column of the `scores` array, and the target must be a candidate."""
-    subset_ids = list(subset_ids)
-    if target_id not in subset_ids:
-        raise ValueError(f"target {target_id!r} missing from its candidate subset")
-    missing = [s for s in subset_ids if s not in position]
-    if missing:
-        raise ValueError(f"candidate subset ids {missing} missing from the gallery")
-    columns = [position[s] for s in subset_ids]
-    return rank_gallery(scores[columns], subset_ids, subset_ids.index(target_id))
+    its column of `scores`, and the target must be a candidate.  For a B x G
+    chunk, `subset_ids` and `target_id` hold one entry per row, and the
+    ranks of the rows whose subset is not None come back in row order."""
+    scores = np.asarray(scores, dtype=float)
+    if scores.ndim == 1:
+        return int(rank_within_subset(scores[None], position, [subset_ids], [target_id])[0])
+    rows, pairs = [], []  # pairs: (row, column, target's column, id below target's) per candidate
+    for row, (subset, target) in enumerate(zip(subset_ids, target_id, strict=True)):
+        if subset is None:
+            continue
+        if target not in subset:
+            raise ValueError(f"target {target!r} missing from its candidate subset")
+        missing = [s for s in subset if s not in position]
+        if missing:
+            raise ValueError(f"candidate subset ids {missing} missing from the gallery")
+        rows.append(row)
+        pairs += [(row, position[s], position[target], s < target) for s in subset]
+    pairs = np.fromiter(itertools.chain.from_iterable(pairs), dtype=int).reshape(-1, 4)
+    row, column, target_column, smaller_id = pairs.T
+    s, s_t = scores[row, column], scores[row, target_column]
+    ahead = (s > s_t) | ((s == s_t) & (smaller_id == 1))
+    return 1 + np.bincount(row[ahead], minlength=len(scores))[rows]
 
 
 def recall_at_k(ranks, k: int) -> float:
     """Fraction of queries whose target ranks within the top k (full gallery or subsets)."""
-    ranks = list(ranks)
-    if not ranks:
+    ranks = np.asarray(ranks)
+    if not ranks.size:
         raise ValueError("recall over an empty rank list is undefined")
     if k < 1:
         raise ValueError("k must be >= 1")
-    return sum(1 for r in ranks if r <= k) / len(ranks)
+    return int(np.count_nonzero(ranks <= k)) / ranks.size
 
 
 def challenge_metric(r10: float, r50: float) -> float:

@@ -48,15 +48,19 @@ def total_loss(l_match: Tensor, l_align: Tensor | None, l_reason: Tensor | None,
     return total
 
 
-def score_query_against_gallery(query: Tensor, gallery: np.ndarray) -> np.ndarray:
-    """Cosine score of one query row against each gallery row (rows pre-normalized).
+def score_query_against_gallery(queries: Tensor, gallery: np.ndarray) -> np.ndarray:
+    """Cosine scores of a B x d chunk of query rows against each gallery row
+    (rows pre-normalized): the B x G product `queries @ gallery.T`.
 
-    This is the whole inference-time scoring path: plain dot products, no
-    graph recording and no attention machinery.
+    This is the whole inference-time scoring path: one matrix product, no
+    graph recording and no attention machinery.  Each row is bitwise the
+    matching row of one product over all queries.
     """
     if gallery.ndim != 2 or gallery.shape[0] == 0:
         raise ValueError("gallery must be a non-empty G x d matrix")
-    q = query.data.reshape(-1)
-    if q.shape[0] != gallery.shape[1]:
-        raise ValueError(f"query dim {q.shape[0]} does not match gallery dim {gallery.shape[1]}")
-    return gallery @ q
+    q = queries.data
+    if q.ndim != 2 or q.shape[1] != gallery.shape[1]:
+        raise ValueError(f"queries of shape {q.shape} are not B x {gallery.shape[1]} like the gallery")
+    if len(q) == 1:  # numpy sends one row to gemv, whose sums can round apart from gemm's
+        return (np.vstack((q, q)) @ gallery.T)[:1]
+    return q @ gallery.T

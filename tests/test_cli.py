@@ -103,8 +103,9 @@ def full_sort_report(model, val_records):
         scores = (gallery @ query).tolist()
         score_of = dict(zip(ids, scores))
         full.append(rank_oracle(ids, scores, record.id)[1])
-        subset_scores = [score_of[s] for s in record.subset_ids]
-        subset.append(rank_oracle(list(record.subset_ids), subset_scores, record.id)[1])
+        if record.subset_ids is not None:
+            subset_scores = [score_of[s] for s in record.subset_ids]
+            subset.append(rank_oracle(list(record.subset_ids), subset_scores, record.id)[1])
 
     def recall(ranks, k):
         return sum(rank <= k for rank in ranks) / len(ranks)
@@ -148,17 +149,21 @@ def _embedded_batch_sizes(monkeypatch):
     return sizes
 
 
-def test_evaluate_model_embeds_a_ragged_set_in_length_runs(tmp_path, monkeypatch):
-    cfg = tiny_config(tmp_path)
-    _, val = generate(synth_spec_from_config(cfg))
-    # interleaved lengths: every 3rd reference loses a token, every 4th text gains one,
-    # every 6th target loses one, so runs of equal lengths are 1 to 3 records long
-    val = [dataclasses.replace(
+def ragged(val):
+    """Interleaved lengths: every 3rd reference loses a token, every 4th text gains one,
+    every 6th target loses one, so runs of equal lengths are 1 to 3 records long."""
+    return [dataclasses.replace(
         r,
         ref_tokens=r.ref_tokens[:-1] if i % 3 == 0 else r.ref_tokens,
         text_tokens=r.text_tokens + (0,) if i % 4 == 0 else r.text_tokens,
         target_tokens=r.target_tokens[:-1] if i % 6 == 0 else r.target_tokens,
     ) for i, r in enumerate(val)]
+
+
+def test_evaluate_model_embeds_a_ragged_set_in_length_runs(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path)
+    _, val = generate(synth_spec_from_config(cfg))
+    val = ragged(val)
     model = RetrievalModel(cfg)
     expected, _ = full_sort_report(model, val)
     sizes = _embedded_batch_sizes(monkeypatch)
@@ -177,6 +182,48 @@ def test_evaluate_model_across_chunk_boundaries(tmp_path, monkeypatch):
     assert sizes == [5, 5, 5, 5, 4]
 
 
+def test_run_scores_are_bitwise_rows_of_one_full_product(tmp_path):
+    cfg = tiny_config(tmp_path)
+    _, val = generate(synth_spec_from_config(cfg))
+    runs = list(cli._length_runs(ragged(val)))
+    assert min(map(len, runs)) == 1 and max(map(len, runs)) > 1
+    model = RetrievalModel(cfg)
+    with no_grad():
+        gallery = np.vstack([model.target_embedding([r.target_tokens for r in run]).data
+                             for run in runs])
+        queries = [model.query_embedding([r.ref_tokens for r in run], [r.text_tokens for r in run])
+                   for run in runs]
+    full = np.vstack([q.data for q in queries]) @ gallery.T
+    start = 0
+    for q in queries:
+        scores = cli.score_query_against_gallery(q, gallery)
+        assert scores.shape == (len(q.data), len(val))
+        assert scores.tobytes() == full[start:start + len(q.data)].tobytes()
+        start += len(q.data)
+
+
+def test_evaluate_model_ranks_exact_ties_across_chunks(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path)
+    _, val = generate(synth_spec_from_config(cfg))
+    val, ids = val[:16], [r.id for r in val[:16]]
+    # two groups of records share a target tuple, so their gallery rows tie exactly;
+    # every subset holds tied rows, and two records (one alone in the last chunk) have none
+    ties = {3: 0, 7: 0, 15: 0, 9: 5, 12: 5}
+    val = [dataclasses.replace(
+        r,
+        target_tokens=val[ties.get(i, i)].target_tokens,
+        subset_ids=None if i in (6, 15) else tuple(dict.fromkeys(
+            (ids[(i + 7) % 16], r.id, ids[(i + 12) % 16], ids[(i + 3) % 16], ids[0], ids[5]))),
+    ) for i, r in enumerate(val)]
+    model = RetrievalModel(cfg)
+    expected, gallery = full_sort_report(model, val)
+    assert len({row.tobytes() for row in gallery}) == len(val) - len(ties)
+    monkeypatch.setattr(cli, "EVAL_CHUNK", 5)
+    sizes = _embedded_batch_sizes(monkeypatch)
+    assert evaluate_model(model, val) == expected
+    assert sizes == [5, 5, 5, 1]
+
+
 def test_evaluate_model_rejects_repeated_and_unknown_ids(tmp_path):
     cfg = tiny_config(tmp_path)
     _, val = generate(synth_spec_from_config(cfg))
@@ -190,6 +237,12 @@ def test_evaluate_model_rejects_repeated_and_unknown_ids(tmp_path):
     unknown[2] = dataclasses.replace(val[2], subset_ids=(val[2].id, "val-99999"))
     with pytest.raises(ValueError, match="'val-99999'] missing from the gallery"):
         evaluate_model(model, unknown)
+    # records refuse a subset without their own id, so this one is altered after construction
+    stray = list(val)
+    stray[9] = dataclasses.replace(val[9])
+    object.__setattr__(stray[9], "subset_ids", (val[8].id,))
+    with pytest.raises(ValueError, match=f"{val[9].id!r} missing from its candidate subset"):
+        evaluate_model(model, stray)
 
 
 def test_disabled_auxiliaries_logged_as_null(tmp_path):

@@ -48,6 +48,34 @@ def test_ranking_kernel_matches_full_sort_oracle_with_ties():
         assert rank_gallery(scores, ids, target) == rank
 
 
+def test_batched_ranks_match_full_sort_oracle_per_row():
+    rng = np.random.default_rng(5)
+    for _ in range(30):
+        n_queries, n_gallery = int(rng.integers(1, 9)), int(rng.integers(2, 30))
+        ids = [f"g{i:03d}" for i in rng.permutation(n_gallery)]
+        scores = rng.integers(0, 4, size=(n_queries, n_gallery)).astype(float)  # forced ties
+        targets = rng.integers(0, n_gallery, size=n_queries)
+        ranks = rank_gallery(scores, ids, targets)
+        assert ranks.shape == (n_queries,)
+        for row, target, rank in zip(scores, targets, ranks):
+            assert rank == rank_oracle(ids, row.tolist(), ids[target])[1]
+
+
+def test_batched_subset_ranks_match_full_sort_oracle_per_row():
+    rng = np.random.default_rng(6)
+    ids = [f"g{i:02d}" for i in range(12)]
+    position = {gid: i for i, gid in enumerate(ids)}
+    for _ in range(30):
+        scores = rng.integers(0, 3, size=(6, 12)).astype(float)  # forced ties
+        targets = rng.choice(ids, size=6).tolist()
+        subsets = [None if rng.random() < 0.3 else
+                   rng.permutation(sorted({t} | set(rng.choice(ids, size=int(rng.integers(0, 6))))))
+                   .tolist() for t in targets]
+        expected = [rank_oracle(sub, [row[position[s]] for s in sub], t)[1]
+                    for row, sub, t in zip(scores, subsets, targets) if sub is not None]
+        assert rank_within_subset(scores, position, subsets, targets).tolist() == expected
+
+
 def test_recall_counting():
     assert recall_at_k([1, 1], 1) == 1.0
     assert recall_at_k([1, 3, 7], 5) == pytest.approx(2 / 3)

@@ -139,7 +139,7 @@ class TestGalleryScoring:
         rng = np.random.default_rng(4)
         gallery = unit_rows(rng, 5, 8)
         scores = score_query_against_gallery(T.Tensor(gallery[2:3]), gallery)
-        assert abs(scores[2] - 1.0) < 1e-12
+        assert abs(scores[0, 2] - 1.0) < 1e-12
 
     def test_orthogonal_rows_score_zero(self):
         q = np.zeros((1, 4))
@@ -154,8 +154,8 @@ class TestGalleryScoring:
         q = unit_rows(rng, 1, 4)
         g = unit_rows(rng, 5, 4)
         scores = score_query_against_gallery(T.Tensor(q), g)
-        assert scores.shape == (5,)
-        assert np.allclose(scores, [float(np.dot(q[0], row)) for row in g], atol=1e-12)
+        assert scores.shape == (1, 5)
+        assert np.allclose(scores[0], [float(np.dot(q[0], row)) for row in g], atol=1e-12)
 
     def test_empty_gallery_rejected(self):
         with pytest.raises(ValueError):
