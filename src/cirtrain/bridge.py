@@ -18,7 +18,6 @@ from .objective import in_batch_nll
 from .tensor import (
     Param,
     Tensor,
-    expand,
     l2_normalize_rows,
     matmul,
     mean_axis,
@@ -63,14 +62,16 @@ def attend_ref_to_text(f_r_bar: Tensor, f_c: Tensor, p: BridgeParams) -> Tensor:
 
 
 def attend_text_to_target(f_c: Tensor, f_t: Tensor, p: BridgeParams) -> Tensor:
-    """L x N cosine association of projected words against projected target rows."""
+    """L x M cosine association of projected words against projected target rows
+    (`alignment_loss` passes a whole batch's B·L words and B·M rows)."""
     q = l2_normalize_rows(matmul(f_c, p.w_text_query.tensor))
     k = l2_normalize_rows(matmul(f_t, p.w_target.tensor))
     return matmul(q, transpose(k))
 
 
 def hinge_attention(a_r2c: Tensor, a_c2t: Tensor, dim: int) -> Tensor:
-    """Compose the two hops: row-softmax of their product scaled by 1/sqrt(dim)."""
+    """Row-softmax of one (query, candidate) pair's two-hop product scaled by 1/sqrt(dim); only
+    the tests call it, as `alignment_loss` reshapes its grid between product and softmax."""
     return softmax_rows(scalar_mul(matmul(a_r2c, a_c2t), 1.0 / math.sqrt(dim)))
 
 
@@ -83,18 +84,22 @@ def alignment_loss(f_r_bar: Tensor, f_c: Tensor, f_t: Tensor, p: BridgeParams,
     against every in-batch target (each candidate target supplies its own
     keys and values), the two sides are mean-pooled, and their cosine
     similarities feed the in-batch softmax with the matched target on the
-    diagonal.
+    diagonal.  The grid is laid out (i, n, j, m): query i's reference row n
+    against candidate j's target row m, never expanded over a second batch
+    axis.
     """
-    b, dim = f_r_bar.shape[0], p.w_ref.shape[0]
+    (b, n, dim), length, m = f_r_bar.shape, f_c.shape[1], f_t.shape[1]
 
-    # projections are made once per item; cell (i, j) of the B x B grid
-    # bridges query i to candidate target j
-    a_r2c = expand(attend_ref_to_text(f_r_bar, f_c, p), 1, b)
-    q_text = expand(l2_normalize_rows(matmul(f_c, p.w_text_query.tensor)), 1, b)
-    k_target = expand(transpose(l2_normalize_rows(matmul(f_t, p.w_target.tensor))), 0, b)
-    v_target = expand(matmul(f_t, p.w_value.tensor), 0, b)
-    a_r2t = hinge_attention(a_r2c, matmul(q_text, k_target), dim)
-    pooled_bridge = l2_normalize_rows(mean_axis(matmul(a_r2t, v_target), axis=2))
-    pooled_ref = expand(l2_normalize_rows(mean_axis(f_r_bar, axis=1)), 1, b)
-    sim = matmul(pooled_ref, transpose(pooled_bridge))
-    return in_batch_nll(reshape(sim, (b, b)), tau)
+    # every word of every query against every row of every target in one product, B x L x
+    # (B·M) cosines; then B x N x B x M hinge logits, softmaxed over each candidate's M rows
+    a_c2t = attend_text_to_target(reshape(f_c, (b * length, dim)), reshape(f_t, (b * m, dim)), p)
+    logits = matmul(attend_ref_to_text(f_r_bar, f_c, p), reshape(a_c2t, (b, length, b * m)))
+    a_r2t = softmax_rows(scalar_mul(reshape(logits, (b, n, b, m)), 1.0 / math.sqrt(dim)))
+    # the value product is linear, so pool the N reference rows first; regroup the
+    # B x B x M pooled attention by candidate j, (j, i, m), to weigh j's own M values
+    pooled = reshape(transpose(reshape(mean_axis(a_r2t, axis=1), (b, b * m))), (b, m, b))
+    bridge = l2_normalize_rows(matmul(transpose(pooled), matmul(f_t, p.w_value.tensor)))
+    # (j, i, d) -> (i, d, j), so query i's pooled reference row meets its B bridged rows
+    bridge = reshape(transpose(reshape(bridge, (b, b * dim))), (b, dim, b))
+    pooled_ref = l2_normalize_rows(mean_axis(f_r_bar, axis=1))
+    return in_batch_nll(reshape(matmul(pooled_ref, bridge), (b, b)), tau)

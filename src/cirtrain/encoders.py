@@ -12,10 +12,11 @@ training and evaluation alike (one item is a batch of one).
 A frozen encode is a pure function of the token tuple and the frozen
 weights, so each image encoder computes it once per tuple and keeps the
 read-only rows in an instance memo.  The memo is valid only for the weight
-tensor objects it was built from: every call reads them (and checks its
-sequence) afresh, and the memo is dropped when any of them is not the one
-it was built from.  A frozen array cannot be written in place, and
-`Param.assign` installs a new tensor, so a stale row cannot be returned.
+tensor objects it was built from: every call reads them afresh and checks
+the sequence's kind, a tuple not in the memo is checked in full, and the
+memo is dropped when any tensor is not the one it was built from.  A frozen
+array cannot be written in place, and `Param.assign` installs a new tensor,
+so a stale row cannot be returned.
 """
 
 from __future__ import annotations
@@ -75,10 +76,13 @@ def _one_hot(tokens, vocab: int) -> Tensor:
     return Tensor(np.asarray(tokens)[..., None] == np.arange(vocab))
 
 
-def _check_tokens(encoder, seq: TokenSeq, kinds: tuple):
-    """Refuse a sequence of a kind `encoder` does not take, or one it cannot embed."""
+def _check_tokens(encoder, seq: TokenSeq, kinds: tuple, known=()):
+    """Refuse a sequence of a kind `encoder` does not take, or one it cannot embed; a
+    token tuple in `known` passed the length and vocabulary checks before and skips them."""
     if seq.kind not in kinds:
         raise ValueError(f"{type(encoder).__name__} got a {seq.kind!r} sequence")
+    if seq.tokens in known:
+        return
     if len(seq.tokens) > encoder.max_tokens:
         raise ValueError(f"sequence length {len(seq.tokens)} exceeds maximum {encoder.max_tokens}")
     for t in seq.tokens:
@@ -137,8 +141,9 @@ class ImageEncoder:
         self._weights, self._rows = (), {}
 
     def encode(self, seq: TokenSeq) -> Tensor:
-        _check_tokens(self, seq, IMAGE_KINDS)
-        weights = tuple(p.tensor for p in self.params())
+        _check_tokens(self, seq, IMAGE_KINDS, known=self._rows)
+        weights = (self.embedding.tensor, self.cls.tensor, self.positions.tensor,
+                   self.attn.wq.tensor, self.attn.wk.tensor, self.attn.wv.tensor)
         if weights != self._weights:
             self._weights, self._rows = weights, {}
         out = self._rows.get(seq.tokens)

@@ -242,3 +242,58 @@ def test_gradients_match_finite_differences():
 def test_empty_batch_rejected():
     with pytest.raises(ValueError, match=r"diagonal_nll: .* square matrix, got shape \(0, 0\)"):
         alignment_loss(*(T.Tensor(np.zeros((0, 3, DIM))) for _ in range(3)), make_params(), TAU)
+
+
+def _feature_tensors(rng, b, n, length, m):
+    """B x N x d, B x L x d and B x M x d features that take gradients."""
+    return [T.Tensor(rng.normal(size=(b, rows, DIM)), requires_grad=True)
+            for rows in (n, length, m)]
+
+
+@pytest.mark.parametrize("b", [3, 1])
+def test_distinct_axis_sizes_match_the_oracle_and_finite_differences(b):
+    # N, L, M and d all differ, so swapping the query and candidate axes, or N and M, breaks
+    # the shapes or the values instead of hiding behind equal sizes
+    rng = np.random.default_rng(30 + b)
+    p = make_params(seed=31, share=False)
+    feats = _feature_tensors(rng, b, n=5, length=3, m=4)
+    loss = alignment_loss(*feats, p, TAU)
+    triplets = [tuple(f.data[i] for f in feats) for i in range(b)]
+    assert abs(loss.item() - alignment_loss_oracle(triplets, *weight_arrays(p), tau=TAU)) < 1e-12
+    loss.backward()
+
+    def value():
+        with T.no_grad():
+            return alignment_loss(*feats, p, TAU).item()
+
+    for name, analytic, array in (
+        [(param.name, param.grad, param.data) for param in p.params()]
+        + [(f"feature {k}", f.grad, f.data) for k, f in enumerate(feats)]
+    ):
+        assert max_rel_err(analytic, finite_diff(value, array)) < 1e-4, name
+
+
+def _graph_ops(loss):
+    """(op, element count) of every recorded node reachable from `loss`."""
+    seen, stack, ops = set(), [loss], []
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen and node.op != "leaf":
+            seen.add(id(node))
+            ops.append((node.op, node.data.size))
+            stack.extend(node._parents)
+    return ops
+
+
+def test_the_grid_is_never_expanded_over_a_second_batch_axis():
+    # the hinge logits, B x N x B x M, are the largest tensor; a (B, B, N, d) value product
+    # (d > M here) or any expanded stack would be larger, or show up as an `expand` node
+    n, length, m = 4, 2, 3
+    censuses = []
+    for b in (2, 16):
+        feats = _feature_tensors(np.random.default_rng(b), b, n, length, m)
+        ops = _graph_ops(alignment_loss(*feats, make_params(share=False), TAU))
+        assert "expand" not in {op for op, _ in ops}
+        assert max(size for _, size in ops) == b * b * n * m
+        censuses.append(sorted(op for op, _ in ops))
+    assert censuses[0] == censuses[1]
