@@ -69,12 +69,6 @@ def attend_text_to_target(f_c: Tensor, f_t: Tensor, p: BridgeParams) -> Tensor:
     return matmul(q, transpose(k))
 
 
-def hinge_attention(a_r2c: Tensor, a_c2t: Tensor, dim: int) -> Tensor:
-    """Row-softmax of one (query, candidate) pair's two-hop product scaled by 1/sqrt(dim); only
-    the tests call it, as `alignment_loss` reshapes its grid between product and softmax."""
-    return softmax_rows(scalar_mul(matmul(a_r2c, a_c2t), 1.0 / math.sqrt(dim)))
-
-
 def alignment_loss(f_r_bar: Tensor, f_c: Tensor, f_t: Tensor, p: BridgeParams,
                    tau: float) -> Tensor:
     """Contrastive alignment of reference features with bridged target features.

@@ -62,13 +62,13 @@ def fuse_branch(anchor: Tensor, other: Tensor, attend: Attention, layers: int) -
 
 
 def compose(f_r_prime: Tensor, f_t: Tensor, p: CompositorParams) -> Tensor:
-    """Average the two branches' CLS rows into one L2-normalized 1 x d vector per item."""
+    """Average the two branches' CLS rows into B x d L2-normalized composites, one per item."""
     h_target = fuse_branch(f_r_prime, f_t, p.target_branch, p.layers)
     h_reference = fuse_branch(f_t, f_r_prime, p.reference_branch, p.layers)
     mean_cls = scalar_mul(add(slice_rows(h_target, 0, 1), slice_rows(h_reference, 0, 1)), 0.5)
     if (np.linalg.norm(mean_cls.data, axis=-1) < 1e-12).any():
         log.warning("degenerate composite vector: branch CLS rows cancel")
-    return l2_normalize_rows(mean_cls)
+    return l2_normalize_rows(reshape(mean_cls, (mean_cls.shape[0], mean_cls.shape[-1])))
 
 
 def reasoning_loss(f_r_prime: Tensor, f_t: Tensor, f_c: Tensor, p: CompositorParams,
@@ -80,7 +80,6 @@ def reasoning_loss(f_r_prime: Tensor, f_t: Tensor, f_c: Tensor, p: CompositorPar
     row i of the similarity matrix scores composite i against every text,
     diagonal matched.
     """
-    b, dim = f_c.shape[0], f_c.shape[-1]
-    composites = reshape(compose(f_r_prime, f_t, p), (b, dim))
-    texts = reshape(l2_normalize_rows(mean_axis(f_c, axis=1)), (b, dim))
+    composites = compose(f_r_prime, f_t, p)
+    texts = reshape(l2_normalize_rows(mean_axis(f_c, axis=1)), (f_c.shape[0], f_c.shape[-1]))
     return in_batch_nll(matmul(composites, transpose(texts)), tau)

@@ -217,25 +217,29 @@ def write_records(path, records):
 
 
 def read_records(path):
+    """The records of a JSONL dataset; a malformed line is refused by its 1-based number."""
     records = []
     with Path(path).open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
                 continue
-            row = json.loads(line)
-            unknown = set(row) - set(JSONL_FIELDS)
-            if unknown:
-                raise ValueError(f"unknown dataset fields: {sorted(unknown)}")
-            records.append(
-                TripletRecord(
-                    id=str(row["id"]),
-                    ref_tokens=tuple(row["ref_tokens"]),
-                    text_tokens=tuple(row["text_tokens"]),
-                    target_tokens=tuple(row["target_tokens"]),
-                    subset_ids=tuple(row["subset_ids"]) if "subset_ids" in row else None,
-                )
-            )
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"line {number}: {err.msg} at column {err.colno}") from None
+            if type(row) is not dict:
+                raise ValueError(f"line {number}: {type(row).__name__} is not a JSON object")
+            for name, value in row.items():
+                if name not in JSONL_FIELDS:
+                    raise ValueError(f"line {number}: unknown dataset field {name!r}")
+                if type(value) is not list and name != "id":
+                    raise ValueError(f"line {number}: {name} is {type(value).__name__}, not a list")
+            if len(row) - ("subset_ids" in row) < 4:  # every name is known, so one is missing
+                missing = [name for name in JSONL_FIELDS[:4] if name not in row]
+                raise ValueError(f"line {number}: missing fields {missing}")
+            # the fields are known, present and lists where lists go: the record makes its tuples
+            row["id"] = str(row["id"])
+            records.append(TripletRecord(**row))
     return records
 
 

@@ -5,7 +5,7 @@ display.  Ties are broken by ascending gallery id so ranks (and hence
 every metric) are deterministic.  A rank is counted, not sorted: it is one
 plus the number of candidates that order ahead of the target, and the
 metrics need nothing else from a ranking.  Both rankers take a whole chunk
-of queries at once (a B x G score matrix) as well as a single query row.
+of queries at once, a B x G score matrix; one query is a chunk of one row.
 """
 
 from __future__ import annotations
@@ -16,30 +16,30 @@ import numpy as np
 
 
 def rank_gallery(scores, ids, target):
-    """1-based rank of column `target` under descending score, ties by
-    ascending id: one plus the count of columns that score higher, or score
-    the same with a smaller id.  `scores` is (..., G), `ids` (G,) and
-    `target` (...) column indices; the result is (...) ranks, an int for
-    one row."""
+    """1-based rank of each row's `target` column under descending score,
+    ties by ascending id: one plus the count of columns that score higher,
+    or score the same with a smaller id.  `scores` is B x G, `ids` holds the
+    G columns' ids and `target` one column index per row; the result is B
+    ranks."""
     scores, ids, target = np.asarray(scores, dtype=float), np.asarray(ids), np.asarray(target)
-    if scores.ndim == 0 or scores.shape[-1:] != ids.shape or target.shape != scores.shape[:-1]:
-        raise ValueError("scores and ids must be 1-D and of equal length")
+    if scores.ndim != 2 or ids.shape != scores.shape[1:] or target.shape != scores.shape[:1]:
+        raise ValueError(f"scores must be B x G with G = len(ids), and target one column per row; "
+                         f"got scores {scores.shape}, {ids.size} ids and target {target.shape}")
     if ((target < 0) | (target >= ids.size)).any():
         raise ValueError(f"target column {target} outside a gallery of {ids.size}")
-    s_t = np.take_along_axis(scores, target[..., None], axis=-1)
-    id_t = ids[target[..., None]]
-    ranks = 1 + np.count_nonzero((scores > s_t) | ((scores == s_t) & (ids < id_t)), axis=-1)
-    return int(ranks) if ranks.ndim == 0 else ranks
+    s_t = np.take_along_axis(scores, target[:, None], axis=-1)
+    id_t = ids[target[:, None]]
+    return 1 + np.count_nonzero((scores > s_t) | ((scores == s_t) & (ids < id_t)), axis=-1)
 
 
 def rank_within_subset(scores, position, subset_ids, target_id):
     """Rank among the candidate subset only; `position` maps a gallery id to
-    its column of `scores`, and the target must be a candidate.  For a B x G
-    chunk, `subset_ids` and `target_id` hold one entry per row, and the
+    its column of the B x G `scores`; `subset_ids` and `target_id` hold one
+    entry per row, and each target must be a candidate of its row.  The
     ranks of the rows whose subset is not None come back in row order."""
     scores = np.asarray(scores, dtype=float)
-    if scores.ndim == 1:
-        return int(rank_within_subset(scores[None], position, [subset_ids], [target_id])[0])
+    if scores.ndim != 2:
+        raise ValueError(f"scores must be a B x G chunk, got shape {scores.shape}")
     rows, pairs = [], []  # pairs: (row, column, target's column, id below target's) per candidate
     for row, (subset, target) in enumerate(zip(subset_ids, target_id, strict=True)):
         if subset is None:

@@ -1,20 +1,20 @@
 """Dense float64 tensors with reverse-mode automatic differentiation.
 
-Shapes are explicit everywhere: elementwise ops demand identical shapes,
-which keeps every gradient rule below auditable by eye.  Tensors may carry
-leading batch axes: at any rank the last two axes are a matrix's rows and
-columns, which `transpose`, `slice_rows`, `concat`, `softmax_rows` and
-`l2_normalize_rows` act on, `mean_axis` takes any axis, and `matmul` pairs
-matrices over equal leading axes.  There are three broadcasts and no
-others: scalar times tensor, a 2-D weight on the right of `matmul` (applied
-to every matrix on the left; its gradient sums over the leading axes), and
-an explicit `expand` along a new axis (its gradient sums over that axis).
-Two ops are fused, each owning its softmax and its backward: `diagonal_nll`
-takes the in-batch NLL as one log-sum-exp op, and `attention` is a whole
-single-head attention block.  Each op does its forward arithmetic under
-`np.errstate` and validates its output, so a NaN or Inf fails loudly, as
-`NonFiniteError` rather than a numpy warning, at the op that produced it
-instead of poisoning the loss.
+Shapes are explicit everywhere: `add`, the one elementwise op, demands
+identical shapes, which keeps every gradient rule below auditable by eye.
+Tensors may carry leading batch axes: at any rank the last two axes are a
+matrix's rows and columns, which `transpose`, `slice_rows`, `concat`,
+`softmax_rows` and `l2_normalize_rows` act on, `mean_axis` takes any axis,
+and `matmul` pairs matrices over equal leading axes.  There are three
+broadcasts and no others: scalar times tensor, a 2-D weight on the right of
+`matmul` (applied to every matrix on the left; its gradient sums over the
+leading axes), and an explicit `expand` along a new axis (its gradient sums
+over that axis).  Two ops are fused, each owning its softmax and its
+backward: `diagonal_nll` takes the in-batch NLL as one log-sum-exp op, and
+`attention` is a whole single-head attention block.  Each op does its
+forward arithmetic under `np.errstate` and validates its output, so a NaN
+or Inf fails loudly, as `NonFiniteError` rather than a numpy warning, at
+the op that produced it instead of poisoning the loss.
 """
 
 from __future__ import annotations
@@ -30,11 +30,9 @@ __all__ = [
     "Param",
     "no_grad",
     "add",
-    "mul",
     "scalar_mul",
     "matmul",
     "transpose",
-    "sum_all",
     "mean_axis",
     "concat",
     "stack",
@@ -124,11 +122,6 @@ def _check_rows(x: Tensor, op: str):
         raise ValueError(f"{op}: expected at least 2 axes, got shape {x.shape}")
 
 
-def _check_same_shape(a: Tensor, b: Tensor, op: str):
-    if a.shape != b.shape:
-        raise ValueError(f"{op}: shape mismatch {a.shape} vs {b.shape}")
-
-
 def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of a 2-D weight W in a @ W: aᵀ @ g summed over every leading axis."""
     return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
@@ -150,17 +143,11 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "add")
+    if a.shape != b.shape:
+        raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
     with np.errstate(over="ignore"):
         out_data = a.data + b.data
     return _result(out_data, (a, b), lambda g: (g, g), "add")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_shape(a, b, "mul")
-    with np.errstate(over="ignore"):
-        out_data = a.data * b.data
-    return _result(out_data, (a, b), lambda g: (g * b.data, g * a.data), "mul")
 
 
 def scalar_mul(x: Tensor, c: float) -> Tensor:
@@ -202,17 +189,6 @@ def transpose(x: Tensor) -> Tensor:
     _check_rows(x, "transpose")
     return _result(x.data.swapaxes(-1, -2).copy(), (x,), lambda g: (g.swapaxes(-1, -2),),
                    "transpose")
-
-
-def sum_all(x: Tensor) -> Tensor:
-    shape = x.data.shape
-
-    def back(g):
-        return (np.full(shape, g.reshape(-1)[0]),)
-
-    with np.errstate(over="ignore", invalid="ignore"):
-        out_data = np.array([[x.data.sum()]])
-    return _result(out_data, (x,), back, "sum_all")
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:

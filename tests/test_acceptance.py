@@ -238,7 +238,7 @@ def test_c6_metric_oracles():
         scores = rng.integers(0, 6, size=n).astype(float)  # integer grid forces ties
         target = int(rng.integers(0, n))
         _, rank = rank_oracle(ids, scores.tolist(), ids[target])
-        assert rank_gallery(scores, ids, target) == rank
+        assert rank_gallery(scores[None], ids, [target]).tolist() == [rank]
 
     assert avg_metric(81.21, 76.27) == 78.74
     assert challenge_metric(0.4657, 0.6922) == pytest.approx(0.57895, abs=1e-12)

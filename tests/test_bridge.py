@@ -9,7 +9,6 @@ from cirtrain.bridge import (
     alignment_loss,
     attend_ref_to_text,
     attend_text_to_target,
-    hinge_attention,
 )
 from oracles import (
     alignment_loss_oracle,
@@ -96,24 +95,24 @@ def test_association_entries_bounded_by_cosine():
         assert np.all(b <= 1 + 1e-12) and np.all(b >= -1 - 1e-12)
 
 
+def hinge(a_r2c, a_c2t):
+    """One (query, candidate) pair's hinge attention, the chain `alignment_loss` runs on its
+    whole grid: the two-hop product scaled by 1/sqrt(d), softmaxed over the target rows."""
+    return T.softmax_rows(T.scalar_mul(T.matmul(a_r2c, a_c2t), 1.0 / math.sqrt(DIM)))
+
+
 def test_hinge_single_word_uniform_rows():
     n = 4
     a_r2c = T.Tensor(np.full((n, 1), 0.7))
     a_c2t = T.Tensor(np.full((1, n), 0.7))
-    out = hinge_attention(a_r2c, a_c2t, DIM)
+    out = hinge(a_r2c, a_c2t)
     assert np.allclose(out.data, 1.0 / n, atol=1e-12)
 
 
 def test_hinge_rows_sum_to_one():
     rng = np.random.default_rng(7)
-    out = hinge_attention(T.Tensor(rng.uniform(-1, 1, (5, 3))),
-                          T.Tensor(rng.uniform(-1, 1, (3, 5))), DIM)
+    out = hinge(T.Tensor(rng.uniform(-1, 1, (5, 3))), T.Tensor(rng.uniform(-1, 1, (3, 5))))
     assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
-
-
-def test_hinge_inner_dim_mismatch_rejected():
-    with pytest.raises(ValueError, match="matmul: inner dimensions disagree"):
-        hinge_attention(T.Tensor(np.ones((4, 3))), T.Tensor(np.ones((2, 4))), DIM)
 
 
 def test_hinge_two_by_two_closed_form():
@@ -121,7 +120,7 @@ def test_hinge_two_by_two_closed_form():
     c = math.log(3.0) * math.sqrt(DIM)
     a_r2c = T.Tensor([[1.0], [1.0]])
     a_c2t = T.Tensor([[0.0, c]])
-    out = hinge_attention(a_r2c, a_c2t, DIM)
+    out = hinge(a_r2c, a_c2t)
     assert np.allclose(out.data, [[0.25, 0.75], [0.25, 0.75]], atol=1e-12)
 
 
@@ -133,7 +132,7 @@ def test_full_chain_matches_oracle():
     f_t = rng.normal(size=(5, DIM))
     # the chain alignment_loss builds for one (query, candidate) pair, from its public hops
     a_r2c = attend_ref_to_text(T.Tensor(f_r_bar), T.Tensor(f_c), p)
-    a_r2t = hinge_attention(a_r2c, attend_text_to_target(T.Tensor(f_c), T.Tensor(f_t), p), DIM)
+    a_r2t = hinge(a_r2c, attend_text_to_target(T.Tensor(f_c), T.Tensor(f_t), p))
     out = T.matmul(a_r2t, T.matmul(T.Tensor(f_t), p.w_value.tensor))
     expected = bridged_chain(f_r_bar, f_c, f_t, *weight_arrays(p))
     assert np.allclose(out.data, expected, atol=1e-12)

@@ -156,9 +156,10 @@ def test_batched_compose_equals_each_item_bitwise():
     items = [(rng.normal(size=(4, DIM)), rng.normal(size=(5, DIM))) for _ in range(3)]
     batched = compose(T.stack([T.Tensor(r) for r, _ in items]),
                       T.stack([T.Tensor(t) for _, t in items]), p)
-    assert batched.shape == (3, 1, DIM)
+    assert batched.shape == (3, DIM)
     for i, (r, t) in enumerate(items):
-        assert np.array_equal(batched.data[i], compose(T.Tensor(r), T.Tensor(t), p).data)
+        assert np.array_equal(batched.data[i:i + 1],
+                              compose(T.Tensor(r[None]), T.Tensor(t[None]), p).data)
 
 
 def test_compose_matches_straight_line_oracle():

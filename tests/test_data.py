@@ -141,7 +141,7 @@ def test_jsonl_rejects_unknown_fields(tmp_path):
     path = tmp_path / "bad.jsonl"
     path.write_text('{"id": "a", "ref_tokens": [1], "text_tokens": [0], '
                     '"target_tokens": [2], "bogus": 1}\n')
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^line 1: unknown dataset field 'bogus'$"):
         read_records(path)
 
 
@@ -165,6 +165,39 @@ def test_jsonl_refuses_token_ids_that_are_not_integers(tmp_path, field, tokens, 
     path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}\n")
     with pytest.raises(ValueError, match=f"^{field}: token id {shown} is not an integer$"):
         read_records(path)
+
+
+GOOD_LINE = '{"id": "a", "ref_tokens": [1], "text_tokens": [0], "target_tokens": [2]}'
+
+
+def _read_with_bad_third_line(tmp_path, bad: str):
+    """Read a file whose third line, after two good ones and a blank, is `bad`."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text(f"{GOOD_LINE}\n\n{bad}\n{GOOD_LINE}\n")
+    return read_records(path)
+
+
+def test_jsonl_refuses_a_line_that_is_not_an_object(tmp_path):
+    with pytest.raises(ValueError, match=r"^line 3: int is not a JSON object$"):
+        _read_with_bad_third_line(tmp_path, "5")
+
+
+def test_jsonl_refuses_a_line_missing_a_field(tmp_path):
+    bad = '{"id": "b", "ref_tokens": [1], "text_tokens": [0]}'
+    with pytest.raises(ValueError, match=r"^line 3: missing fields \['target_tokens'\]$"):
+        _read_with_bad_third_line(tmp_path, bad)
+
+
+def test_jsonl_refuses_token_ids_that_are_not_a_list(tmp_path):
+    bad = '{"id": "b", "ref_tokens": 3, "text_tokens": [0], "target_tokens": [2]}'
+    with pytest.raises(ValueError, match=r"^line 3: ref_tokens is int, not a list$"):
+        _read_with_bad_third_line(tmp_path, bad)
+
+
+def test_jsonl_refuses_a_line_that_is_not_json_by_its_own_number(tmp_path):
+    # each line is parsed alone, so json's own position would always read "line 1"
+    with pytest.raises(ValueError, match=r"^line 3: Expecting value at column 1$"):
+        _read_with_bad_third_line(tmp_path, "not json")
 
 
 def test_batches_count_and_drop_last():

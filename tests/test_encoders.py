@@ -15,6 +15,7 @@ from cirtrain.encoders import (
 )
 from cirtrain.train import Adam
 from oracles import attention_oracle
+from scalarize import scalarize
 
 DIM = 16
 
@@ -182,7 +183,7 @@ def test_separate_encoders_get_separate_gradients():
     a = TextEncoder("a", vocab=12, dim=DIM, max_tokens=8, rng=np.random.default_rng(1))
     b = TextEncoder("b", vocab=12, dim=DIM, max_tokens=8, rng=np.random.default_rng(2))
     seq = TokenSeq((1, 2, 3), KIND_TEXT)
-    T.sum_all(a.encode([seq])).backward()
+    scalarize(a.encode([seq])).backward()
     assert any(p.grad is not None for p in a.params())
     assert all(p.grad is None for p in b.params())
 
@@ -195,7 +196,7 @@ def test_frozen_encoder_untouched_by_optimizer():
     text_before = {p.name: p.data.copy() for p in trainable.params()}
     image_rows = T.stack([frozen.encode(TokenSeq((1, 2), KIND_REFERENCE))])
     text_rows = trainable.encode([TokenSeq((3, 1), KIND_TEXT)])
-    loss = T.sum_all(T.matmul(image_rows, T.transpose(text_rows)))
+    loss = scalarize(T.matmul(image_rows, T.transpose(text_rows)))
     loss.backward()
     opt = Adam(frozen.params() + trainable.params(), lr=0.1)
     opt.step()
@@ -252,7 +253,7 @@ class TestCrossEncoder:
 
     def test_gradient_reaches_text_features(self):
         f_c = T.Tensor(np.random.default_rng(9).normal(size=(1, 3, DIM)), requires_grad=True)
-        T.sum_all(self.cross(self.f_r, f_c)).backward()
+        scalarize(self.cross(self.f_r, f_c)).backward()
         assert f_c.grad is not None and np.abs(f_c.grad).max() > 0
 
 
@@ -279,7 +280,7 @@ class TestQueryFusion:
         fusion = QueryFusion("q", DIM, n_prompts=4, rng=self.rng)
         f_c = T.Tensor(self.rng.normal(size=(1, 3, DIM)))
         f_r = T.Tensor(self.rng.normal(size=(1, 5, DIM)))
-        T.sum_all(fusion.fuse(f_c, f_r)).backward()
+        scalarize(fusion.fuse(f_c, f_r)).backward()
         assert fusion.prompts.grad is not None
         assert np.abs(fusion.prompts.grad).max() > 0
 

@@ -15,26 +15,33 @@ from oracles import rank_oracle
 
 
 def test_rank_gallery_basic():
-    # order b, c, a
-    assert rank_gallery([0.1, 0.9, 0.5], ["a", "b", "c"], 2) == 2
-    assert rank_gallery([0.1, 0.9, 0.5], ["a", "b", "c"], 1) == 1
-    assert rank_gallery([0.1, 0.9, 0.5], ["a", "b", "c"], 0) == 3
+    # order b, c, a; one query is a chunk of one row
+    assert rank_gallery([[0.1, 0.9, 0.5]], ["a", "b", "c"], [2]).tolist() == [2]
+    assert rank_gallery([[0.1, 0.9, 0.5]], ["a", "b", "c"], [1]).tolist() == [1]
+    assert rank_gallery([[0.1, 0.9, 0.5]], ["a", "b", "c"], [0]).tolist() == [3]
 
 
 def test_rank_gallery_ties_break_by_ascending_id():
     # order a, b, c
-    assert rank_gallery([0.5, 0.5, 0.5], ["b", "a", "c"], 0) == 2
-    assert rank_gallery([0.5, 0.5, 0.5], ["b", "a", "c"], 1) == 1
-    assert rank_gallery([0.5, 0.5, 0.5], ["b", "a", "c"], 2) == 3
+    assert rank_gallery([[0.5, 0.5, 0.5]] * 3, ["b", "a", "c"], [0, 1, 2]).tolist() == [2, 1, 3]
 
 
 def test_rank_gallery_target_must_exist():
-    with pytest.raises(ValueError):
-        rank_gallery([1.0], ["a"], 1)
-    with pytest.raises(ValueError):
-        rank_gallery([1.0], ["a"], -1)
-    with pytest.raises(ValueError):
-        rank_gallery([1.0, 2.0], ["a"], 0)
+    for target in (1, -1):
+        with pytest.raises(ValueError, match=f"target column \\[{target}\\] outside a gallery of 1"):
+            rank_gallery([[1.0]], ["a"], [target])
+
+
+@pytest.mark.parametrize("shape,n_ids,target", [
+    ((2, 5), 4, [0, 1]),      # the columns are not the ids
+    ((2, 5), 5, [[0], [1]]),  # a column of targets, not one per row
+    ((2, 5), 5, [0]),         # fewer targets than rows
+    ((5,), 5, 0),             # a bare row, not a chunk
+])
+def test_rank_gallery_refuses_what_is_not_a_chunk_with_one_target_per_row(shape, n_ids, target):
+    with pytest.raises(ValueError, match=r"^scores must be B x G with G = len\(ids\), and target "
+                                         r"one column per row; got scores"):
+        rank_gallery(np.zeros(shape), [f"g{i}" for i in range(n_ids)], target)
 
 
 def test_ranking_kernel_matches_full_sort_oracle_with_ties():
@@ -45,7 +52,7 @@ def test_ranking_kernel_matches_full_sort_oracle_with_ties():
         scores = rng.integers(0, 5, size=n).astype(float)  # coarse grid forces ties
         target = int(rng.integers(0, n))
         _, rank = rank_oracle(ids, scores.tolist(), ids[target])
-        assert rank_gallery(scores, ids, target) == rank
+        assert rank_gallery(scores[None], ids, [target]).tolist() == [rank]
 
 
 def test_batched_ranks_match_full_sort_oracle_per_row():
@@ -88,7 +95,7 @@ def test_recall_matches_brute_force_on_random_matrices():
         ids = [f"g{i:02d}" for i in range(n_gallery)]
         scores = rng.integers(0, 4, size=(n_queries, n_gallery)).astype(float)
         targets = [int(rng.integers(0, n_gallery)) for _ in range(n_queries)]
-        ranks = [rank_gallery(scores[i], ids, targets[i]) for i in range(n_queries)]
+        ranks = rank_gallery(scores, ids, targets)
         for k in (1, 2, 5):
             expected = np.mean([
                 rank_oracle(ids, scores[i].tolist(), ids[targets[i]])[1] <= k
@@ -114,19 +121,24 @@ def test_recall_rejects_bad_input():
 
 
 def test_subset_rerank_and_error_on_missing_target():
-    scores = np.array([0.3, 0.9, 0.5, 0.1])
+    scores = np.array([[0.3, 0.9, 0.5, 0.1]])
     position = {"a": 0, "b": 1, "c": 2, "d": 3}
     # the subset orders b, c, a
-    assert rank_within_subset(scores, position, ["a", "b", "c"], "c") == 2
-    assert rank_within_subset(scores, position, ["c", "d"], "d") == 2
+    assert rank_within_subset(scores, position, [["a", "b", "c"]], ["c"]).tolist() == [2]
+    assert rank_within_subset(scores, position, [["c", "d"]], ["d"]).tolist() == [2]
     with pytest.raises(ValueError, match="'d' missing from its candidate subset"):
-        rank_within_subset(scores, position, ["a", "b"], "d")
+        rank_within_subset(scores, position, [["a", "b"]], ["d"])
+
+
+def test_subset_rank_refuses_a_bare_row():
+    with pytest.raises(ValueError, match=r"^scores must be a B x G chunk, got shape \(2,\)$"):
+        rank_within_subset(np.array([0.3, 0.9]), {"a": 0, "b": 1}, [["a", "b"]], ["a"])
 
 
 def test_subset_id_outside_gallery_rejected():
-    scores = np.array([0.3, 0.9])
+    scores = np.array([[0.3, 0.9]])
     with pytest.raises(ValueError, match=r"\['zz'\] missing from the gallery"):
-        rank_within_subset(scores, {"a": 0, "b": 1}, ["a", "zz", "b"], "a")
+        rank_within_subset(scores, {"a": 0, "b": 1}, [["a", "zz", "b"]], ["a"])
 
 
 def test_subset_recall_never_below_full_recall():
@@ -135,11 +147,11 @@ def test_subset_recall_never_below_full_recall():
     ids = [f"g{i:02d}" for i in range(12)]
     position = {gid: i for i, gid in enumerate(ids)}
     for _ in range(25):
-        scores = rng.normal(size=12)
+        scores = rng.normal(size=(1, 12))
         target = int(rng.integers(0, 12))
         subset = sorted(set(rng.choice(ids, size=4, replace=False).tolist()) | {ids[target]})
-        full = rank_gallery(scores, ids, target)
-        sub = rank_within_subset(scores, position, subset, ids[target])
+        [full] = rank_gallery(scores, ids, [target])
+        [sub] = rank_within_subset(scores, position, [subset], [ids[target]])
         assert sub <= full
         for k in (1, 2, 3):
             assert recall_at_k([sub], k) >= recall_at_k([full], k)

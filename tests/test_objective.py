@@ -13,6 +13,7 @@ from cirtrain.objective import (
     total_loss,
 )
 from oracles import matching_loss_oracle, np_l2n
+from scalarize import scalarize
 
 
 def unit_rows(rng, b, d):
@@ -116,9 +117,9 @@ def test_total_gradient_is_weighted_sum_of_term_gradients():
     x = rng.normal(size=(3, 3))
 
     def terms(t):
-        m = T.sum_all(T.mul(t, t))
-        a = T.sum_all(T.mul(T.l2_normalize_rows(t), t))
-        r = T.sum_all(T.softmax_rows(t))
+        m = scalarize(T.matmul(t, T.transpose(t)))
+        a = scalarize(T.l2_normalize_rows(t), x)
+        r = scalarize(T.softmax_rows(t), x.T)
         return m, a, r
 
     # three separate backward passes, one per term

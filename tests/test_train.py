@@ -17,6 +17,7 @@ from cirtrain.train import (
     run_gradient_check,
     train_model,
 )
+from scalarize import scalarize
 
 
 def test_adam_minimizes_quadratic():
@@ -24,7 +25,8 @@ def test_adam_minimizes_quadratic():
     opt = Adam([p], lr=0.1)
     for _ in range(200):
         p.zero_grad()
-        loss = T.sum_all(T.mul(p.tensor, p.tensor))
+        x = p.tensor
+        loss = T.matmul(x, T.transpose(x))  # the squared norm of the 1 x 2 row
         loss.backward()
         opt.step()
     assert np.all(np.abs(p.data) < 1e-2)
@@ -35,7 +37,7 @@ def test_adam_skips_frozen_and_gradless():
     idle = T.Param("i", np.ones((2, 2)))
     active = T.Param("a", np.ones((2, 2)))
     opt = Adam([frozen, idle, active], lr=0.5)
-    T.sum_all(active.tensor).backward()
+    scalarize(active.tensor).backward()
     opt.step()
     assert np.array_equal(frozen.data, np.ones((2, 2)))
     assert np.array_equal(idle.data, np.ones((2, 2)))
@@ -45,8 +47,8 @@ def test_adam_skips_frozen_and_gradless():
 def test_adam_names_an_overflowed_moment_and_writes_nothing():
     # 1e200 squared overflows the second moment; its update would silently be 0
     ok, huge = T.Param("ok", np.ones((1, 2))), T.Param("huge", np.ones((2, 2)))
-    T.sum_all(ok.tensor).backward()
-    T.sum_all(T.scalar_mul(huge.tensor, 1e200)).backward()
+    scalarize(ok.tensor).backward()
+    scalarize(T.scalar_mul(huge.tensor, 1e200)).backward()
     opt = Adam([ok, huge], lr=0.1)
     with pytest.raises(T.NonFiniteError, match=r"output of 'Adam.step\[huge\]'$"):
         opt.step()
