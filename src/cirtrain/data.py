@@ -24,10 +24,19 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .encoders import integer_tokens
 
 JSONL_FIELDS = ("id", "ref_tokens", "text_tokens", "target_tokens", "subset_ids")
 SUBSET_SIZE = 5
+
+
+def integer_tokens(name: str, tokens) -> tuple:
+    """`tokens` as a tuple; every id must be an int, and a bool is not one."""
+    value = tuple(tokens)
+    # refused, not rounded: int() would read 1.7 as 1, true as 1 and "3" as 3
+    for t in value:
+        if isinstance(t, bool) or not isinstance(t, int):
+            raise ValueError(f"{name}: token id {t!r} is not an integer")
+    return value
 
 
 @dataclass(frozen=True)
@@ -41,13 +50,18 @@ class TripletRecord:
     subset_ids: tuple | None = None
 
     def __post_init__(self):
+        # refused, not stringified: str() would read null as 'None' and 7 as '7'
+        for name, ids in (("id", (self.id,)), ("subset_ids", self.subset_ids or ())):
+            for s in ids:
+                if not isinstance(s, str):
+                    raise ValueError(f"{name}: {s!r} is not a string")
         for name in ("ref_tokens", "text_tokens", "target_tokens"):
             value = integer_tokens(name, getattr(self, name))
             if not value:
                 raise ValueError(f"{name} must be non-empty")
             object.__setattr__(self, name, value)
         if self.subset_ids is not None:
-            subset = tuple(str(s) for s in self.subset_ids)
+            subset = tuple(self.subset_ids)
             if self.id not in subset:
                 raise ValueError(f"subset of {self.id} does not contain its own target")
             if len(set(subset)) != len(subset):
@@ -217,7 +231,7 @@ def write_records(path, records):
 
 
 def read_records(path):
-    """The records of a JSONL dataset; a malformed line is refused by its 1-based number."""
+    """The records of a JSONL dataset; a bad line or record is refused by its 1-based number."""
     records = []
     with Path(path).open("r", encoding="utf-8") as fh:
         for number, line in enumerate(fh, 1):
@@ -237,9 +251,11 @@ def read_records(path):
             if len(row) - ("subset_ids" in row) < 4:  # every name is known, so one is missing
                 missing = [name for name in JSONL_FIELDS[:4] if name not in row]
                 raise ValueError(f"line {number}: missing fields {missing}")
-            # the fields are known, present and lists where lists go: the record makes its tuples
-            row["id"] = str(row["id"])
-            records.append(TripletRecord(**row))
+            # the fields are known, present and lists where lists go: the record checks the rest
+            try:
+                records.append(TripletRecord(**row))
+            except ValueError as err:
+                raise ValueError(f"line {number}: {err}") from None
     return records
 
 

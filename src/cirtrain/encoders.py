@@ -12,11 +12,15 @@ training and evaluation alike (one item is a batch of one).
 A frozen encode is a pure function of the token tuple and the frozen
 weights, so each image encoder computes it once per tuple and keeps the
 read-only rows in an instance memo.  The memo is valid only for the weight
-tensor objects it was built from: every call reads them afresh and checks
-the sequence's kind, a tuple not in the memo is checked in full, and the
-memo is dropped when any tensor is not the one it was built from.  A frozen
-array cannot be written in place, and `Param.assign` installs a new tensor,
-so a stale row cannot be returned.
+tensor objects it was built from: every call reads them afresh, and the memo
+is dropped when any tensor is not the one it was built from.  A frozen array
+cannot be written in place, and `Param.assign` installs a new tensor, so a
+stale row cannot be returned.
+
+Token ids are checked once, at the lookup (`_embed`); a memo hit checks
+nothing, because a tuple enters the memo only after its lookup passed.
+Records and the model's raw-id entries refuse non-integer ids by field
+name first (`data.integer_tokens`).
 """
 
 from __future__ import annotations
@@ -40,54 +44,27 @@ from .tensor import (
     slice_rows,
 )
 
-KIND_REFERENCE = "reference-image"
-KIND_TARGET = "target-image"
-KIND_TEXT = "text"
-IMAGE_KINDS = (KIND_REFERENCE, KIND_TARGET)
-
-
-def integer_tokens(name: str, tokens) -> tuple:
-    """`tokens` as a tuple; every id must be an int, and a bool is not one."""
-    value = tuple(tokens)
-    # refused, not rounded: int() would read 1.7 as 1, true as 1 and "3" as 3
-    for t in value:
-        if isinstance(t, bool) or not isinstance(t, int):
-            raise ValueError(f"{name}: token id {t!r} is not an integer")
-    return value
-
 
 @dataclass(frozen=True)
 class TokenSeq:
-    """A sequence of integer token ids (image patches or text words)."""
+    """The token id tuple of one image (reference or target)."""
 
     tokens: tuple
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in IMAGE_KINDS + (KIND_TEXT,):
-            raise ValueError(f"unknown sequence kind {self.kind!r}")
-        object.__setattr__(self, "tokens", integer_tokens(self.kind, self.tokens))
-        if len(self.tokens) == 0:
-            raise ValueError("token sequence must be non-empty")
 
 
-def _one_hot(tokens, vocab: int) -> Tensor:
-    """Constant (..., N, V) indicator rows of (..., N) ids; the lookup becomes one_hot @ table."""
-    return Tensor(np.asarray(tokens)[..., None] == np.arange(vocab))
-
-
-def _check_tokens(encoder, seq: TokenSeq, kinds: tuple, known=()):
-    """Refuse a sequence of a kind `encoder` does not take, or one it cannot embed; a
-    token tuple in `known` passed the length and vocabulary checks before and skips them."""
-    if seq.kind not in kinds:
-        raise ValueError(f"{type(encoder).__name__} got a {seq.kind!r} sequence")
-    if seq.tokens in known:
-        return
-    if len(seq.tokens) > encoder.max_tokens:
-        raise ValueError(f"sequence length {len(seq.tokens)} exceeds maximum {encoder.max_tokens}")
-    for t in seq.tokens:
-        if not (0 <= t < encoder.vocab):
-            raise ValueError(f"token id {t} outside vocabulary [0, {encoder.vocab})")
+def _embed(encoder, ids, table: Tensor) -> Tensor:
+    """one_hot @ table: the (..., N, d) rows of `table` at (..., N) ids `encoder` can embed."""
+    ids = np.asarray(ids)
+    if ids.shape[-1] == 0:
+        raise ValueError("token sequence must be non-empty")
+    if ids.shape[-1] > encoder.max_tokens:
+        raise ValueError(f"sequence length {ids.shape[-1]} exceeds maximum {encoder.max_tokens}")
+    if ids.dtype.kind not in "iu":
+        raise ValueError(f"token ids are {ids.dtype}, not integers")
+    outside = (ids < 0) | (ids >= encoder.vocab)
+    if outside.any():
+        raise ValueError(f"token id {ids[outside][0]} outside vocabulary [0, {encoder.vocab})")
+    return matmul(Tensor(ids[..., None] == np.arange(encoder.vocab)), table)
 
 
 class Attention:
@@ -117,11 +94,12 @@ class Attention:
 class ImageEncoder:
     """Frozen patch-token encoder: CLS row + embedded tokens through one attention block.
 
-    `encode` memoizes its (N + 1) x d output per token tuple; the sequence's
-    kind is checked but does not change the rows.  The memo holds rows for the
-    six weight tensors of its last build and is dropped when any changes
-    (`Param.assign`, as `load_checkpoint` does).  Rows are read-only because
-    every caller of one tuple shares them.
+    `encode` memoizes its (N + 1) x d output by the token tuple alone, so a
+    reference and a target image with one tuple share rows.  Only a miss runs
+    the lookup and its id checks.  The memo holds rows for the six weight
+    tensors of its last build and is dropped when any changes (`Param.assign`,
+    as `load_checkpoint` does).  Rows are read-only because every caller of
+    one tuple shares them.
     """
 
     def __init__(self, name: str, vocab: int, dim: int, max_tokens: int, rng: np.random.Generator):
@@ -141,7 +119,6 @@ class ImageEncoder:
         self._weights, self._rows = (), {}
 
     def encode(self, seq: TokenSeq) -> Tensor:
-        _check_tokens(self, seq, IMAGE_KINDS, known=self._rows)
         weights = (self.embedding.tensor, self.cls.tensor, self.positions.tensor,
                    self.attn.wq.tensor, self.attn.wk.tensor, self.attn.wv.tensor)
         if weights != self._weights:
@@ -149,7 +126,7 @@ class ImageEncoder:
         out = self._rows.get(seq.tokens)
         if out is None:
             embedding, cls, positions, wq, wk, wv = weights
-            rows = concat([cls, matmul(_one_hot(seq.tokens, self.vocab), embedding)])
+            rows = concat([cls, _embed(self, seq.tokens, embedding)])
             rows = add(rows, slice_rows(positions, 0, len(seq.tokens) + 1))
             out = self._rows[seq.tokens] = add(rows, attention(rows, rows, wq, wk, wv))
             out.data.flags.writeable = False
@@ -177,19 +154,16 @@ class TextEncoder:
         self.positions = Param(f"{name}.positions", rng.normal(0.0, 0.1, (max_tokens, dim)))
         self.attn = Attention(f"{name}.attn", dim, rng)
 
-    def encode(self, seqs) -> Tensor:
-        """A list of B TokenSeqs of one length L gives B x L x d rows."""
-        if not seqs:
+    def encode(self, ids) -> Tensor:
+        """A list of B id tuples of one length L gives B x L x d rows."""
+        if not ids:
             raise ValueError("TextEncoder: the batch is empty")
-        for seq in seqs:
-            _check_tokens(self, seq, (KIND_TEXT,))
-        lengths = sorted({len(seq.tokens) for seq in seqs})
+        lengths = sorted({len(t) for t in ids})
         if len(lengths) > 1:
             raise ValueError(f"TextEncoder: texts of one batch differ in length: {lengths}")
-        tokens = np.array([seq.tokens for seq in seqs])
-        rows = matmul(_one_hot(tokens, self.vocab), self.embedding.tensor)
-        positions = slice_rows(self.positions.tensor, 0, tokens.shape[-1])
-        rows = add(rows, expand(positions, 0, len(seqs)))
+        rows = _embed(self, ids, self.embedding.tensor)
+        positions = slice_rows(self.positions.tensor, 0, lengths[0])
+        rows = add(rows, expand(positions, 0, len(ids)))
         return add(rows, self.attn(rows, rows))
 
     def params(self):

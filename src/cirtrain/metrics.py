@@ -81,17 +81,6 @@ def avg_metric(r5: float, rsub1: float) -> float:
     return (r5 + rsub1) / 2.0
 
 
-METRIC_KEYS = (
-    "recall_at_1",
-    "recall_at_5",
-    "recall_at_10",
-    "recall_subset_at_1",
-    "recall_subset_at_2",
-    "recall_subset_at_3",
-    "avg_recall5_subset1",
-)
-
-
 def summarize(full_ranks, subset_ranks) -> dict:
     """The standard report: full-gallery and subset recalls plus their average."""
     report = {

@@ -16,16 +16,8 @@ import numpy as np
 from .bridge import BridgeParams, alignment_loss
 from .compositor import CompositorParams, reasoning_loss
 from .config import RunConfig
-from .encoders import (
-    KIND_REFERENCE,
-    KIND_TARGET,
-    KIND_TEXT,
-    CrossEncoder,
-    ImageEncoder,
-    QueryFusion,
-    TextEncoder,
-    TokenSeq,
-)
+from .data import integer_tokens
+from .encoders import CrossEncoder, ImageEncoder, QueryFusion, TextEncoder, TokenSeq
 from .objective import LossBreakdown, matching_loss, total_loss
 from .tensor import Tensor, l2_normalize_rows, reshape, slice_rows, stack
 
@@ -84,13 +76,12 @@ class RetrievalModel:
         token field; only the frozen image encoders run per record.
         """
         ab, ob = self.cfg.ablation, self.cfg.objective
-        refs = [TokenSeq(r.ref_tokens, KIND_REFERENCE) for r in records]
+        refs = [TokenSeq(r.ref_tokens) for r in records]
         f_r = stack([self.ref_encoder.encode(seq) for seq in refs])
-        f_t = stack([self.tgt_encoder.encode(TokenSeq(r.target_tokens, KIND_TARGET))
-                     for r in records])
+        f_t = stack([self.tgt_encoder.encode(TokenSeq(r.target_tokens)) for r in records])
         # the reference re-encoded through the image branch, train-time only
         f_r_prime = stack([self.tgt_encoder.encode(seq) for seq in refs])
-        f_c = self.text_encoder.encode([TokenSeq(r.text_tokens, KIND_TEXT) for r in records])
+        f_c = self.text_encoder.encode([r.text_tokens for r in records])
         f_r_bar = self.cross_encoder(f_r, f_c)
 
         l_match = matching_loss(self.fusion.query_embedding(f_c, f_r), self.pooled_target(f_t),
@@ -121,20 +112,23 @@ class RetrievalModel:
         inference surface (no bridge or compositor involvement).
 
         Lists of B records' ids, one length per field, give B x d; one
-        record's ids run as a batch of one and give 1 x d.
+        record's ids run as a batch of one and give 1 x d.  Ids are refused
+        by the rule a record applies to its fields.
         """
         if _one_record(ref_tokens, "query_embedding"):
             ref_tokens, text_tokens = [ref_tokens], [text_tokens]
-        f_r = stack([self.ref_encoder.encode(TokenSeq(t, KIND_REFERENCE)) for t in ref_tokens])
-        f_c = self.text_encoder.encode([TokenSeq(t, KIND_TEXT) for t in text_tokens])
+        f_r = stack([self.ref_encoder.encode(TokenSeq(integer_tokens("ref_tokens", t)))
+                     for t in ref_tokens])
+        f_c = self.text_encoder.encode([integer_tokens("text_tokens", t) for t in text_tokens])
         return self.fusion.query_embedding(f_c, f_r)
 
     def target_embedding(self, target_tokens) -> Tensor:
         """Pooled target vectors: B x d for a list of B records' ids, 1 x d for one record's."""
         if _one_record(target_tokens, "target_embedding"):
             target_tokens = [target_tokens]
-        return self.pooled_target(stack([self.tgt_encoder.encode(TokenSeq(t, KIND_TARGET))
-                                         for t in target_tokens]))
+        return self.pooled_target(stack([
+            self.tgt_encoder.encode(TokenSeq(integer_tokens("target_tokens", t)))
+            for t in target_tokens]))
 
 
 def _one_record(ids, entry: str) -> bool:

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -163,7 +164,7 @@ def test_jsonl_refuses_token_ids_that_are_not_integers(tmp_path, field, tokens, 
     row[field] = tokens
     path = tmp_path / "bad.jsonl"
     path.write_text("{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}\n")
-    with pytest.raises(ValueError, match=f"^{field}: token id {shown} is not an integer$"):
+    with pytest.raises(ValueError, match=f"^line 1: {field}: token id {shown} is not an integer$"):
         read_records(path)
 
 
@@ -191,6 +192,25 @@ def test_jsonl_refuses_a_line_missing_a_field(tmp_path):
 def test_jsonl_refuses_token_ids_that_are_not_a_list(tmp_path):
     bad = '{"id": "b", "ref_tokens": 3, "text_tokens": [0], "target_tokens": [2]}'
     with pytest.raises(ValueError, match=r"^line 3: ref_tokens is int, not a list$"):
+        _read_with_bad_third_line(tmp_path, bad)
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("id", "null", "id: None is not a string"),
+    ("id", "7", "id: 7 is not a string"),
+    ("subset_ids", '["b", null]', "subset_ids: None is not a string"),
+    ("subset_ids", "[7, null]", "subset_ids: 7 is not a string"),
+    ("ref_tokens", "[]", "ref_tokens must be non-empty"),
+    ("subset_ids", '["c"]', "subset of b does not contain its own target"),
+    ("subset_ids", '["b", "c", "c"]', "subset of b repeats a candidate id: ('b', 'c', 'c')"),
+], ids=["null id", "integer id", "null subset member", "integer subset member", "empty field",
+        "subset without its target", "repeated candidate"])
+def test_jsonl_refuses_a_bad_record_by_its_own_number(tmp_path, field, value, message):
+    # ids are read as given, never stringified: str() would read null as 'None'
+    row = {"id": '"b"', "ref_tokens": "[1]", "text_tokens": "[0]", "target_tokens": "[2]"}
+    row[field] = value
+    bad = "{" + ", ".join(f'"{k}": {v}' for k, v in row.items()) + "}"
+    with pytest.raises(ValueError, match=f"^line 3: {re.escape(message)}$"):
         _read_with_bad_third_line(tmp_path, bad)
 
 

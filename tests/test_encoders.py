@@ -1,11 +1,10 @@
+import re
+
 import numpy as np
 import pytest
 
 from cirtrain import tensor as T
 from cirtrain.encoders import (
-    KIND_REFERENCE,
-    KIND_TARGET,
-    KIND_TEXT,
     Attention,
     CrossEncoder,
     ImageEncoder,
@@ -54,7 +53,7 @@ def test_image_encode_matches_oracle():
     rows = np.vstack([enc.cls.data, enc.embedding.data[list(tokens)]])
     rows = rows + enc.positions.data[: len(tokens) + 1]
     expected = rows + attention_oracle(rows, rows, *attention_arrays(enc.attn))
-    out = enc.encode(TokenSeq(tokens, KIND_REFERENCE))
+    out = enc.encode(TokenSeq(tokens))
     assert np.allclose(out.data, expected, atol=1e-12)
 
 
@@ -63,7 +62,7 @@ def test_text_encode_matches_oracle():
     tokens = (3, 11, 3)
     rows = enc.embedding.data[list(tokens)] + enc.positions.data[: len(tokens)]
     expected = rows + attention_oracle(rows, rows, *attention_arrays(enc.attn))
-    assert np.allclose(enc.encode([TokenSeq(tokens, KIND_TEXT)]).data[0], expected, atol=1e-12)
+    assert np.allclose(enc.encode([tokens]).data[0], expected, atol=1e-12)
 
 
 def test_text_encode_refuses_an_empty_batch():
@@ -72,14 +71,9 @@ def test_text_encode_refuses_an_empty_batch():
         enc.encode([])
 
 
-def test_token_seq_rejects_empty():
-    with pytest.raises(ValueError):
-        TokenSeq((), KIND_TEXT)
-
-
 def test_image_encode_deterministic():
     enc = make_image_encoder()
-    seq = TokenSeq((1, 5, 9), KIND_REFERENCE)
+    seq = TokenSeq((1, 5, 9))
     a = enc.encode(seq)
     b = enc.encode(seq)
     assert np.array_equal(a.data, b.data)
@@ -87,26 +81,8 @@ def test_image_encode_deterministic():
 
 def test_image_encode_output_shape():
     enc = make_image_encoder()
-    out = enc.encode(TokenSeq(tuple(range(9)), KIND_TARGET))
+    out = enc.encode(TokenSeq(tuple(range(9))))
     assert out.shape == (10, DIM)
-
-
-def test_image_encode_rejects_text_kind():
-    enc = make_image_encoder()
-    with pytest.raises(ValueError):
-        enc.encode(TokenSeq((1, 2), KIND_TEXT))
-
-
-def test_image_encode_rejects_out_of_vocab():
-    enc = make_image_encoder()
-    with pytest.raises(ValueError):
-        enc.encode(TokenSeq((99,), KIND_REFERENCE))
-
-
-def test_image_encode_rejects_overlong():
-    enc = make_image_encoder()
-    with pytest.raises(ValueError):
-        enc.encode(TokenSeq(tuple(range(17)), KIND_REFERENCE))
 
 
 def test_permuting_tokens_permutes_rows_without_positions():
@@ -115,8 +91,8 @@ def test_permuting_tokens_permutes_rows_without_positions():
     enc.positions.assign(np.zeros(enc.positions.shape))
     tokens = (2, 7, 11, 3)
     perm = (11, 3, 2, 7)
-    out = enc.encode(TokenSeq(tokens, KIND_REFERENCE)).data
-    out_perm = enc.encode(TokenSeq(perm, KIND_REFERENCE)).data
+    out = enc.encode(TokenSeq(tokens)).data
+    out_perm = enc.encode(TokenSeq(perm)).data
     assert np.allclose(out[0], out_perm[0], atol=1e-12)  # CLS row unaffected
     # row for token t must be identical wherever t sits
     for i, t in enumerate(tokens):
@@ -129,31 +105,59 @@ def _reads(enc):
 
 
 def test_a_memo_hit_shares_a_fresh_encoders_rows_and_reads_every_weight():
-    enc, seq = make_image_encoder(), TokenSeq((4, 9, 1), KIND_REFERENCE)
+    enc, seq = make_image_encoder(), TokenSeq((4, 9, 1))
     first = enc.encode(seq)
     assert np.array_equal(first.data, make_image_encoder().encode(seq).data)
-    for kind in (KIND_REFERENCE, KIND_TARGET):  # the kind is checked, but keys no row
-        before = _reads(enc)
-        assert enc.encode(TokenSeq((4, 9, 1), kind)) is first
-        assert [after - b for after, b in zip(_reads(enc), before)] == [1] * 6
-
-
-@pytest.mark.parametrize("seq,message", [
-    (TokenSeq((4, 9, 1), KIND_TEXT), "got a 'text' sequence"),
-    (TokenSeq((4, 9, 32), KIND_REFERENCE), "outside vocabulary"),
-], ids=["wrong kind", "out of vocabulary"])
-def test_a_warm_memo_still_refuses_what_the_encoder_cannot_take(seq, message):
-    enc = make_image_encoder()
-    enc.encode(TokenSeq((4, 9, 1), KIND_REFERENCE))
     before = _reads(enc)
-    with pytest.raises(ValueError, match=message):
-        enc.encode(seq)
-    assert _reads(enc) == before
+    assert enc.encode(TokenSeq((4, 9, 1))) is first  # keyed by the tuple, not the object
+    assert [after - b for after, b in zip(_reads(enc), before)] == [1] * 6
+
+
+@pytest.mark.parametrize("tokens,message", [((4, 9, 32), "outside vocabulary")],
+                         ids=["out of vocabulary"])
+def test_a_warm_memo_still_refuses_what_the_encoder_cannot_take(tokens, message):
+    # a refused tuple never enters the memo, so asking again is refused again
+    enc = make_image_encoder()
+    enc.encode(TokenSeq((4, 9, 1)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=message):
+            enc.encode(TokenSeq(tokens))
+
+
+def _cold_image(tokens):
+    return make_image_encoder().encode(TokenSeq(tokens))
+
+
+def _warm_image(tokens):
+    enc = make_image_encoder()
+    enc.encode(TokenSeq((4, 9, 1)))
+    return enc.encode(TokenSeq(tokens))
+
+
+def _text(tokens):
+    # the image encoder's vocabulary and length, so both refuse with one message
+    return TextEncoder("txt", vocab=32, dim=DIM, max_tokens=16,
+                       rng=np.random.default_rng(4)).encode([tokens])
+
+
+@pytest.mark.parametrize("lookup", [_cold_image, _warm_image, _text],
+                         ids=["cold image", "warm image", "text"])
+@pytest.mark.parametrize("tokens,message", [
+    ((4, 9, 32), "token id 32 outside vocabulary [0, 32)"),
+    ((4, -1, 1), "token id -1 outside vocabulary [0, 32)"),
+    (tuple(range(17)), "sequence length 17 exceeds maximum 16"),
+    ((), "token sequence must be non-empty"),
+    ((4, 9, 1.5), "token ids are float64, not integers"),
+], ids=["out of vocabulary", "negative", "overlong", "empty", "float"])
+def test_every_lookup_refuses_ids_it_cannot_embed(lookup, tokens, message):
+    # one check at the lookup: every encoder path refuses in the same words
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        lookup(tokens)
 
 
 def test_frozen_arrays_and_encoded_rows_are_read_only():
     enc = make_image_encoder()
-    rows = enc.encode(TokenSeq((4, 9, 1), KIND_REFERENCE))
+    rows = enc.encode(TokenSeq((4, 9, 1)))
     for array in [rows.data] + [p.data for p in enc.params()]:
         with pytest.raises(ValueError, match="read-only"):
             array[0, 0] = 1.0
@@ -170,19 +174,19 @@ def test_frozen_arrays_and_encoded_rows_are_read_only():
 def test_text_encode_shape_and_determinism():
     enc = TextEncoder("txt", vocab=12, dim=DIM, max_tokens=8,
                       rng=np.random.default_rng(0))
-    seq = TokenSeq((3, 1, 4), KIND_TEXT)
+    seq = (3, 1, 4)
     out = enc.encode([seq])
     assert out.shape == (1, 3, DIM)
     assert np.array_equal(out.data, enc.encode([seq]).data)
-    with pytest.raises(ValueError):
-        enc.encode([TokenSeq((0,), KIND_REFERENCE)])
+    with pytest.raises(TypeError):  # text is a tuple of ids, never an image's TokenSeq
+        enc.encode([TokenSeq((0,))])
 
 
 def test_separate_encoders_get_separate_gradients():
     # two encoders share no storage: a loss on one leaves the other grad-free
     a = TextEncoder("a", vocab=12, dim=DIM, max_tokens=8, rng=np.random.default_rng(1))
     b = TextEncoder("b", vocab=12, dim=DIM, max_tokens=8, rng=np.random.default_rng(2))
-    seq = TokenSeq((1, 2, 3), KIND_TEXT)
+    seq = (1, 2, 3)
     scalarize(a.encode([seq])).backward()
     assert any(p.grad is not None for p in a.params())
     assert all(p.grad is None for p in b.params())
@@ -194,8 +198,8 @@ def test_frozen_encoder_untouched_by_optimizer():
                             rng=np.random.default_rng(5))
     frozen_before = {p.name: p.data.copy() for p in frozen.params()}
     text_before = {p.name: p.data.copy() for p in trainable.params()}
-    image_rows = T.stack([frozen.encode(TokenSeq((1, 2), KIND_REFERENCE))])
-    text_rows = trainable.encode([TokenSeq((3, 1), KIND_TEXT)])
+    image_rows = T.stack([frozen.encode(TokenSeq((1, 2)))])
+    text_rows = trainable.encode([(3, 1)])
     loss = scalarize(T.matmul(image_rows, T.transpose(text_rows)))
     loss.backward()
     opt = Adam(frozen.params() + trainable.params(), lr=0.1)
@@ -213,8 +217,7 @@ def test_batched_front_end_equals_each_item_bitwise(n_prompts):
     text = TextEncoder("txt", vocab=12, dim=DIM, max_tokens=8, rng=rng)
     cross = CrossEncoder("cross", DIM, rng)
     fusion = QueryFusion("q", DIM, n_prompts=n_prompts, rng=rng)
-    seqs = [TokenSeq(tuple(int(t) for t in rng.integers(0, 12, size=4)), KIND_TEXT)
-            for _ in range(3)]
+    seqs = [tuple(int(t) for t in rng.integers(0, 12, size=4)) for _ in range(3)]
     f_r = rng.normal(size=(3, 5, DIM))
     f_c = text.encode(seqs)
     f_r_bar = cross(T.Tensor(f_r), f_c)

@@ -19,7 +19,7 @@ from cirtrain.data import (
     synth_spec_from_config,
     write_records,
 )
-from cirtrain.encoders import KIND_REFERENCE, TokenSeq
+from cirtrain.encoders import TokenSeq
 from cirtrain.model import RetrievalModel, load_checkpoint, save_checkpoint
 from cirtrain.objective import score_query_against_gallery
 from cirtrain.tensor import no_grad
@@ -95,7 +95,7 @@ def test_every_attention_site_is_one_fused_node(sets, attention):
     census = _op_census(model.batch_losses(records)[0])
     assert census["attention"] == attention
     assert census["softmax_rows"] == (0 if sets else 1)
-    frozen = model.ref_encoder.encode(TokenSeq(records[0].ref_tokens, KIND_REFERENCE))
+    frozen = model.ref_encoder.encode(TokenSeq(records[0].ref_tokens))
     assert not frozen.requires_grad and not frozen._parents
 
 
@@ -274,14 +274,26 @@ def test_batched_embeddings_equal_single_record_calls_bitwise():
 
 
 @pytest.mark.parametrize("ref, text, message", [
-    ((1.9, 2.2, 3), (0, 1), "reference-image: token id 1.9 is not an integer"),
-    ((1, 2, 3), (True, 2.5), "text: token id True is not an integer"),
-    ((1, 2, 3), ("3", 1), "text: token id '3' is not an integer"),
+    ((1.9, 2.2, 3), (0, 1), "ref_tokens: token id 1.9 is not an integer"),
+    ((1, 2, 3), (True, 2.5), "text_tokens: token id True is not an integer"),
+    ((1, 2, 3), ("3", 1), "text_tokens: token id '3' is not an integer"),
 ])
 def test_query_embedding_refuses_non_integer_token_ids(ref, text, message):
     # refused by the rule TripletRecord applies, never rounded to an id
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         RetrievalModel(small_config()).query_embedding(ref, text)
+
+
+@pytest.mark.parametrize("tokens, message", [
+    ((1, True, 3), "target_tokens: token id True is not an integer"),
+    ([1, 2, 28], "token id 28 outside vocabulary [0, 28)"),
+    (tuple(range(17)), "sequence length 17 exceeds maximum 16"),
+    ((), "token sequence must be non-empty"),
+])
+def test_target_embedding_refuses_what_a_record_or_the_lookup_refuses(tokens, message):
+    # the field's integer rule first, then the encoder's vocabulary and length
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        RetrievalModel(small_config()).target_embedding(tokens)
 
 
 def _default_layout():
