@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, apply_override, load_config
-from .data import generate, read_records, synth_spec_from_config, write_records
+from .data import TOKEN_FIELDS, generate, read_records, synth_spec_from_config, write_records
 from .metrics import format_report, rank_gallery, rank_within_subset, summarize
 from .model import RetrievalModel, load_checkpoint, save_checkpoint
 from .objective import score_query_against_gallery
@@ -65,10 +65,7 @@ EVAL_CHUNK = 256  # the most records one batched eval forward embeds
 def _length_runs(records):
     """Runs of consecutive records with equal ref, text and target lengths,
     at most EVAL_CHUNK long: each run stacks without padding."""
-    def lengths(r):
-        return len(r.ref_tokens), len(r.text_tokens), len(r.target_tokens)
-
-    for _, run in itertools.groupby(records, lengths):
+    for _, run in itertools.groupby(records, lambda r: [len(getattr(r, f)) for f in TOKEN_FIELDS]):
         run = list(run)
         for start in range(0, len(run), EVAL_CHUNK):
             yield run[start:start + EVAL_CHUNK]

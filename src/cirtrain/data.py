@@ -25,7 +25,8 @@ import numpy as np
 
 from .config import RunConfig
 
-JSONL_FIELDS = ("id", "ref_tokens", "text_tokens", "target_tokens", "subset_ids")
+TOKEN_FIELDS = ("ref_tokens", "text_tokens", "target_tokens")
+JSONL_FIELDS = ("id", *TOKEN_FIELDS, "subset_ids")
 SUBSET_SIZE = 5
 
 
@@ -55,7 +56,7 @@ class TripletRecord:
             for s in ids:
                 if not isinstance(s, str):
                     raise ValueError(f"{name}: {s!r} is not a string")
-        for name in ("ref_tokens", "text_tokens", "target_tokens"):
+        for name in TOKEN_FIELDS:
             value = integer_tokens(name, getattr(self, name))
             if not value:
                 raise ValueError(f"{name} must be non-empty")
@@ -259,20 +260,25 @@ def read_records(path):
     return records
 
 
-def check_equal_lengths(records):
-    """Refuse records whose token fields differ in length across the set.
+def check_batch(entry: str, **fields):
+    """Refuse token fields that cannot be stacked as one batch, naming `entry` and the field.
 
-    Training stacks each batch, so a batch needs one length per field;
-    checking the whole set up front catches a record before any epoch can
-    draw it.
+    Each keyword is a token field holding one id tuple per record.  Every
+    loss is in-batch over stacked features, and nothing is padded, so a
+    batch must be non-empty, its fields must hold one tuple per record
+    each, and the tuples of one field must have one length.
     """
-    for name in ("ref_tokens", "text_tokens", "target_tokens"):
-        lengths = sorted({len(getattr(r, name)) for r in records})
+    counts = {name: len(ids) for name, ids in fields.items()}
+    if len(set(counts.values())) > 1:
+        held = ", ".join(f"{name} {n}" for name, n in counts.items())
+        raise ValueError(f"{entry}: the fields hold different numbers of records: {held}")
+    if not any(counts.values()):
+        raise ValueError(f"{entry}: the batch is empty")
+    for name, ids in fields.items():
+        lengths = set(map(len, ids))
         if len(lengths) > 1:
-            raise ValueError(
-                f"{name} lengths differ across the records: {lengths}; training "
-                f"stacks each batch, so every record needs one length per field"
-            )
+            raise ValueError(f"{entry}: {name} lengths differ: {sorted(lengths)} tokens; "
+                             f"a batch is stacked, never padded")
 
 
 def batches(records, batch_size: int, seed: int, epoch: int = 0):

@@ -155,15 +155,11 @@ class TextEncoder:
         self.attn = Attention(f"{name}.attn", dim, rng)
 
     def encode(self, ids) -> Tensor:
-        """A list of B id tuples of one length L gives B x L x d rows."""
-        if not ids:
-            raise ValueError("TextEncoder: the batch is empty")
-        lengths = sorted({len(t) for t in ids})
-        if len(lengths) > 1:
-            raise ValueError(f"TextEncoder: texts of one batch differ in length: {lengths}")
+        """A list of B id tuples of one length L gives B x L x d rows; the model's
+        entries refuse any other batch first (`data.check_batch`)."""
         rows = _embed(self, ids, self.embedding.tensor)
-        positions = slice_rows(self.positions.tensor, 0, lengths[0])
-        rows = add(rows, expand(positions, 0, len(ids)))
+        b, length = rows.shape[:2]
+        rows = add(rows, expand(slice_rows(self.positions.tensor, 0, length), 0, b))
         return add(rows, self.attn(rows, rows))
 
     def params(self):

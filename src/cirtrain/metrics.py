@@ -25,8 +25,10 @@ def rank_gallery(scores, ids, target):
     if scores.ndim != 2 or ids.shape != scores.shape[1:] or target.shape != scores.shape[:1]:
         raise ValueError(f"scores must be B x G with G = len(ids), and target one column per row; "
                          f"got scores {scores.shape}, {ids.size} ids and target {target.shape}")
-    if ((target < 0) | (target >= ids.size)).any():
-        raise ValueError(f"target column {target} outside a gallery of {ids.size}")
+    outside = np.flatnonzero((target < 0) | (target >= ids.size))
+    if outside.size:
+        row = outside[0]
+        raise ValueError(f"row {row}: target column {target[row]} outside a gallery of {ids.size}")
     s_t = np.take_along_axis(scores, target[:, None], axis=-1)
     id_t = ids[target[:, None]]
     return 1 + np.count_nonzero((scores > s_t) | ((scores == s_t) & (ids < id_t)), axis=-1)

@@ -16,10 +16,10 @@ import numpy as np
 from .bridge import BridgeParams, alignment_loss
 from .compositor import CompositorParams, reasoning_loss
 from .config import RunConfig
-from .data import integer_tokens
+from .data import TOKEN_FIELDS, check_batch, integer_tokens
 from .encoders import CrossEncoder, ImageEncoder, QueryFusion, TextEncoder, TokenSeq
 from .objective import LossBreakdown, matching_loss, total_loss
-from .tensor import Tensor, l2_normalize_rows, reshape, slice_rows, stack
+from .tensor import Tensor, l2_normalize_rows, reshape, slice_rows
 
 
 class RetrievalModel:
@@ -72,16 +72,18 @@ class RetrievalModel:
     def batch_losses(self, records) -> tuple:
         """Joint loss over one batch; returns (total tensor, LossBreakdown).
 
-        Features are stacked once (B x N x d), so records need one length per
-        token field; only the frozen image encoders run per record.
+        Features are stacked once (B x N x d), so the batch must pass
+        `data.check_batch` ("batch_losses: ..."); only the frozen image
+        encoders run per record.
         """
         ab, ob = self.cfg.ablation, self.cfg.objective
-        refs = [TokenSeq(r.ref_tokens) for r in records]
-        f_r = stack([self.ref_encoder.encode(seq) for seq in refs])
-        f_t = stack([self.tgt_encoder.encode(TokenSeq(r.target_tokens)) for r in records])
+        ids = {name: [getattr(r, name) for r in records] for name in TOKEN_FIELDS}
+        check_batch("batch_losses", **ids)
+        f_r = _frozen_rows(self.ref_encoder, ids["ref_tokens"])
+        f_t = _frozen_rows(self.tgt_encoder, ids["target_tokens"])
         # the reference re-encoded through the image branch, train-time only
-        f_r_prime = stack([self.tgt_encoder.encode(seq) for seq in refs])
-        f_c = self.text_encoder.encode([r.text_tokens for r in records])
+        f_r_prime = _frozen_rows(self.tgt_encoder, ids["ref_tokens"])
+        f_c = self.text_encoder.encode(ids["text_tokens"])
         f_r_bar = self.cross_encoder(f_r, f_c)
 
         l_match = matching_loss(self.fusion.query_embedding(f_c, f_r), self.pooled_target(f_t),
@@ -111,34 +113,43 @@ class RetrievalModel:
         """The multimodal query vector; this and pooled targets are the whole
         inference surface (no bridge or compositor involvement).
 
-        Lists of B records' ids, one length per field, give B x d; one
-        record's ids run as a batch of one and give 1 x d.  Ids are refused
-        by the rule a record applies to its fields.
+        Lists of B records' ids give B x d; one record's ids (both
+        arguments) run as a batch of one and give 1 x d.  The batch must pass
+        `data.check_batch` ("query_embedding: ..."), and ids are refused by
+        the rule a record applies to its fields.
         """
-        if _one_record(ref_tokens, "query_embedding"):
-            ref_tokens, text_tokens = [ref_tokens], [text_tokens]
-        f_r = stack([self.ref_encoder.encode(TokenSeq(integer_tokens("ref_tokens", t)))
-                     for t in ref_tokens])
-        f_c = self.text_encoder.encode([integer_tokens("text_tokens", t) for t in text_tokens])
-        return self.fusion.query_embedding(f_c, f_r)
+        ids = _batch("query_embedding", ref_tokens=ref_tokens, text_tokens=text_tokens)
+        f_r = _frozen_rows(self.ref_encoder, ids["ref_tokens"])
+        return self.fusion.query_embedding(self.text_encoder.encode(ids["text_tokens"]), f_r)
 
     def target_embedding(self, target_tokens) -> Tensor:
-        """Pooled target vectors: B x d for a list of B records' ids, 1 x d for one record's."""
-        if _one_record(target_tokens, "target_embedding"):
-            target_tokens = [target_tokens]
-        return self.pooled_target(stack([
-            self.tgt_encoder.encode(TokenSeq(integer_tokens("target_tokens", t)))
-            for t in target_tokens]))
+        """Pooled target vectors: B x d for a list of B records' ids, 1 x d for
+        one record's; refused as `query_embedding` refuses its ids."""
+        ids = _batch("target_embedding", target_tokens=target_tokens)
+        return self.pooled_target(_frozen_rows(self.tgt_encoder, ids["target_tokens"]))
 
 
-def _one_record(ids, entry: str) -> bool:
-    """Whether `ids` is one record's token ids rather than a list of records' ids.
+def _frozen_rows(encoder: ImageEncoder, ids) -> Tensor:
+    """The frozen encoder's rows of each id tuple, stacked as one constant B x (N + 1) x d."""
+    return Tensor(np.stack([encoder.encode(TokenSeq(t)).data for t in ids]))
 
-    An empty list is an empty batch, which `entry` refuses.
+
+def _batch(entry: str, **fields) -> dict:
+    """Raw ids of the embedding `entry` as lists of records' ids, checked.
+
+    A field that is not a list of lists or tuples holds one record's ids, a
+    batch of one; every field must take the same form.  An empty list is an
+    empty batch, which `data.check_batch` refuses.
     """
-    if isinstance(ids, list) and not ids:
-        raise ValueError(f"{entry}: the batch is empty")
-    return not (isinstance(ids, list) and isinstance(ids[0], (list, tuple)))
+    one = {name: not (isinstance(ids, list) and (not ids or isinstance(ids[0], (list, tuple))))
+           for name, ids in fields.items()}
+    if len(set(one.values())) > 1:
+        single, batch = (next(name for name in one if one[name] is form) for form in (True, False))
+        raise ValueError(f"{entry}: {single} holds one record's ids but {batch} a list of records' ids")
+    if any(one.values()):
+        fields = {name: [ids] for name, ids in fields.items()}
+    check_batch(entry, **fields)
+    return {name: [integer_tokens(name, t) for t in ids] for name, ids in fields.items()}
 
 
 # ---------------------------------------------------------------------- checkpoints

@@ -35,7 +35,6 @@ __all__ = [
     "transpose",
     "mean_axis",
     "concat",
-    "stack",
     "expand",
     "reshape",
     "slice_rows",
@@ -220,20 +219,6 @@ def concat(parts) -> Tensor:
     splits = np.cumsum([p.shape[-2] for p in parts[:-1]])
     return _result(np.concatenate([p.data for p in parts], axis=-2), parts,
                    lambda g: tuple(np.split(g, splits, axis=-2)), "concat")
-
-
-def stack(parts) -> Tensor:
-    """Stack equal-shaped tensors along a new leading axis: n parts of shape s give (n, *s).
-
-    Parts of different shapes are refused, never padded.
-    """
-    parts = list(parts)
-    if not parts:
-        raise ValueError("stack: need at least one tensor")
-    shapes = list(dict.fromkeys(p.shape for p in parts))
-    if len(shapes) != 1:
-        raise ValueError(f"stack: parts have different shapes {shapes}")
-    return _result(np.stack([p.data for p in parts]), parts, lambda g: tuple(g), "stack")
 
 
 def expand(x: Tensor, axis: int, n: int) -> Tensor:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig
-from .data import batches, check_equal_lengths, generate, synth_spec_from_config
+from .data import TOKEN_FIELDS, batches, check_batch, generate, synth_spec_from_config
 from .model import RetrievalModel
 from .tensor import NonFiniteError, no_grad
 
@@ -66,12 +66,14 @@ def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
     """Run the configured number of epochs; returns per-epoch mean breakdowns.
 
     Aborts, naming the epoch, step and op, if any engine output or Adam
-    moment turns non-finite.  Above a batch size of 1, records whose token fields differ
-    in length cannot be stacked and are refused before the first step.
+    moment turns non-finite.  Above a batch size of 1, any batch may draw any
+    records, so the whole set must pass `data.check_batch` ("train_model: ...")
+    before the first step.
     """
     tc = cfg.training
     if tc.batch_size > 1:
-        check_equal_lengths(records)
+        check_batch("train_model", **{name: [getattr(r, name) for r in records]
+                                      for name in TOKEN_FIELDS})
     optimizer = Adam(model.trainable(), lr=tc.learning_rate)
     history = []
     log_fh = None

@@ -141,8 +141,8 @@ def test_batched_compose_warns_when_any_row_is_degenerate(caplog):
         w.wv.data[...] = sign * np.eye(DIM)
     # item 0 cancels as in the 2-D case; item 1's branches see different inputs
     rng = np.random.default_rng(20)
-    f_r_prime = T.stack([T.Tensor(np.ones((1, DIM))), T.Tensor(rng.normal(size=(1, DIM)))])
-    f_t = T.stack([T.Tensor(np.ones((1, DIM))), T.Tensor(rng.normal(size=(1, DIM)))])
+    f_r_prime = T.Tensor(np.stack([np.ones((1, DIM)), rng.normal(size=(1, DIM))]))
+    f_t = T.Tensor(np.stack([np.ones((1, DIM)), rng.normal(size=(1, DIM))]))
     with caplog.at_level(logging.WARNING, logger="cirtrain.compositor"):
         out = compose(f_r_prime, f_t, p)
     assert np.allclose(out.data[0], 0.0, atol=1e-12)
@@ -154,8 +154,8 @@ def test_batched_compose_equals_each_item_bitwise():
     p = make_params(seed=21, layers=3)
     rng = np.random.default_rng(22)
     items = [(rng.normal(size=(4, DIM)), rng.normal(size=(5, DIM))) for _ in range(3)]
-    batched = compose(T.stack([T.Tensor(r) for r, _ in items]),
-                      T.stack([T.Tensor(t) for _, t in items]), p)
+    batched = compose(T.Tensor(np.stack([r for r, _ in items])),
+                      T.Tensor(np.stack([t for _, t in items])), p)
     assert batched.shape == (3, DIM)
     for i, (r, t) in enumerate(items):
         assert np.array_equal(batched.data[i:i + 1],

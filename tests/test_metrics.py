@@ -27,8 +27,11 @@ def test_rank_gallery_ties_break_by_ascending_id():
 
 def test_rank_gallery_target_must_exist():
     for target in (1, -1):
-        with pytest.raises(ValueError, match=f"target column \\[{target}\\] outside a gallery of 1"):
+        with pytest.raises(ValueError, match=f"^row 0: target column {target} outside a gallery of 1$"):
             rank_gallery([[1.0]], ["a"], [target])
+    # the first row out of range is named, not the whole target array
+    with pytest.raises(ValueError, match="^row 4: target column 4 outside a gallery of 4$"):
+        rank_gallery(np.zeros((6, 4)), ["a", "b", "c", "d"], [0, 1, 2, 3, 4, -1])
 
 
 @pytest.mark.parametrize("shape,n_ids,target", [

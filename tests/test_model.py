@@ -58,7 +58,7 @@ def test_batch_losses_breakdown_consistent():
 
 
 def test_empty_batch_rejected():
-    with pytest.raises(ValueError, match="stack: need at least one tensor"):
+    with pytest.raises(ValueError, match="^batch_losses: the batch is empty$"):
         RetrievalModel(small_config()).batch_losses([])
 
 
@@ -68,6 +68,48 @@ def test_embeddings_refuse_an_empty_batch(entry, args):
     # an empty list is an empty batch, not one record without tokens
     with pytest.raises(ValueError, match=f"^{entry}: the batch is empty$"):
         getattr(RetrievalModel(small_config()), entry)(*args)
+
+
+_RECORD = TripletRecord("a", (1, 2, 3), (0, 1), (4, 5, 6))
+
+
+def _with(**fields):
+    return [_RECORD, dataclasses.replace(_RECORD, id="b", **fields)]
+
+
+UNSTACKABLE = [
+    ("empty", "batch_losses", ([],), "the batch is empty$"),
+    ("ragged refs", "batch_losses", (_with(ref_tokens=(1, 2, 3, 7)),),
+     r"ref_tokens lengths differ: \[3, 4\] tokens"),
+    ("ragged texts", "batch_losses", (_with(text_tokens=(2,)),),
+     r"text_tokens lengths differ: \[1, 2\] tokens"),
+    ("ragged targets", "batch_losses", (_with(target_tokens=(4, 5)),),
+     r"target_tokens lengths differ: \[2, 3\] tokens"),
+    ("empty", "query_embedding", ([], []), "the batch is empty$"),
+    ("ragged refs", "query_embedding", ([(1, 2, 3), (1, 2, 3, 7)], [(0, 1), (2, 3)]),
+     r"ref_tokens lengths differ: \[3, 4\] tokens"),
+    ("ragged texts", "query_embedding", ([(1, 2, 3)] * 2, [(0, 1), (2,)]),
+     r"text_tokens lengths differ: \[1, 2\] tokens"),
+    ("counts", "query_embedding", ([(1, 2, 3)] * 2, [(0, 1)] * 3),
+     "the fields hold different numbers of records: ref_tokens 2, text_tokens 3$"),
+    ("one text", "query_embedding", ([(1, 2, 3)] * 2, (0, 1)),
+     "text_tokens holds one record's ids but ref_tokens a list of records' ids$"),
+    ("one ref", "query_embedding", ((1, 2, 3), [(0, 1)] * 2),
+     "ref_tokens holds one record's ids but text_tokens a list of records' ids$"),
+    ("empty", "target_embedding", ([],), "the batch is empty$"),
+    ("ragged targets", "target_embedding", ([(4, 5, 6), (4, 5)],),
+     r"target_tokens lengths differ: \[2, 3\] tokens"),
+]
+
+
+@pytest.mark.parametrize("entry, args, message", [case[1:] for case in UNSTACKABLE],
+                         ids=[f"{entry}-{case}" for case, entry, *_ in UNSTACKABLE])
+def test_every_entry_refuses_an_unstackable_batch_by_entry_and_field(entry, args, message):
+    # one batch rule, data.check_batch, applied before a frozen encoder reads any weight
+    model = RetrievalModel(small_config())
+    with pytest.raises(ValueError, match=f"^{entry}: {message}"):
+        getattr(model, entry)(*args)
+    assert [p.reads for p in model.ref_encoder.params() + model.tgt_encoder.params()] == [0] * 12
 
 
 def _op_census(loss) -> Counter:
@@ -442,8 +484,8 @@ def test_ragged_batch_fails_clearly_with_the_full_objective(tmp_path):
     ragged_texts = [TripletRecord("a", (1, 2, 3), (0, 1), (4, 5, 6)),
                     TripletRecord("b", (1, 2, 3), (2,), (4, 5, 6))]
     for batch, message in (
-        (_ragged_batch(tmp_path), r"stack: parts have different shapes \[\(4, 8\), \(5, 8\)\]"),
-        (ragged_texts, r"TextEncoder: texts of one batch differ in length: \[1, 2\]"),
+        (_ragged_batch(tmp_path), r"^batch_losses: ref_tokens lengths differ: \[3, 4\] tokens"),
+        (ragged_texts, r"^batch_losses: text_tokens lengths differ: \[1, 2\] tokens"),
     ):
         with pytest.raises(ValueError, match=message):
             model.batch_losses(batch)
@@ -453,7 +495,7 @@ def test_ragged_batch_fails_clearly_with_the_matching_loss_alone(tmp_path):
     # the matching loss stacks the batch too: there is no per-triplet path left
     cfg = small_config()
     cfg.ablation = dataclasses.replace(cfg.ablation, use_alignment=False, use_reasoning=False)
-    with pytest.raises(ValueError, match=r"stack: parts have different shapes \[\(4, 8\), \(5, 8\)\]"):
+    with pytest.raises(ValueError, match=r"^batch_losses: ref_tokens lengths differ: \[3, 4\] tokens"):
         RetrievalModel(cfg).batch_losses(_ragged_batch(tmp_path))
 
 
@@ -491,7 +533,7 @@ def test_ragged_records_are_refused_before_the_first_step(tmp_path):
         model = RetrievalModel(run_cfg)
         before = model.parameters()["fusion.wv"].data.copy()
         log_path = tmp_path / "train_log.jsonl"
-        with pytest.raises(ValueError, match=r"ref_tokens lengths differ across the records: \[3, 4\]"):
+        with pytest.raises(ValueError, match=r"^train_model: ref_tokens lengths differ: \[3, 4\] tokens"):
             train_model(model, records, run_cfg, log_path=log_path)
         assert not log_path.exists()
         assert np.array_equal(model.parameters()["fusion.wv"].data, before)

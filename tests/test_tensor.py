@@ -220,8 +220,11 @@ FD_CASES = [
     ("transpose4", lambda a: T.matmul(T.transpose(a), a), [(2, 2, 3, 4)]),
     ("expand3", lambda a: T.expand(a, 1, 2), [(3, 4)]),
     ("expand4", lambda a: T.expand(a, 0, 3), [(2, 3, 4)]),
-    ("stack3", lambda a, b: T.stack([a, b]), [(3, 4), (3, 4)]),
-    ("stack4", lambda a, b: T.stack([a, b, a]), [(2, 3, 4), (2, 3, 4)]),
+    # the model's two poolings: a CLS row and a row mean, each with its kept axis dropped
+    ("pooled_cls_row", lambda a: T.l2_normalize_rows(T.reshape(T.slice_rows(a, 0, 1), (2, 4))),
+     [(2, 3, 4)]),
+    ("pooled_mean", lambda a: T.l2_normalize_rows(T.reshape(T.mean_axis(a, -2), (2, 4))),
+     [(2, 3, 4)]),
     ("reshape3", lambda a: T.reshape(a, (2, 6)), [(2, 3, 2)]),
     ("reshape4", lambda a: T.reshape(a, (2, 1, 3, 2)), [(3, 4)]),
     ("softmax_rows3", lambda a: T.softmax_rows(a), [(2, 3, 5)]),
@@ -474,14 +477,6 @@ def test_batched_ops_equal_their_2d_slices_bitwise(rng):
                   T.l2_normalize_rows(x), T.transpose(x), T.mean_axis(x, 0), T.slice_rows(x, 1, 3)]
         for whole, part in zip(batched, single):
             assert np.array_equal(whole.data[i], part.data), whole.op
-
-
-def test_stack_refuses_ragged_parts():
-    parts = [T.Tensor(np.ones((3, 2))), T.Tensor(np.ones((4, 2)))]
-    with pytest.raises(ValueError, match=r"stack: parts have different shapes \[\(3, 2\), \(4, 2\)\]"):
-        T.stack(parts)
-    with pytest.raises(ValueError, match="stack: need at least one tensor"):
-        T.stack([])
 
 
 def test_concat_refuses_parts_that_differ_outside_the_row_axis():
