@@ -127,7 +127,9 @@ _FIELD_TYPES = {
 
 def _coerce(value, expected, key: str):
     if expected is str:
-        return str(value)
+        if not isinstance(value, str):  # not str(value): a null checkpoint path named a file 'None'
+            raise ValueError(f"{key}: expected a string, got {value!r}")
+        return value
     if expected is bool:
         if isinstance(value, bool):
             return value

@@ -139,8 +139,12 @@ def _batch(entry: str, **fields) -> dict:
 
     A field that is not a list of lists or tuples holds one record's ids, a
     batch of one; every field must take the same form.  An empty list is an
-    empty batch, which `data.check_batch` refuses.
+    empty batch, which `data.check_batch` refuses.  A numpy array, or a list
+    of them, is refused: ids are lists or tuples of ints.
     """
+    for name, ids in fields.items():
+        if isinstance(ids, np.ndarray) or any(isinstance(t, np.ndarray) for t in ids):
+            raise ValueError(f"{entry}: {name} holds a numpy array; token ids are lists or tuples of ints")
     one = {name: not (isinstance(ids, list) and (not ids or isinstance(ids[0], (list, tuple))))
            for name, ids in fields.items()}
     if len(set(one.values())) > 1:

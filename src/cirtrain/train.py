@@ -23,43 +23,42 @@ log = logging.getLogger(__name__)
 
 
 class Adam:
-    """Plain Adam on a list of Params; frozen params are never handed to it."""
+    """Plain Adam over the trainable params as one flat vector: `m` and `v` in
+    `params` order, param i owning `offsets[i]:offsets[i + 1]`.  A param with no
+    gradient steps with a zero gradient, bit for bit no step while its moments are
+    zero, as in `train_model`, whose config fixes which params a step reaches."""
 
     def __init__(self, params, lr: float):
         self.params = [p for p in params if not p.frozen]
         self.lr = lr
         self.beta1, self.beta2, self.eps = 0.9, 0.999, 1e-8
         self.step_count = 0
-        self._m = [np.zeros(p.shape) for p in self.params]
-        self._v = [np.zeros(p.shape) for p in self.params]
+        self.offsets = np.cumsum([0] + [p.data.size for p in self.params]).tolist()
+        self.m, self.v = np.zeros(self.offsets[-1]), np.zeros(self.offsets[-1])
 
     def step(self):
-        """Update every param that has a gradient.  All new moments are checked
-        before any is stored: a second moment that overflows (a huge or
-        non-finite gradient squared) raises NonFiniteError naming its param,
-        leaving every param and moment as it was."""
-        b1, b2 = self.beta1, self.beta2
-        moments = []
+        """Update every param.  A second moment that overflows (a huge or non-finite gradient
+        squared) raises NonFiniteError naming its param, and nothing is written."""
+        b1, b2, bounds = self.beta1, self.beta2, self.offsets
+        g = np.zeros(bounds[-1])
+        for p, lo, hi in zip(self.params, bounds, bounds[1:]):
+            if p.grad is not None:
+                g[lo:hi] = p.grad.reshape(-1)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i, p in enumerate(self.params):
-                g = p.grad
-                if g is None:
-                    continue
-                m = self._m[i] * b1
-                m += (1 - b1) * g
-                v = self._v[i] * b2
-                v += (1 - b2) * g * g
-                # v >= 0 and max propagates NaN, so a finite max means every entry is finite
-                if not math.isfinite(v.max()):
-                    raise NonFiniteError(f"Adam.step[{p.name}]")
-                moments.append((i, m, v))
+            m = self.m * b1
+            m += (1 - b1) * g
+            v = self.v * b2
+            v += (1 - b2) * g * g
+        # v >= 0 and max propagates NaN, so a finite max means every entry is finite
+        if not math.isfinite(v.max(initial=0.0)):
+            owner = self.params[np.searchsorted(bounds, np.argmin(np.isfinite(v)), "right") - 1]
+            raise NonFiniteError(f"Adam.step[{owner.name}]")  # the first non-finite element's param
+        self.m, self.v = m, v
         self.step_count += 1
         t = self.step_count
-        for i, m, v in moments:
-            self._m[i], self._v[i] = m, v
-            m_hat = m / (1 - b1 ** t)
-            v_hat = v / (1 - b2 ** t)
-            self.params[i].data[...] -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        update = self.lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + self.eps)
+        for p, lo, hi in zip(self.params, bounds, bounds[1:]):
+            p.data[...] -= update[lo:hi].reshape(p.shape)
 
 
 def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
@@ -149,20 +148,12 @@ def run_gradient_check(cfg: RunConfig | None = None, corrupt: str | None = None)
     train_records, _ = generate(synth_spec_from_config(cfg))
     batch = train_records[: cfg.training.batch_size]
     model = RetrievalModel(cfg)
+    if corrupt is not None and corrupt not in [p.name for p in model.trainable()]:
+        raise ValueError(f"unknown parameter {corrupt!r}")
 
     model.zero_grad()
     total, _ = model.batch_losses(batch)
     total.backward()
-
-    analytic = {}
-    for name, p in model.parameters().items():
-        if p.frozen:
-            continue
-        analytic[name] = np.zeros(p.shape) if p.grad is None else p.grad.copy()
-    if corrupt is not None:
-        if corrupt not in analytic:
-            raise ValueError(f"unknown parameter {corrupt!r}")
-        analytic[corrupt] = analytic[corrupt] + 1e-2
 
     def loss_value() -> float:
         with no_grad():
@@ -177,7 +168,10 @@ def run_gradient_check(cfg: RunConfig | None = None, corrupt: str | None = None)
             continue
         worst = 0.0
         flat = p.data.reshape(-1)
-        grads = analytic[name].reshape(-1)
+        # the sweep runs under no_grad, so it leaves every gradient as backward wrote it
+        grads = np.zeros(flat.size) if p.grad is None else p.grad.reshape(-1)
+        if name == corrupt:
+            grads = grads + 1e-2
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + FD_STEP

@@ -1,0 +1,32 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location(
+    "abpairs", Path(__file__).resolve().parent.parent / "tools" / "abpairs.py")
+abpairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(abpairs)
+
+
+def _runs(values, failed=0):
+    return [{"attempted": 10, "failed": failed, "metrics": {"t": {"value": v}, "q": {"value": v}}}
+            for v in values]
+
+
+def test_summary_counts_wins_by_direction_and_ties_for_neither_side():
+    # "t" and "q" hold the same values; lower is better for "t", higher for "q"
+    summary = abpairs.summarize(_runs([4.0, 2.0, 3.0, 5.0]), _runs([3.0, 2.0, 4.0, 1.0], failed=1),
+                                {"t": "lower", "q": "higher"})
+    t, q = summary["metrics"]["t"], summary["metrics"]["q"]
+    assert (t["change_wins"], t["ties"]) == (2, 1)
+    assert (q["change_wins"], q["ties"]) == (1, 1)
+    assert t["parent"] == {"median": 3.5, "q1": 2.75, "q3": 4.25}
+    assert t["parent_iqr"] == pytest.approx(1.5)
+    assert t["median_delta_frac"] == pytest.approx(-2.0 / 7.0)
+    assert t["runs"] == {"parent": [4.0, 2.0, 3.0, 5.0], "change": [3.0, 2.0, 4.0, 1.0]}
+    assert summary["failed"] == {"parent": [0] * 4, "change": [1] * 4}
+
+
+def test_one_pair_has_its_value_as_every_quartile():
+    assert abpairs.quartiles([7.0]) == (7.0, 7.0, 7.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -143,6 +144,25 @@ def test_unparsable_numbers_name_their_key(tmp_path, key, raw, kind):
     path.write_text(json.dumps({section: {name: raw}}))
     with pytest.raises(ValueError, match=f"^{key}: expected {kind}, got {raw!r}$"):
         load_config(path)
+
+
+STRING_KEYS = [
+    f"{section.name}.{f.name}"
+    for section in dataclasses.fields(RunConfig)
+    for f in dataclasses.fields(section.default_factory)
+    if isinstance(f.default, str)
+]
+
+
+@pytest.mark.parametrize("key", STRING_KEYS)
+@pytest.mark.parametrize("value", [None, 5, 1.5, True, ["a"], {"a": 1}])
+def test_string_keys_refuse_other_json_values(key, value):
+    # a JSON null must not become a checkpoint file named 'None'
+    section, name = key.split(".")
+    with pytest.raises(ValueError, match=f"^{re.escape(f'{key}: expected a string, got {value!r}')}$"):
+        config_from_dict({section: {name: value}})
+    # an override's value is always a string, so it is taken as written
+    assert getattr(getattr(apply_override(RunConfig(), f"{key}={value}"), section), name) == str(value)
 
 
 @pytest.mark.parametrize("key,value", [

@@ -102,10 +102,24 @@ UNSTACKABLE = [
 ]
 
 
-@pytest.mark.parametrize("entry, args, message", [case[1:] for case in UNSTACKABLE],
-                         ids=[f"{entry}-{case}" for case, entry, *_ in UNSTACKABLE])
+NUMPY_ARRAYS = "holds a numpy array; token ids are lists or tuples of ints$"
+
+# records hold tuples, so only the embeddings can be handed numpy ids
+NUMPY_IDS = [
+    ("list of arrays", "target_embedding", ([np.array([1, 2, 3])],), "target_tokens " + NUMPY_ARRAYS),
+    ("2-D array", "target_embedding", (np.array([[1, 2, 3]]),), "target_tokens " + NUMPY_ARRAYS),
+    ("1-D array", "target_embedding", (np.array([1, 2, 3]),), "target_tokens " + NUMPY_ARRAYS),
+    ("array ref", "query_embedding", (np.array([1, 2, 3]), (0, 1)), "ref_tokens " + NUMPY_ARRAYS),
+    ("list of array texts", "query_embedding", ([(1, 2, 3)], [np.array([0, 1])]),
+     "text_tokens " + NUMPY_ARRAYS),
+]
+
+
+@pytest.mark.parametrize("entry, args, message", [case[1:] for case in UNSTACKABLE + NUMPY_IDS],
+                         ids=[f"{entry}-{case}" for case, entry, *_ in UNSTACKABLE + NUMPY_IDS])
 def test_every_entry_refuses_an_unstackable_batch_by_entry_and_field(entry, args, message):
-    # one batch rule, data.check_batch, applied before a frozen encoder reads any weight
+    # one batch rule, data.check_batch, and the numpy refusal, applied before a frozen
+    # encoder reads any weight
     model = RetrievalModel(small_config())
     with pytest.raises(ValueError, match=f"^{entry}: {message}"):
         getattr(model, entry)(*args)

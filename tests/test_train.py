@@ -44,16 +44,80 @@ def test_adam_skips_frozen_and_gradless():
     assert not np.array_equal(active.data, np.ones((2, 2)))
 
 
-def test_adam_names_an_overflowed_moment_and_writes_nothing():
+@pytest.mark.parametrize("at", [0, 1, 2], ids=["first", "middle", "last"])
+def test_adam_names_an_overflowed_moment_and_writes_nothing(at):
     # 1e200 squared overflows the second moment; its update would silently be 0
-    ok, huge = T.Param("ok", np.ones((1, 2))), T.Param("huge", np.ones((2, 2)))
-    scalarize(ok.tensor).backward()
-    scalarize(T.scalar_mul(huge.tensor, 1e200)).backward()
-    opt = Adam([ok, huge], lr=0.1)
-    with pytest.raises(T.NonFiniteError, match=r"output of 'Adam.step\[huge\]'$"):
+    params = [T.Param(f"p{i}", np.ones((i + 1, 2))) for i in range(3)]
+    for i, p in enumerate(params):
+        scalarize(T.scalar_mul(p.tensor, 1e200 if i == at else 1.0)).backward()
+    opt = Adam(params, lr=0.1)
+    with pytest.raises(T.NonFiniteError, match=rf"output of 'Adam.step\[p{at}\]'$"):
         opt.step()
-    assert np.array_equal(ok.data, np.ones((1, 2))) and np.array_equal(huge.data, np.ones((2, 2)))
-    assert opt.step_count == 0
+    assert all(np.array_equal(p.data, np.ones((i + 1, 2))) for i, p in enumerate(params))
+    assert not opt.m.any() and not opt.v.any() and opt.step_count == 0
+
+
+class PerGroupAdam:
+    """Reference: Adam run param by param, skipping a param without a gradient."""
+
+    def __init__(self, params, lr):
+        self.params, self.lr, self.t = [p for p in params if not p.frozen], lr, 0
+        self.m = [np.zeros(p.shape) for p in self.params]
+        self.v = [np.zeros(p.shape) for p in self.params]
+
+    def step(self):
+        self.t += 1
+        for i, p in enumerate(self.params):
+            if p.grad is not None:
+                self.m[i] = self.m[i] * 0.9 + (1 - 0.9) * p.grad
+                self.v[i] = self.v[i] * 0.999 + (1 - 0.999) * p.grad * p.grad
+                m_hat = self.m[i] / (1 - 0.9 ** self.t)
+                v_hat = self.v[i] / (1 - 0.999 ** self.t)
+                p.data[...] -= self.lr * m_hat / (np.sqrt(v_hat) + 1e-8)
+
+
+def test_adam_matches_a_per_group_reference_bit_for_bit():
+    shapes = [(3, 4), (5,), (2, 3, 2), (1, 1), (4, 4)]  # the last never gets a gradient
+    rng = np.random.default_rng(0)
+    start = [rng.normal(size=s) for s in shapes]
+    frozen = T.Param("frozen", np.ones((2, 2)), frozen=True)
+    flat = [T.Param(f"p{i}", x) for i, x in enumerate(start)]
+    ref = [T.Param(f"p{i}", x) for i, x in enumerate(start)]
+    opt, ref_opt = Adam([frozen, *flat], lr=0.03), PerGroupAdam([frozen, *ref], lr=0.03)
+    for _ in range(25):
+        for params in (flat, ref):
+            for p in params:
+                p.zero_grad()
+        for p, q in zip(flat[:-1], ref[:-1]):
+            # gradients of very different sizes, the same for both optimizers
+            w = rng.normal(size=p.data.size) * 10.0 ** rng.integers(-6, 4)
+            scalarize(p.tensor, w).backward()
+            scalarize(q.tensor, w).backward()
+        opt.step()
+        ref_opt.step()
+    assert all(np.array_equal(p.data, q.data) for p, q in zip(flat, ref))
+    assert np.array_equal(flat[-1].data, start[-1]) and opt.step_count == 25
+    assert np.array_equal(frozen.data, np.ones((2, 2))) and opt.m.size == sum(x.size for x in start)
+
+
+def test_adam_with_no_params_still_steps():
+    opt = Adam([], lr=0.1)
+    opt.step()
+    assert opt.step_count == 1
+
+
+def test_a_param_whose_gradient_disappears_moves_by_its_momentum():
+    # a param without a gradient steps with a zero gradient, not a skip
+    fading, idle = T.Param("fading", np.zeros((2, 3))), T.Param("idle", np.zeros((2, 3)))
+    w = np.array([1.0, -2.0, 3.0, -4.0, 5.0, -6.0])
+    opt = Adam([fading, idle], lr=0.1)
+    scalarize(fading.tensor, w).backward()
+    opt.step()
+    after_one = fading.data.copy()
+    fading.zero_grad()
+    opt.step()
+    assert np.array_equal(np.sign(fading.data - after_one).reshape(-1), -np.sign(w))
+    assert np.array_equal(idle.data, np.zeros((2, 3)))
 
 
 @pytest.mark.parametrize("tau, op", [(1e-300, "Adam.step[text_encoder.embedding]"),
