@@ -3,9 +3,10 @@
 The text acts as a pivot: reference patches attend to words (cosine
 association), words attend to target patches, and the product of the two
 association matrices, scaled and row-softmaxed, lets each reference patch
-attend to target patches it can only reach through the text.  The alignment
-loss then contrasts the attentive target features against the reference
-features over in-batch negatives.
+attend to target patches it can only reach through the text; each hop is
+`cosines` under its own two projections.  The alignment loss then contrasts
+the attentive target features against the reference features over in-batch
+negatives, regrouping its batched grid by one axis permutation at a time.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ import math
 
 import numpy as np
 
-from .objective import in_batch_nll
 from .tensor import (
     Param,
     Tensor,
+    diagonal_nll,
     l2_normalize_rows,
     matmul,
     mean_axis,
@@ -54,18 +55,11 @@ class BridgeParams:
         return list({id(w): w for w in every}.values())
 
 
-def attend_ref_to_text(f_r_bar: Tensor, f_c: Tensor, p: BridgeParams) -> Tensor:
-    """N x L cosine association of projected reference rows against projected words."""
-    q = l2_normalize_rows(matmul(f_r_bar, p.w_ref.tensor))
-    k = l2_normalize_rows(matmul(f_c, p.w_text.tensor))
-    return matmul(q, transpose(k))
-
-
-def attend_text_to_target(f_c: Tensor, f_t: Tensor, p: BridgeParams) -> Tensor:
-    """L x M cosine association of projected words against projected target rows
-    (`alignment_loss` passes a whole batch's B·L words and B·M rows)."""
-    q = l2_normalize_rows(matmul(f_c, p.w_text_query.tensor))
-    k = l2_normalize_rows(matmul(f_t, p.w_target.tensor))
+def cosines(x: Tensor, w_x: Param, y: Tensor, w_y: Param) -> Tensor:
+    """Cosine of every row of x projected by w_x against every row of y projected by w_y:
+    a rows(x) x rows(y) matrix (`alignment_loss` passes a whole batch's words and rows)."""
+    q = l2_normalize_rows(matmul(x, w_x.tensor))
+    k = l2_normalize_rows(matmul(y, w_y.tensor))
     return matmul(q, transpose(k))
 
 
@@ -86,14 +80,14 @@ def alignment_loss(f_r_bar: Tensor, f_c: Tensor, f_t: Tensor, p: BridgeParams,
 
     # every word of every query against every row of every target in one product, B x L x
     # (B·M) cosines; then B x N x B x M hinge logits, softmaxed over each candidate's M rows
-    a_c2t = attend_text_to_target(reshape(f_c, (b * length, dim)), reshape(f_t, (b * m, dim)), p)
-    logits = matmul(attend_ref_to_text(f_r_bar, f_c, p), reshape(a_c2t, (b, length, b * m)))
+    a_c2t = cosines(reshape(f_c, (b * length, dim)), p.w_text_query,
+                    reshape(f_t, (b * m, dim)), p.w_target)
+    logits = matmul(cosines(f_r_bar, p.w_ref, f_c, p.w_text), reshape(a_c2t, (b, length, b * m)))
     a_r2t = softmax_rows(scalar_mul(reshape(logits, (b, n, b, m)), 1.0 / math.sqrt(dim)))
     # the value product is linear, so pool the N reference rows first; regroup the
     # B x B x M pooled attention by candidate j, (j, i, m), to weigh j's own M values
-    pooled = reshape(transpose(reshape(mean_axis(a_r2t, axis=1), (b, b * m))), (b, m, b))
-    bridge = l2_normalize_rows(matmul(transpose(pooled), matmul(f_t, p.w_value.tensor)))
+    pooled = transpose(reshape(mean_axis(a_r2t, axis=1), (b, b, m)), (1, 0, 2))
+    bridge = l2_normalize_rows(matmul(pooled, matmul(f_t, p.w_value.tensor)))
     # (j, i, d) -> (i, d, j), so query i's pooled reference row meets its B bridged rows
-    bridge = reshape(transpose(reshape(bridge, (b, b * dim))), (b, dim, b))
     pooled_ref = l2_normalize_rows(mean_axis(f_r_bar, axis=1))
-    return in_batch_nll(reshape(matmul(pooled_ref, bridge), (b, b)), tau)
+    return diagonal_nll(reshape(matmul(pooled_ref, transpose(bridge, (1, 2, 0))), (b, b)), tau)

@@ -15,10 +15,10 @@ import logging
 import numpy as np
 
 from .encoders import Attention
-from .objective import in_batch_nll
 from .tensor import (
     Tensor,
     add,
+    diagonal_nll,
     l2_normalize_rows,
     matmul,
     mean_axis,
@@ -82,4 +82,4 @@ def reasoning_loss(f_r_prime: Tensor, f_t: Tensor, f_c: Tensor, p: CompositorPar
     """
     composites = compose(f_r_prime, f_t, p)
     texts = reshape(l2_normalize_rows(mean_axis(f_c, axis=1)), (f_c.shape[0], f_c.shape[-1]))
-    return in_batch_nll(matmul(composites, transpose(texts)), tau)
+    return diagonal_nll(matmul(composites, transpose(texts)), tau)

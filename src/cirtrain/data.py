@@ -31,7 +31,10 @@ SUBSET_SIZE = 5
 
 
 def integer_tokens(name: str, tokens) -> tuple:
-    """`tokens` as a tuple; every id must be an int, and a bool is not one."""
+    """`tokens`, a list or tuple of ints, as a tuple; bytes or a set is never iterated into ids."""
+    if not isinstance(tokens, (list, tuple)):
+        held = "a numpy array" if isinstance(tokens, np.ndarray) else repr(tokens)
+        raise ValueError(f"{name} holds {held}; token ids are lists or tuples of ints")
     value = tuple(tokens)
     # refused, not rounded: int() would read 1.7 as 1, true as 1 and "3" as 3
     for t in value:
@@ -220,14 +223,8 @@ def write_records(path, records):
     path.parent.mkdir(parents=True, exist_ok=True)
     with path.open("w", encoding="utf-8") as fh:
         for r in records:
-            row = {
-                "id": r.id,
-                "ref_tokens": list(r.ref_tokens),
-                "text_tokens": list(r.text_tokens),
-                "target_tokens": list(r.target_tokens),
-            }
-            if r.subset_ids is not None:
-                row["subset_ids"] = list(r.subset_ids)
+            # tuples dump as JSON lists; a record without a subset has no subset_ids key
+            row = {name: value for name in JSONL_FIELDS if (value := getattr(r, name)) is not None}
             fh.write(json.dumps(row) + "\n")
 
 

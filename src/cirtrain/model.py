@@ -137,23 +137,23 @@ def _frozen_rows(encoder: ImageEncoder, ids) -> Tensor:
 def _batch(entry: str, **fields) -> dict:
     """Raw ids of the embedding `entry` as lists of records' ids, checked.
 
-    A field that is not a list of lists or tuples holds one record's ids, a
-    batch of one; every field must take the same form.  An empty list is an
-    empty batch, which `data.check_batch` refuses.  A numpy array, or a list
-    of them, is refused: ids are lists or tuples of ints.
+    A field that is not a list of lists, tuples or arrays holds one record's
+    ids, a batch of one; every field must take the same form.  Each entry must
+    pass `data.integer_tokens`, a numpy array failing it, before the batch
+    meets `data.check_batch`, which refuses an empty list as an empty batch.
     """
-    for name, ids in fields.items():
-        if isinstance(ids, np.ndarray) or any(isinstance(t, np.ndarray) for t in ids):
-            raise ValueError(f"{entry}: {name} holds a numpy array; token ids are lists or tuples of ints")
-    one = {name: not (isinstance(ids, list) and (not ids or isinstance(ids[0], (list, tuple))))
+    sequences = (list, tuple, np.ndarray)
+    one = {name: not (isinstance(ids, list) and (not ids or isinstance(ids[0], sequences)))
            for name, ids in fields.items()}
     if len(set(one.values())) > 1:
         single, batch = (next(name for name in one if one[name] is form) for form in (True, False))
         raise ValueError(f"{entry}: {single} holds one record's ids but {batch} a list of records' ids")
     if any(one.values()):
         fields = {name: [ids] for name, ids in fields.items()}
+    fields = {name: [integer_tokens(f"{entry}: {name}", t) for t in ids]
+              for name, ids in fields.items()}
     check_batch(entry, **fields)
-    return {name: [integer_tokens(name, t) for t in ids] for name, ids in fields.items()}
+    return fields
 
 
 # ---------------------------------------------------------------------- checkpoints
@@ -170,7 +170,7 @@ def save_checkpoint(model: RetrievalModel, path):
     doc = {
         name: {
             "shape": list(p.shape),
-            "data": [float(v) for v in p.data.reshape(-1)],
+            "data": p.data.reshape(-1).tolist(),
             "frozen": p.frozen,
         }
         for name, p in sorted(model.parameters().items())

@@ -1,4 +1,5 @@
-"""Query-target matching loss, the joint training objective, and gallery scoring."""
+"""Query-target matching loss, the joint training objective, and gallery scoring; each
+loss term is `tensor.diagonal_nll` of an in-batch similarity matrix at temperature tau."""
 
 from __future__ import annotations
 
@@ -19,22 +20,13 @@ class LossBreakdown:
     total: float
 
 
-def in_batch_nll(sim: Tensor, tau: float) -> Tensor:
-    """Mean negative log-likelihood of the diagonal of a B x B similarity matrix.
-
-    Row i holds query i's similarity to every in-batch candidate; candidate i
-    is the positive and the rest are negatives.  Shared by all three losses.
-    """
-    return diagonal_nll(scalar_mul(sim, 1.0 / tau))
-
-
 def matching_loss(query_embs: Tensor, target_embs: Tensor, tau: float) -> Tensor:
     """In-batch contrastive loss between pooled query and pooled target embeddings.
 
     Both inputs are B x d matrices of L2-normalized rows; row i of each
     belongs to triplet i, so the similarity diagonal holds the positives.
     """
-    return in_batch_nll(matmul(query_embs, transpose(target_embs)), tau)
+    return diagonal_nll(matmul(query_embs, transpose(target_embs)), tau)
 
 
 def total_loss(l_match: Tensor, l_align: Tensor | None, l_reason: Tensor | None,

@@ -3,14 +3,15 @@
 Shapes are explicit everywhere: `add`, the one elementwise op, demands
 identical shapes, which keeps every gradient rule below auditable by eye.
 Tensors may carry leading batch axes: at any rank the last two axes are a
-matrix's rows and columns, which `transpose`, `slice_rows`, `concat`,
-`softmax_rows` and `l2_normalize_rows` act on, `mean_axis` takes any axis,
-and `matmul` pairs matrices over equal leading axes.  There are three
-broadcasts and no others: scalar times tensor, a 2-D weight on the right of
-`matmul` (applied to every matrix on the left; its gradient sums over the
-leading axes), and an explicit `expand` along a new axis (its gradient sums
-over that axis).  Two ops are fused, each owning its softmax and its
-backward: `diagonal_nll` takes the in-batch NLL as one log-sum-exp op, and
+matrix's rows and columns, which `transpose` (unless given a permutation of
+all axes), `slice_rows`, `concat`, `softmax_rows` and `l2_normalize_rows`
+act on, `mean_axis` takes any axis, and `matmul` pairs matrices over equal
+leading axes.  There are three broadcasts and no others: scalar times
+tensor, a 2-D weight right of `matmul` (applied to every matrix on the
+left; its gradient sums over the leading axes), and an explicit `expand`
+along a new axis (its gradient sums over that axis).  Two ops are fused,
+each owning its softmax and backward: `diagonal_nll` takes the in-batch
+NLL at the temperature τ it is given as one log-sum-exp op, and
 `attention` is a whole single-head attention block.  Each op does its
 forward arithmetic under `np.errstate` and validates its output, so a NaN
 or Inf fails loudly, as `NonFiniteError` rather than a numpy warning, at
@@ -183,10 +184,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _result(out_data, (a, b), back, "matmul")
 
 
-def transpose(x: Tensor) -> Tensor:
-    """Swap the last two axes."""
-    _check_rows(x, "transpose")
-    return _result(x.data.swapaxes(-1, -2).copy(), (x,), lambda g: (g.swapaxes(-1, -2),),
+def transpose(x: Tensor, axes=None) -> Tensor:
+    """Swap the last two axes; given `axes`, a permutation of every axis, permute them."""
+    if axes is None:
+        _check_rows(x, "transpose")
+        axes = (*range(x.data.ndim - 2), x.data.ndim - 1, x.data.ndim - 2)
+    elif sorted(axes) != list(range(x.data.ndim)):
+        raise ValueError(f"transpose: axes {axes} are not a permutation of the axes of {x.shape}")
+    return _result(x.data.transpose(axes).copy(), (x,), lambda g: (g.transpose(np.argsort(axes)),),
                    "transpose")
 
 
@@ -286,23 +291,26 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     return _result(y, (x,), back, "l2_normalize_rows")
 
 
-def diagonal_nll(x: Tensor) -> Tensor:
-    """1 x 1 mean of -log softmax(row i)[i] over the rows i of a non-empty square matrix."""
+def diagonal_nll(x: Tensor, tau: float) -> Tensor:
+    """1 x 1 mean of -log softmax(row i / tau)[i] over the rows i of a non-empty square matrix."""
     if x.data.ndim != 2 or not 0 < x.shape[0] == x.shape[1]:
         raise ValueError(f"diagonal_nll: expected a non-empty square matrix, got shape {x.shape}")
-    b = x.shape[0]
-    # as in softmax_rows; a diagonal entry past the float range, or a loss summed past it,
-    # gives an inf output, which the op then refuses
+    if not tau > 0:
+        raise ValueError(f"diagonal_nll: the temperature must be > 0, got {tau!r}")
+    b, c = x.shape[0], 1.0 / tau
+    # as in softmax_rows, an entry scaled below a finite row max weighs 0; a 1/tau, row max or
+    # diagonal entry scaled, or a loss summed, past the float range gives a NaN or inf output
     with np.errstate(over="ignore", invalid="ignore"):
-        shifted = x.data - x.data.max(axis=-1, keepdims=True)
+        scaled = x.data * c
+        shifted = scaled - scaled.max(axis=-1, keepdims=True)
         sums = np.exp(shifted).sum(axis=-1, keepdims=True)
         # each row's log-sum-exp minus its diagonal entry: >= 0, finite where the softmax underflows
         loss = (np.log(sums[:, 0]) - np.diagonal(shifted)).sum() / b
 
     def back(g):
-        grad = np.exp(shifted) / sums  # g * (softmax - I) / B
+        grad = np.exp(shifted) / sums  # g * (softmax - I) / (B tau)
         grad[np.diag_indices(b)] -= 1.0
-        return (grad * (g.reshape(-1)[0] / b),)
+        return (grad * (g.reshape(-1)[0] / b) * c,)
 
     return _result(np.array([[loss]]), (x,), back, "diagonal_nll")
 

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from cirtrain import tensor as T
-from cirtrain.bridge import BridgeParams, alignment_loss, attend_ref_to_text, attend_text_to_target
+from cirtrain.bridge import BridgeParams, alignment_loss, cosines
 from cirtrain.cli import cmd_eval, cmd_synth, cmd_train, evaluate_model
 from cirtrain.compositor import CompositorParams, reasoning_loss
 from cirtrain.config import RunConfig
@@ -117,8 +117,8 @@ def test_c3_invariant_suite():
     f_r = T.Tensor(rng.normal(size=(4, d)) * 3.0)
     f_c = T.Tensor(rng.normal(size=(3, d)) * 0.2)
     f_t = T.Tensor(rng.normal(size=(5, d)))
-    for matrix in (attend_ref_to_text(f_r, f_c, bridge).data,
-                   attend_text_to_target(f_c, f_t, bridge).data):
+    for matrix in (cosines(f_r, bridge.w_ref, f_c, bridge.w_text).data,
+                   cosines(f_c, bridge.w_text_query, f_t, bridge.w_target).data):
         assert np.all(matrix >= -1 - 1e-12) and np.all(matrix <= 1 + 1e-12)
 
     # batch-permutation invariance of all three losses

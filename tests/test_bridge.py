@@ -4,12 +4,7 @@ import numpy as np
 import pytest
 
 from cirtrain import tensor as T
-from cirtrain.bridge import (
-    BridgeParams,
-    alignment_loss,
-    attend_ref_to_text,
-    attend_text_to_target,
-)
+from cirtrain.bridge import BridgeParams, alignment_loss, cosines
 from oracles import (
     alignment_loss_oracle,
     bridged_chain,
@@ -43,7 +38,7 @@ def test_parallel_rows_give_cosine_one():
     p = identity_params()
     v = np.zeros((1, DIM))
     v[0, 0] = 2.0
-    out = attend_ref_to_text(T.Tensor(v), T.Tensor(v * 3.0), p)
+    out = cosines(T.Tensor(v), p.w_ref, T.Tensor(v * 3.0), p.w_text)
     assert abs(out.item() - 1.0) < 1e-12
 
 
@@ -53,7 +48,7 @@ def test_orthogonal_rows_give_cosine_zero():
     b = np.zeros((1, DIM))
     a[0, 0] = 1.0
     b[0, 1] = 1.0
-    assert abs(attend_ref_to_text(T.Tensor(a), T.Tensor(b), p).item()) < 1e-12
+    assert abs(cosines(T.Tensor(a), p.w_ref, T.Tensor(b), p.w_text).item()) < 1e-12
 
 
 def test_association_matches_cosine_oracle():
@@ -61,7 +56,7 @@ def test_association_matches_cosine_oracle():
     p = make_params()
     f_r = rng.normal(size=(3, DIM))
     f_c = rng.normal(size=(2, DIM))
-    out = attend_ref_to_text(T.Tensor(f_r), T.Tensor(f_c), p)
+    out = cosines(T.Tensor(f_r), p.w_ref, T.Tensor(f_c), p.w_text)
     q = f_r @ p.w_ref.data
     k = f_c @ p.w_text.data
     for i in range(3):
@@ -74,7 +69,7 @@ def test_text_to_target_matches_cosine_oracle():
     p = make_params(share=False)
     f_c = rng.normal(size=(2, DIM))
     f_t = rng.normal(size=(4, DIM))
-    out = attend_text_to_target(T.Tensor(f_c), T.Tensor(f_t), p)
+    out = cosines(T.Tensor(f_c), p.w_text_query, T.Tensor(f_t), p.w_target)
     assert out.shape == (2, 4)
     q = f_c @ p.w_text_query.data
     k = f_t @ p.w_target.data
@@ -89,8 +84,8 @@ def test_association_entries_bounded_by_cosine():
     for _ in range(10):
         f_r = rng.normal(size=(4, DIM)) * rng.uniform(0.1, 10)
         f_c = rng.normal(size=(3, DIM)) * rng.uniform(0.1, 10)
-        a = attend_ref_to_text(T.Tensor(f_r), T.Tensor(f_c), p).data
-        b = attend_text_to_target(T.Tensor(f_c), T.Tensor(f_r), p).data
+        a = cosines(T.Tensor(f_r), p.w_ref, T.Tensor(f_c), p.w_text).data
+        b = cosines(T.Tensor(f_c), p.w_text_query, T.Tensor(f_r), p.w_target).data
         assert np.all(a <= 1 + 1e-12) and np.all(a >= -1 - 1e-12)
         assert np.all(b <= 1 + 1e-12) and np.all(b >= -1 - 1e-12)
 
@@ -131,8 +126,8 @@ def test_full_chain_matches_oracle():
     f_c = rng.normal(size=(2, DIM))
     f_t = rng.normal(size=(5, DIM))
     # the chain alignment_loss builds for one (query, candidate) pair, from its public hops
-    a_r2c = attend_ref_to_text(T.Tensor(f_r_bar), T.Tensor(f_c), p)
-    a_r2t = hinge(a_r2c, attend_text_to_target(T.Tensor(f_c), T.Tensor(f_t), p))
+    a_r2c = cosines(T.Tensor(f_r_bar), p.w_ref, T.Tensor(f_c), p.w_text)
+    a_r2t = hinge(a_r2c, cosines(T.Tensor(f_c), p.w_text_query, T.Tensor(f_t), p.w_target))
     out = T.matmul(a_r2t, T.matmul(T.Tensor(f_t), p.w_value.tensor))
     expected = bridged_chain(f_r_bar, f_c, f_t, *weight_arrays(p))
     assert np.allclose(out.data, expected, atol=1e-12)

@@ -30,6 +30,23 @@ def test_record_validation():
         TripletRecord("a", (1,), (1,), (2,), subset_ids=("a", "b", "b"))
 
 
+@pytest.mark.parametrize("tokens, held", [
+    (b"\x01\x02\x03", r"b'\x01\x02\x03'"),
+    ({1, 2, 3}, "{1, 2, 3}"),
+    ({1: "a", 2: "b"}, "{1: 'a', 2: 'b'}"),
+    (range(1, 4), "range(1, 4)"),
+    ("123", "'123'"),
+    (np.array([1, 2, 3]), "a numpy array"),
+], ids=["bytes", "set", "dict", "range", "str", "numpy"])
+@pytest.mark.parametrize("field", ["ref_tokens", "text_tokens", "target_tokens"])
+def test_record_refuses_token_ids_that_are_not_a_list_or_tuple(field, tokens, held):
+    # iterating would read bytes as ids, a set or a dict in its own order, a str as characters
+    fields = {"ref_tokens": (1,), "text_tokens": (0,), "target_tokens": (2,), field: tokens}
+    message = f"{field} holds {held}; token ids are lists or tuples of ints"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TripletRecord("a", **fields)
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(n_attributes=7, latent_dim=7)  # no content coordinate left

@@ -23,7 +23,7 @@ from cirtrain.encoders import TokenSeq
 from cirtrain.model import RetrievalModel, load_checkpoint, save_checkpoint
 from cirtrain.objective import score_query_against_gallery
 from cirtrain.tensor import no_grad
-from cirtrain.train import Adam, train_model
+from cirtrain.train import ABLATION_VARIANTS, Adam, train_model
 
 
 def small_config(**training_kw):
@@ -71,6 +71,7 @@ def test_embeddings_refuse_an_empty_batch(entry, args):
 
 
 _RECORD = TripletRecord("a", (1, 2, 3), (0, 1), (4, 5, 6))
+IDS = "token ids are lists or tuples of ints$"
 
 
 def _with(**fields):
@@ -99,10 +100,23 @@ UNSTACKABLE = [
     ("empty", "target_embedding", ([],), "the batch is empty$"),
     ("ragged targets", "target_embedding", ([(4, 5, 6), (4, 5)],),
      r"target_tokens lengths differ: \[2, 3\] tokens"),
+    # ids are a list or tuple of ints, in every entry of a batch: anything else is refused,
+    # never iterated into ids or measured by check_batch
+    ("an int entry", "target_embedding", ([(1, 2, 3), 5],), "target_tokens holds 5; " + IDS),
+    ("one int", "target_embedding", (5,), "target_tokens holds 5; " + IDS),
+    ("one bytes", "target_embedding", (b"\x01\x02\x03",),
+     re.escape(r"target_tokens holds b'\x01\x02\x03'; ") + IDS),
+    ("a bytes entry", "target_embedding", ([(1, 2, 3), b"\x01\x02\x03"],),
+     re.escape(r"target_tokens holds b'\x01\x02\x03'; ") + IDS),
+    ("a range", "target_embedding", (range(1, 4),),
+     re.escape("target_tokens holds range(1, 4); ") + IDS),
+    ("a set", "query_embedding", ({1, 2, 3}, (0, 1)), "ref_tokens holds {1, 2, 3}; " + IDS),
+    ("a dict", "query_embedding", ((1, 2, 3), {0: "a", 1: "b"}),
+     "text_tokens holds {0: 'a', 1: 'b'}; " + IDS),
 ]
 
 
-NUMPY_ARRAYS = "holds a numpy array; token ids are lists or tuples of ints$"
+NUMPY_ARRAYS = "holds a numpy array; " + IDS
 
 # records hold tuples, so only the embeddings can be handed numpy ids
 NUMPY_IDS = [
@@ -112,14 +126,16 @@ NUMPY_IDS = [
     ("array ref", "query_embedding", (np.array([1, 2, 3]), (0, 1)), "ref_tokens " + NUMPY_ARRAYS),
     ("list of array texts", "query_embedding", ([(1, 2, 3)], [np.array([0, 1])]),
      "text_tokens " + NUMPY_ARRAYS),
+    ("0-d array ids", "target_embedding", ([(np.array(4), np.array(5))],),
+     re.escape("target_tokens: token id array(4) is not an integer") + "$"),
 ]
 
 
 @pytest.mark.parametrize("entry, args, message", [case[1:] for case in UNSTACKABLE + NUMPY_IDS],
                          ids=[f"{entry}-{case}" for case, entry, *_ in UNSTACKABLE + NUMPY_IDS])
 def test_every_entry_refuses_an_unstackable_batch_by_entry_and_field(entry, args, message):
-    # one batch rule, data.check_batch, and the numpy refusal, applied before a frozen
-    # encoder reads any weight
+    # one id rule, data.integer_tokens, and one batch rule, data.check_batch, applied before
+    # a frozen encoder reads any weight
     model = RetrievalModel(small_config())
     with pytest.raises(ValueError, match=f"^{entry}: {message}"):
         getattr(model, entry)(*args)
@@ -135,22 +151,39 @@ def _op_census(loss) -> Counter:
             seen.add(id(node))
             counts[node.op] += node.op != "leaf"
             stack.extend(node._parents)
-    return counts
+    return +counts  # without the leaves' zero
 
 
-@pytest.mark.parametrize("sets,attention", [((), 11),
-                                            (("use_alignment", "use_reasoning"), 2)])
-def test_every_attention_site_is_one_fused_node(sets, attention):
-    # default: text, cross and fusion attention plus 4 layers in each compositor branch;
-    # matching only reads the text encoder and fusion.  The bridge's hinge is the only
-    # softmax left outside the fused op.
+# one step's recorded graph at the default geometry, nodes by op: text, cross and fusion
+# attention plus 4 layers in each compositor branch, and matching only reads the text
+# encoder and fusion; each loss is one diagonal_nll node, and the bridge's hinge is the only
+# softmax left outside the fused attention op
+STEP_CENSUS = {
+    "baseline": (17, dict(add=3, attention=2, concat=1, diagonal_nll=1, expand=2,
+                          l2_normalize_rows=1, matmul=3, mean_axis=2, reshape=1, slice_rows=1)),
+    "+alignment": (51, dict(add=5, attention=3, concat=1, diagonal_nll=2, expand=2,
+                            l2_normalize_rows=7, matmul=13, mean_axis=4, reshape=6, scalar_mul=2,
+                            slice_rows=1, softmax_rows=1, transpose=4)),
+    "+reasoning": (39, dict(add=5, attention=10, concat=1, diagonal_nll=2, expand=2,
+                            l2_normalize_rows=3, matmul=4, mean_axis=3, reshape=3, scalar_mul=2,
+                            slice_rows=3, transpose=1)),
+    "full": (73, dict(add=7, attention=11, concat=1, diagonal_nll=3, expand=2, l2_normalize_rows=9,
+                      matmul=14, mean_axis=5, reshape=8, scalar_mul=4, slice_rows=3,
+                      softmax_rows=1, transpose=5)),
+}
+
+
+@pytest.mark.parametrize("variant,use_alignment,use_reasoning", ABLATION_VARIANTS,
+                         ids=[name for name, *_ in ABLATION_VARIANTS])
+def test_every_attention_site_is_one_fused_node(variant, use_alignment, use_reasoning):
     cfg = RunConfig()
-    cfg.ablation = dataclasses.replace(cfg.ablation, **{key: False for key in sets})
+    cfg.ablation = dataclasses.replace(cfg.ablation, use_alignment=use_alignment,
+                                       use_reasoning=use_reasoning)
     model = RetrievalModel(cfg)
     records = small_records(4)
     census = _op_census(model.batch_losses(records)[0])
-    assert census["attention"] == attention
-    assert census["softmax_rows"] == (0 if sets else 1)
+    nodes, by_op = STEP_CENSUS[variant]
+    assert census == by_op and sum(census.values()) == nodes
     frozen = model.ref_encoder.encode(TokenSeq(records[0].ref_tokens))
     assert not frozen.requires_grad and not frozen._parents
 
@@ -330,9 +363,9 @@ def test_batched_embeddings_equal_single_record_calls_bitwise():
 
 
 @pytest.mark.parametrize("ref, text, message", [
-    ((1.9, 2.2, 3), (0, 1), "ref_tokens: token id 1.9 is not an integer"),
-    ((1, 2, 3), (True, 2.5), "text_tokens: token id True is not an integer"),
-    ((1, 2, 3), ("3", 1), "text_tokens: token id '3' is not an integer"),
+    ((1.9, 2.2, 3), (0, 1), "query_embedding: ref_tokens: token id 1.9 is not an integer"),
+    ((1, 2, 3), (True, 2.5), "query_embedding: text_tokens: token id True is not an integer"),
+    ((1, 2, 3), ("3", 1), "query_embedding: text_tokens: token id '3' is not an integer"),
 ])
 def test_query_embedding_refuses_non_integer_token_ids(ref, text, message):
     # refused by the rule TripletRecord applies, never rounded to an id
@@ -341,7 +374,7 @@ def test_query_embedding_refuses_non_integer_token_ids(ref, text, message):
 
 
 @pytest.mark.parametrize("tokens, message", [
-    ((1, True, 3), "target_tokens: token id True is not an integer"),
+    ((1, True, 3), "target_embedding: target_tokens: token id True is not an integer"),
     ([1, 2, 28], "token id 28 outside vocabulary [0, 28)"),
     (tuple(range(17)), "sequence length 17 exceeds maximum 16"),
     ((), "token sequence must be non-empty"),
@@ -446,17 +479,6 @@ def test_non_finite_checkpoint_values_refused(tmp_path, bad):
     _refused_load(tmp_path, edit, "^fusion.wq: checkpoint holds non-finite values$")
 
 
-def _graph_nodes(loss):
-    """Recorded (non-leaf) nodes reachable from `loss` through `_parents`."""
-    seen, stack = set(), [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen and node.op != "leaf":
-            seen.add(id(node))
-            stack.extend(node._parents)
-    return len(seen)
-
-
 @pytest.mark.parametrize("loss", ["alignment", "reasoning", "full step", "matching-only step"])
 def test_auxiliary_loss_graphs_do_not_grow_with_the_batch(loss):
     # a loss built per item or per (query, candidate) pair would grow with B;
@@ -477,7 +499,7 @@ def test_auxiliary_loss_graphs_do_not_grow_with_the_batch(loss):
             total = reasoning_loss(f_r, f_t, f_c, comp, 0.1)
         else:
             total, _ = model.batch_losses(records[:b])
-        counts.append(_graph_nodes(total))
+        counts.append(sum(_op_census(total).values()))
     assert counts[0] == counts[1] > 0
 
 

@@ -6,12 +6,7 @@ import pytest
 
 from cirtrain import tensor as T
 from cirtrain.config import ObjectiveConfig, RunConfig, apply_override, load_config
-from cirtrain.objective import (
-    in_batch_nll,
-    matching_loss,
-    score_query_against_gallery,
-    total_loss,
-)
+from cirtrain.objective import matching_loss, score_query_against_gallery, total_loss
 from oracles import matching_loss_oracle, np_l2n
 from scalarize import scalarize
 
@@ -85,18 +80,21 @@ def test_matching_loss_count_mismatch_rejected():
         matching_loss(queries, targets, W.tau)
 
 
-def test_in_batch_nll_requires_square():
+def test_diagonal_nll_requires_square():
     with pytest.raises(ValueError):
-        in_batch_nll(T.Tensor(np.ones((2, 3))), 0.1)
+        T.diagonal_nll(T.Tensor(np.ones((2, 3))), 0.1)
 
 
-def test_in_batch_nll_overflow_at_the_smallest_temperature_raises_the_engine_error():
+def test_diagonal_nll_overflow_at_the_smallest_temperature_raises_the_engine_error():
     # at tau = 1e-308 the logits reach 1e308 and the row-max shift overflows to -inf:
     # the separated batch still gives its exact 0.0, the reversed one an inf loss
     # that the op refuses, with no numpy warning on the way
-    assert in_batch_nll(T.Tensor([[1.0, -1.0], [-1.0, 1.0]]), tau=1e-308).item() == 0.0
+    assert T.diagonal_nll(T.Tensor([[1.0, -1.0], [-1.0, 1.0]]), tau=1e-308).item() == 0.0
     with pytest.raises(T.NonFiniteError, match="^non-finite values in output of 'diagonal_nll'$"):
-        in_batch_nll(T.Tensor([[-1.0, 1.0], [1.0, -1.0]]), tau=1e-308)
+        T.diagonal_nll(T.Tensor([[-1.0, 1.0], [1.0, -1.0]]), tau=1e-308)
+    # below 2^-1024, 1/tau itself overflows to inf and the op refuses its NaN output
+    with pytest.raises(T.NonFiniteError, match="^non-finite values in output of 'diagonal_nll'$"):
+        T.diagonal_nll(T.Tensor([[1.0, -1.0], [-1.0, 1.0]]), tau=5e-324)
 
 
 def test_total_loss_arithmetic():

@@ -83,25 +83,43 @@ def test_softmax_rows_without_entries_rejected():
 @pytest.mark.parametrize("b,scale", [(1, 1.0), (3, 1.0), (5, 10.0), (8, 100.0)])
 def test_diagonal_nll_matches_oracle(b, scale, rng):
     x = scale * rng.normal(size=(b, b))
-    assert abs(T.diagonal_nll(T.Tensor(x)).item() - np_diagonal_nll(x)) < 1e-9 * max(1.0, scale)
+    assert abs(T.diagonal_nll(T.Tensor(x), 1.0).item() - np_diagonal_nll(x)) < 1e-9 * max(1.0, scale)
 
 
 @pytest.mark.parametrize("sim,loss", [([[1.0, -1.0], [-1.0, 1.0]], 0.0),
                                       ([[-1.0, 1.0], [1.0, -1.0]], 2000.0)])
 def test_diagonal_nll_closed_forms_at_a_small_temperature(sim, loss):
     # at tau = 1e-3 every off-peak softmax entry underflows to exactly 0
-    x = T.Tensor(np.array(sim) / 1e-3, requires_grad=True)
-    out = T.diagonal_nll(x)
+    x = T.Tensor(sim, requires_grad=True)
+    out = T.diagonal_nll(x, 1e-3)
     assert out.item() == loss and math.copysign(1.0, out.item()) == 1.0
     out.backward()
     softmax = (np.array(sim) > 0).astype(float)
-    assert np.array_equal(x.grad, (softmax - np.eye(2)) / 2)
+    assert np.array_equal(x.grad, (softmax - np.eye(2)) * 500.0)  # (softmax - I) / (B tau)
 
 
 def test_diagonal_nll_refuses_what_is_not_a_non_empty_square_matrix():
     for shape in ((0, 0), (2, 3), (3,), (2, 2, 2)):
         with pytest.raises(ValueError, match="diagonal_nll: expected a non-empty square matrix"):
-            T.diagonal_nll(T.Tensor(np.ones(shape)))
+            T.diagonal_nll(T.Tensor(np.ones(shape)), 1.0)
+
+
+@pytest.mark.parametrize("tau", [0.0, -0.1, math.nan])
+def test_diagonal_nll_refuses_a_temperature_that_is_not_positive(tau):
+    with pytest.raises(ValueError, match=f"^diagonal_nll: the temperature must be > 0, got {tau}$"):
+        T.diagonal_nll(T.Tensor(np.eye(2)), tau)
+
+
+def test_diagonal_nll_at_tau_equals_the_scaled_matrix_at_one_bitwise(rng):
+    # the op scales by 1/tau as scalar_mul does and multiplies the gradient by it last
+    x, runs = rng.normal(size=(4, 4)), []
+    for build in (lambda t: T.diagonal_nll(t, 0.07),
+                  lambda t: T.diagonal_nll(T.scalar_mul(t, 1.0 / 0.07), 1.0)):
+        t = T.Tensor(x, requires_grad=True)
+        out = build(t)
+        out.backward()
+        runs.append((out.item(), t.grad))
+    assert runs[0][0] == runs[1][0] and np.array_equal(runs[0][1], runs[1][1])
 
 
 def test_l2_normalize_345_triangle():
@@ -199,7 +217,7 @@ FD_CASES = [
     ("matmul", lambda a, b: T.matmul(a, b), [(3, 4), (4, 2)]),
     ("transpose", lambda a: T.matmul(T.transpose(a), a), [(3, 4)]),
     ("concat3", lambda a, b, c: T.concat([a, b, c]), [(3, 2), (1, 2), (2, 2)]),
-    ("diagonal_nll", lambda a: T.diagonal_nll(a), [(3, 3)]),
+    ("diagonal_nll", lambda a: T.diagonal_nll(a, 1.0), [(3, 3)]),
     ("mean_axis0", lambda a: T.mean_axis(a, 0), [(3, 4)]),
     ("mean_axis1", lambda a: T.mean_axis(a, 1), [(3, 4)]),
     ("concat0", lambda a, b: T.concat([a, b]), [(2, 3), (4, 3)]),
@@ -244,6 +262,10 @@ FD_CASES = [
      [(3, 4), (4, 4), (4, 4), (4, 4)]),
     ("attention_cross3", lambda xq, xkv, wq, wk, wv: T.attention(xq, xkv, wq, wk, wv),
      [(2, 3, 4), (2, 5, 4), (4, 2), (4, 2), (4, 4)]),
+    # the loss at a temperature other than 1, and transpose given a permutation of every axis
+    ("diagonal_nll_tau", lambda a: T.diagonal_nll(a, 0.3), [(3, 3)]),
+    ("transpose_axes3", lambda a: T.transpose(a, (1, 2, 0)), [(2, 3, 4)]),
+    ("transpose_axes4", lambda a: T.transpose(a, (2, 0, 3, 1)), [(2, 3, 4, 5)]),
 ]
 
 
@@ -424,7 +446,7 @@ def test_gradient_of_composite_expression(rng):
         att = T.softmax_rows(T.scalar_mul(T.matmul(prod, T.transpose(prod)), 3.0))
         centre = T.matmul(T.Tensor(np.ones((4, 1))), T.mean_axis(prod, 0))
         mixed = T.add(T.matmul(att, prod), centre)
-        return T.diagonal_nll(T.matmul(mixed, T.transpose(prod)))
+        return T.diagonal_nll(T.matmul(mixed, T.transpose(prod)), 1.0)
 
     ta = T.Tensor(a, requires_grad=True)
     tb = T.Tensor(b, requires_grad=True)
@@ -497,3 +519,13 @@ def test_expand_and_reshape_check_their_arguments():
     assert T.reshape(x, (3, 1, 2)).shape == (3, 1, 2)
     with pytest.raises(ValueError, match="reshape: cannot reshape"):
         T.reshape(x, (4, 2))
+
+
+def test_transpose_with_axes_permutes_them_and_refuses_what_is_not_a_permutation(rng):
+    x = rng.normal(size=(2, 3, 4))
+    assert np.array_equal(T.transpose(T.Tensor(x), (1, 2, 0)).data, x.transpose(1, 2, 0))
+    assert np.array_equal(T.transpose(T.Tensor(x), (0, 2, 1)).data, T.transpose(T.Tensor(x)).data)
+    for axes in ((0, 1), (0, 1, 1), (1, 2, 3), (0, 1, 2, 3)):
+        with pytest.raises(ValueError, match=r"^transpose: axes .* are not a permutation of the "
+                                             r"axes of \(2, 3, 4\)$"):
+            T.transpose(T.Tensor(x), axes)
