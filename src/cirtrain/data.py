@@ -166,9 +166,10 @@ def generate(spec: SynthSpec):
     """Deterministically build (train, val) record lists.
 
     Validation target latents are kept distinct (rejection sampling) so the
-    latent-space retrieval oracle has a unique answer, and each validation
-    record gets the ids of its 5 nearest target latents (itself included)
-    as the fine-grained candidate subset.
+    latent-space retrieval oracle has a unique answer.  Each validation
+    record's fine-grained candidate subset is the ids of the `SUBSET_SIZE`
+    records whose integer target latents are nearest its own by Euclidean
+    distance: nearest first, ties by ascending id string, itself included.
     """
     rng = np.random.default_rng(spec.seed)
     bins = spec.bins
@@ -198,24 +199,47 @@ def generate(spec: SynthSpec):
         seen_targets.add(target)
         val_rows.append((ref, attr, target))
 
-    target_latents = np.array([row[2] for row in val_rows], dtype=float)
     ids = [f"val-{i:05d}" for i in range(spec.n_val)]
-    id_keys = np.array(ids)
-    val = []
-    for i, (ref, attr, target) in enumerate(val_rows):
-        dists = np.linalg.norm(target_latents - target_latents[i], axis=1)
-        # nearest first, ties by ascending id
-        subset = tuple(id_keys[np.lexsort((id_keys, dists))[:SUBSET_SIZE]].tolist())
-        val.append(
-            TripletRecord(
-                id=ids[i],
-                ref_tokens=tokens_of_latent(ref, bins),
-                text_tokens=text_tokens_of_attribute(attr, spec.n_attributes),
-                target_tokens=tokens_of_latent(target, bins),
-                subset_ids=subset,
-            )
+    subsets = _nearest_subsets([row[2] for row in val_rows], ids)
+    val = [
+        TripletRecord(
+            id=ids[i],
+            ref_tokens=tokens_of_latent(ref, bins),
+            text_tokens=text_tokens_of_attribute(attr, spec.n_attributes),
+            target_tokens=tokens_of_latent(target, bins),
+            subset_ids=subsets[i],
         )
+        for i, (ref, attr, target) in enumerate(val_rows)
+    ]
     return train, val
+
+
+def _nearest_subsets(latents, ids: list) -> list:
+    """Per row of the integer `latents`, the ids of its `SUBSET_SIZE` nearest rows.
+
+    The key d² · n + (the id's place in string order) is exact in int64 and
+    unique within a row, so k argmin passes over each block of rows pick the
+    subset in order, ties by id string, without an (n, n) array.
+    """
+    n, k = len(ids), min(SUBSET_SIZE, len(ids))
+    id_rank = np.empty(n, dtype=np.int64)
+    id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+    columns = np.asarray(latents, dtype=np.int64).T.copy()  # one contiguous row per coordinate
+    subsets = []
+    for start in range(0, n, 16):  # 16 rows of n int64 keys stay in cache up to n ~ 4k
+        block = columns[:, start:start + 16]
+        key = np.zeros((block.shape[1], n), dtype=np.int64)
+        diff = np.empty_like(key)
+        for row, column in zip(block, columns):
+            key += np.square(np.subtract(row[:, None], column, out=diff), out=diff)
+        key *= n
+        key += id_rank
+        nearest = np.empty((len(key), k), dtype=np.int64)
+        for j in range(k):
+            nearest[:, j] = key.argmin(axis=1)
+            key[np.arange(len(key)), nearest[:, j]] = np.iinfo(np.int64).max
+        subsets += [tuple(ids[c] for c in near) for near in nearest.tolist()]
+    return subsets
 
 
 def write_records(path, records):

@@ -163,21 +163,17 @@ def save_checkpoint(model: RetrievalModel, path):
     """One JSON document: parameter name -> shape, row-major values, frozen flag.
 
     Floats are serialized via repr (shortest round-trip decimal form), so a
-    load restores bit-identical float64 values.
+    load restores bit-identical float64 values.  The bytes are `json.dumps(doc,
+    sort_keys=True) + "\n"`, C-encoded one entry at a time (`json.dump` is pure Python).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    doc = {
-        name: {
-            "shape": list(p.shape),
-            "data": p.data.reshape(-1).tolist(),
-            "frozen": p.frozen,
-        }
-        for name, p in sorted(model.parameters().items())
-    }
     with path.open("w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        fh.write("{")
+        for i, (name, p) in enumerate(sorted(model.parameters().items())):
+            entry = {"shape": list(p.shape), "data": p.data.reshape(-1).tolist(), "frozen": p.frozen}
+            fh.write((", " if i else "") + f"{json.dumps(name)}: {json.dumps(entry, sort_keys=True)}")
+        fh.write("}\n")
 
 
 def load_checkpoint(model: RetrievalModel, path):

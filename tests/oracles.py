@@ -145,3 +145,13 @@ def rank_oracle(gallery_ids, scores, target_id):
     pairs = sorted(zip(scores, gallery_ids), key=lambda p: (-p[0], p[1]))
     ordered = [gid for _, gid in pairs]
     return ordered, ordered.index(target_id) + 1
+
+
+def nearest_subsets_oracle(latents, ids, k):
+    """Per row, the ids of the k nearest rows by (squared distance, id string), itself included."""
+    subsets = []
+    for a in latents:
+        ranked = sorted((sum((int(x) - int(y)) ** 2 for x, y in zip(a, b)), i)
+                        for b, i in zip(latents, ids))
+        subsets.append(tuple(i for _, i in ranked[:k]))
+    return subsets

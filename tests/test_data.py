@@ -1,13 +1,16 @@
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
+from oracles import nearest_subsets_oracle
 
 from cirtrain.data import (
     SUBSET_SIZE,
     SynthSpec,
     TripletRecord,
+    _nearest_subsets,
     batches,
     generate,
     latent_of_tokens,
@@ -124,18 +127,50 @@ def test_train_val_id_sets_disjoint():
     assert len({r.id for r in train}) == len(train)
 
 
-def test_subsets_have_five_near_candidates_including_target():
-    _, val = generate(SPEC)
-    targets = {r.id: np.array(latent_of_tokens(r.target_tokens, SPEC.bins)) for r in val}
-    for r in val:
-        assert len(r.subset_ids) == SUBSET_SIZE
-        assert r.id in r.subset_ids
-        # candidates are genuinely near: no excluded id is strictly closer
-        # than the farthest chosen one
-        dists = {i: float(np.linalg.norm(targets[i] - targets[r.id])) for i in targets}
-        chosen = max(dists[i] for i in r.subset_ids)
-        others = [dists[i] for i in targets if i not in r.subset_ids]
-        assert min(others) >= chosen or np.isclose(min(others), chosen)
+@pytest.mark.parametrize("spec", [
+    SynthSpec(),
+    SynthSpec(image_vocab=16, latent_dim=8, n_val=40),  # 2 bins: 35 of 40 tie at the fifth place
+    SynthSpec(n_val=3),  # fewer records than SUBSET_SIZE
+    SynthSpec(n_val=1),
+], ids=["default", "tie-heavy", "n_val=3", "n_val=1"])
+def test_subsets_equal_the_plain_loop_oracle(spec):
+    _, val = generate(spec)
+    latents = [latent_of_tokens(r.target_tokens, spec.bins) for r in val]
+    assert [r.subset_ids for r in val] == nearest_subsets_oracle(
+        latents, [r.id for r in val], SUBSET_SIZE)
+
+
+def test_nearest_subsets_break_ties_by_id_string_not_by_index():
+    # string order is not index order: "val-100000" < "val-99999", "val-10" < "val-2"
+    ids = ["val-99999", "val-100000", "c", "b", "val-100001", "a0", "a"]
+    same = np.zeros((len(ids), 3), dtype=int)
+    assert _nearest_subsets(same, ids) == [("a", "a0", "b", "c", "val-100000")] * len(ids)
+    latents = np.array([[0, 0], [1, 0], [0, 1], [1, 1], [0, 0], [2, 2], [0, 2]])
+    assert _nearest_subsets(latents, ids) == nearest_subsets_oracle(latents, ids, SUBSET_SIZE)
+    # several row blocks, the last one partial, and unpadded ids
+    ids = [f"val-{i}" for i in range(150)]
+    latents = np.random.default_rng(0).integers(0, 3, size=(150, 3))
+    assert _nearest_subsets(latents, ids) == nearest_subsets_oracle(latents, ids, SUBSET_SIZE)
+
+
+# sha256 of the write_records bytes, measured with numpy 2.4.6; a change of
+# these is a change of every dataset the generator writes
+GOLDEN_DATASETS = [
+    (SynthSpec(),
+     "b9f220c890f1063827062b8784474e0c4df11ff470e0d1168c8bb157e5c08b71",
+     "4b76c4a55a9bcf6148fadb828c5a49b7391a352af760de5aea24ba33c0c9b352"),
+    (SynthSpec(image_vocab=48, latent_dim=8, n_val=1024),
+     "c8db0ada3359cb6046b1a2a575a5df3c4c461e023bf083fcc551b3054988ee30",
+     "fe8dc0517d2f3681cbb6f1dd6206e8ba2c9b60a8385db8984df8f6acfa1df57e"),
+]
+
+
+@pytest.mark.parametrize("spec, train_sha, val_sha", GOLDEN_DATASETS, ids=["default", "n_val=1024"])
+def test_generated_datasets_are_pinned_byte_for_byte(tmp_path, spec, train_sha, val_sha):
+    train, val = generate(spec)
+    for name, records, sha in (("train", train, train_sha), ("val", val, val_sha)):
+        write_records(tmp_path / f"{name}.jsonl", records)
+        assert hashlib.sha256((tmp_path / f"{name}.jsonl").read_bytes()).hexdigest() == sha, name
 
 
 def test_jsonl_round_trip(tmp_path):

@@ -417,6 +417,15 @@ def test_default_checkpoint_layout_pinned(tmp_path):
     assert layout == _default_layout()
 
 
+def test_checkpoint_bytes_are_the_sorted_json_document(tmp_path):
+    model = RetrievalModel(RunConfig())
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(model, path)
+    doc = {name: {"shape": list(p.shape), "data": p.data.reshape(-1).tolist(), "frozen": p.frozen}
+           for name, p in model.parameters().items()}
+    assert path.read_text(encoding="utf-8") == json.dumps(doc, sort_keys=True) + "\n"
+
+
 def _refused_load(tmp_path, edit, message):
     """Save a model, `edit` the document in place or return a replacement, load
     it into another: refused with a ValueError matching `message`, every
