@@ -4,8 +4,8 @@ text-reasoning loss that matches the fused vector against the text.
 Each branch anchors one image as a persistent query while the other image's
 representation evolves through M plain attention layers (no residuals).
 Within a branch all layers share one weight set, so parameter count does
-not grow with depth; across branches the weights are independent unless
-explicitly shared.
+not grow with depth; the two branches' weights are independent, and the
+composite is the L2-normalized sum of their CLS rows, the normalized mean.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .tensor import (
     matmul,
     mean_axis,
     reshape,
-    scalar_mul,
     slice_rows,
     transpose,
 )
@@ -34,19 +33,13 @@ log = logging.getLogger(__name__)
 class CompositorParams:
     """Weights and layout of the two fusion branches."""
 
-    def __init__(self, dim: int, rng: np.random.Generator, layers: int, share_branches: bool):
+    def __init__(self, dim: int, rng: np.random.Generator, layers: int):
         self.layers = layers
         self.target_branch = Attention("compositor.target_branch", dim, rng)
-        self.reference_branch = (
-            self.target_branch
-            if share_branches
-            else Attention("compositor.reference_branch", dim, rng)
-        )
+        self.reference_branch = Attention("compositor.reference_branch", dim, rng)
 
     def params(self):
-        # keyed by identity, so shared branches are listed once
-        every = self.target_branch.params() + self.reference_branch.params()
-        return list({id(w): w for w in every}.values())
+        return self.target_branch.params() + self.reference_branch.params()
 
 
 def fuse_branch(anchor: Tensor, other: Tensor, attend: Attention, layers: int) -> Tensor:
@@ -62,13 +55,14 @@ def fuse_branch(anchor: Tensor, other: Tensor, attend: Attention, layers: int) -
 
 
 def compose(f_r_prime: Tensor, f_t: Tensor, p: CompositorParams) -> Tensor:
-    """Average the two branches' CLS rows into B x d L2-normalized composites, one per item."""
+    """L2-normalize the sum of the independent branches' CLS rows into B x d composites, one
+    per item: bit for bit the normalized mean, since halving is exact in float64."""
     h_target = fuse_branch(f_r_prime, f_t, p.target_branch, p.layers)
     h_reference = fuse_branch(f_t, f_r_prime, p.reference_branch, p.layers)
-    mean_cls = scalar_mul(add(slice_rows(h_target, 0, 1), slice_rows(h_reference, 0, 1)), 0.5)
-    if (np.linalg.norm(mean_cls.data, axis=-1) < 1e-12).any():
+    cls_sum = add(slice_rows(h_target, 0, 1), slice_rows(h_reference, 0, 1))
+    if (np.linalg.norm(cls_sum.data, axis=-1) < 1e-12).any():
         log.warning("degenerate composite vector: branch CLS rows cancel")
-    return l2_normalize_rows(reshape(mean_cls, (mean_cls.shape[0], mean_cls.shape[-1])))
+    return l2_normalize_rows(reshape(cls_sum, (cls_sum.shape[0], cls_sum.shape[-1])))
 
 
 def reasoning_loss(f_r_prime: Tensor, f_t: Tensor, f_c: Tensor, p: CompositorParams,

@@ -65,7 +65,6 @@ class TrainingConfig:
 @dataclass
 class AblationConfig:
     share_text_projection: bool = True
-    share_compositor_branches: bool = False
     attentive_reference: bool = True
     use_alignment: bool = True
     use_reasoning: bool = True

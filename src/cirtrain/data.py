@@ -18,12 +18,12 @@ which the tests exploit as an oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .config import RunConfig
+from .config import ModelConfig, RunConfig, SynthConfig
 
 TOKEN_FIELDS = ("ref_tokens", "text_tokens", "target_tokens")
 JSONL_FIELDS = ("id", *TOKEN_FIELDS, "subset_ids")
@@ -75,22 +75,23 @@ class TripletRecord:
 
 @dataclass(frozen=True)
 class SynthSpec:
-    """Knobs of the synthetic benchmark."""
+    """Knobs of the synthetic benchmark; the defaults are the run config's."""
 
-    image_vocab: int = 28
-    text_vocab: int = 16
-    latent_dim: int = 7
-    n_train: int = 512
-    n_val: int = 128
-    n_attributes: int = 4
-    noise_sigma: float = 0.05
-    seed: int = 7
+    image_vocab: int = ModelConfig.image_vocab
+    text_vocab: int = ModelConfig.text_vocab
+    latent_dim: int = SynthConfig.latent_dim
+    n_train: int = SynthConfig.n_train
+    n_val: int = SynthConfig.n_val
+    n_attributes: int = SynthConfig.n_attributes
+    noise_sigma: float = SynthConfig.noise_sigma
+    seed: int = SynthConfig.seed
 
     def __post_init__(self):
+        # written as `not x >= n` so that a NaN fails too
         for name in ("image_vocab", "text_vocab", "latent_dim", "n_train", "n_val", "n_attributes"):
-            if getattr(self, name) < 1:
+            if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
         if self.n_attributes >= self.latent_dim:
             raise ValueError("need at least one content coordinate beyond the attribute flags")
@@ -111,32 +112,13 @@ class SynthSpec:
 
 def synth_spec_from_config(cfg: RunConfig) -> SynthSpec:
     """The SynthSpec a run config describes (vocabularies come from `cfg.model`)."""
-    return SynthSpec(
-        image_vocab=cfg.model.image_vocab,
-        text_vocab=cfg.model.text_vocab,
-        latent_dim=cfg.synth.latent_dim,
-        n_train=cfg.synth.n_train,
-        n_val=cfg.synth.n_val,
-        n_attributes=cfg.synth.n_attributes,
-        noise_sigma=cfg.synth.noise_sigma,
-        seed=cfg.synth.seed,
-    )
+    return SynthSpec(image_vocab=cfg.model.image_vocab, text_vocab=cfg.model.text_vocab,
+                     **asdict(cfg.synth))
 
 
 def tokens_of_latent(latent, bins: int) -> tuple:
     """Token id of coordinate j at bin b is j * bins + b."""
     return tuple(int(j * bins + b) for j, b in enumerate(latent))
-
-
-def latent_of_tokens(tokens, bins: int) -> tuple:
-    """Inverse of tokens_of_latent; validates the coordinate layout."""
-    latent = []
-    for j, t in enumerate(tokens):
-        coord, b = divmod(int(t), bins)
-        if coord != j:
-            raise ValueError(f"token {t} at position {j} does not encode coordinate {j}")
-        latent.append(b)
-    return tuple(latent)
 
 
 def text_tokens_of_attribute(attribute: int, n_attributes: int) -> tuple:

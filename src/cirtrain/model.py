@@ -36,10 +36,7 @@ class RetrievalModel:
         self.cross_encoder = CrossEncoder("cross_encoder", mc.dim, rng)
         self.fusion = QueryFusion("fusion", mc.dim, mc.prompts, rng)
         self.bridge = BridgeParams(mc.dim, rng, share_text_projection=ab.share_text_projection)
-        self.compositor = CompositorParams(
-            mc.dim, rng, layers=mc.compositor_layers,
-            share_branches=ab.share_compositor_branches,
-        )
+        self.compositor = CompositorParams(mc.dim, rng, layers=mc.compositor_layers)
 
     # ------------------------------------------------------------------ params
 

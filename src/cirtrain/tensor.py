@@ -43,7 +43,6 @@ __all__ = [
     "l2_normalize_rows",
     "diagonal_nll",
     "attention",
-    "backward",
 ]
 
 NORM_EPS = 1e-12
@@ -101,7 +100,46 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def backward(self):
-        backward(self)
+        """Populate grad on every requires_grad tensor reachable from this scalar loss.
+
+        Grads accumulate across calls; clear them via Param.zero_grad (or set
+        tensor.grad = None) between optimizer steps.
+        """
+        if self.data.size != 1:
+            raise ValueError(f"backward: loss must be scalar, got shape {self.shape}")
+        if not self.requires_grad:
+            return
+
+        topo = []
+        visited = set()
+        stack = [(self, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                topo.append(node)
+                continue
+            if id(node) in visited:
+                continue
+            visited.add(id(node))
+            stack.append((node, True))
+            for p in node._parents:
+                if id(p) not in visited and p.requires_grad:
+                    stack.append((p, False))
+
+        running = {id(self): np.ones_like(self.data)}
+        for node in reversed(topo):
+            g = running.pop(id(node), None)
+            if g is None:
+                continue
+            node.grad = g if node.grad is None else node.grad + g
+            if node._backprop is None:
+                continue
+            parent_grads = node._backprop(g)
+            for parent, pg in zip(node._parents, parent_grads):
+                if not parent.requires_grad or pg is None:
+                    continue
+                acc = running.get(id(parent))
+                running[id(parent)] = pg if acc is None else acc + pg
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
@@ -357,49 +395,6 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> 
                 _weight_grad(xkv, gv) if wv.requires_grad else None)
 
     return _result(out_data, (x_q, x_kv, wq, wk, wv), back, "attention")
-
-
-def backward(loss: Tensor):
-    """Populate grad on every requires_grad tensor reachable from a scalar loss.
-
-    Grads accumulate across calls; clear them via Param.zero_grad (or set
-    tensor.grad = None) between optimizer steps.
-    """
-    if loss.data.size != 1:
-        raise ValueError(f"backward: loss must be scalar, got shape {loss.shape}")
-    if not loss.requires_grad:
-        return
-
-    topo = []
-    visited = set()
-    stack = [(loss, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            topo.append(node)
-            continue
-        if id(node) in visited:
-            continue
-        visited.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if id(p) not in visited and p.requires_grad:
-                stack.append((p, False))
-
-    running = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
-        g = running.pop(id(node), None)
-        if g is None:
-            continue
-        node.grad = g if node.grad is None else node.grad + g
-        if node._backprop is None:
-            continue
-        parent_grads = node._backprop(g)
-        for parent, pg in zip(node._parents, parent_grads):
-            if not parent.requires_grad or pg is None:
-                continue
-            acc = running.get(id(parent))
-            running[id(parent)] = pg if acc is None else acc + pg
 
 
 class Param:

@@ -155,3 +155,14 @@ def nearest_subsets_oracle(latents, ids, k):
                         for b, i in zip(latents, ids))
         subsets.append(tuple(i for _, i in ranked[:k]))
     return subsets
+
+
+def latent_of_tokens(tokens, bins: int) -> tuple:
+    """Inverse of the generator's token layout (coordinate j at bin b is token j * bins + b)."""
+    latent = []
+    for j, t in enumerate(tokens):
+        coord, b = divmod(int(t), bins)
+        if coord != j:
+            raise ValueError(f"token {t} at position {j} does not encode coordinate {j}")
+        latent.append(b)
+    return tuple(latent)

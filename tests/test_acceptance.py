@@ -70,8 +70,7 @@ def test_c2_loss_formula_oracles():
 
         bridge = BridgeParams(d, np.random.default_rng(trial),
                               share_text_projection=bool(trial % 2))
-        comp = CompositorParams(d, np.random.default_rng(trial + 500),
-                                layers=1 + trial % 3, share_branches=False)
+        comp = CompositorParams(d, np.random.default_rng(trial + 500), layers=1 + trial % 3)
 
         triplets = [(rng.normal(size=(n_ref, d)), rng.normal(size=(length, d)),
                      rng.normal(size=(n_tgt, d))) for _ in range(b)]
@@ -122,7 +121,7 @@ def test_c3_invariant_suite():
         assert np.all(matrix >= -1 - 1e-12) and np.all(matrix <= 1 + 1e-12)
 
     # batch-permutation invariance of all three losses
-    comp = CompositorParams(d, np.random.default_rng(2), layers=2, share_branches=False)
+    comp = CompositorParams(d, np.random.default_rng(2), layers=2)
     tau = RunConfig().objective.tau
     triplets = [(rng.normal(size=(3, d)), rng.normal(size=(2, d)), rng.normal(size=(4, d)))
                 for _ in range(4)]
@@ -171,8 +170,8 @@ def test_c3_invariant_suite():
     assert all(np.array_equal(model.parameters()[k].data, v) for k, v in frozen_before.items())
 
     # compositor parameter count independent of depth
-    shallow = CompositorParams(d, np.random.default_rng(3), layers=1, share_branches=False)
-    deep = CompositorParams(d, np.random.default_rng(3), layers=4, share_branches=False)
+    shallow = CompositorParams(d, np.random.default_rng(3), layers=1)
+    deep = CompositorParams(d, np.random.default_rng(3), layers=4)
     count = lambda p: sum(int(np.prod(q.shape)) for q in p.params())
     assert count(shallow) == count(deep)
 

@@ -24,9 +24,8 @@ DIM = 6
 TAU = 0.1
 
 
-def make_params(seed=1, layers=2, share=False):
-    return CompositorParams(DIM, np.random.default_rng(seed), layers=layers,
-                            share_branches=share)
+def make_params(seed=1, layers=2):
+    return CompositorParams(DIM, np.random.default_rng(seed), layers=layers)
 
 
 def branch_arrays(w):
@@ -95,8 +94,8 @@ def test_parameter_count_independent_of_depth():
     assert count(shallow) == count(deep)
 
 
-def test_branches_disjoint_unless_shared():
-    p = make_params(share=False)
+def test_branches_are_disjoint():
+    p = make_params()
     rng = np.random.default_rng(6)
     anchor = T.Tensor(rng.normal(size=(3, DIM)))
     other = T.Tensor(rng.normal(size=(4, DIM)))
@@ -104,17 +103,16 @@ def test_branches_disjoint_unless_shared():
     p.target_branch.wq.data[...] += 1.0
     after = fuse_branch(anchor, other, p.reference_branch, p.layers).data
     assert np.array_equal(before, after)
-
-    shared = make_params(share=True)
-    assert shared.target_branch is shared.reference_branch
-    assert len(shared.params()) == 3
+    assert len(p.params()) == 6
 
 
 def test_compose_identical_branch_outputs():
-    p = make_params(share=True, layers=1)
+    p = make_params(layers=1)
+    for src, dst in zip(p.target_branch.params(), p.reference_branch.params()):
+        dst.data[...] = src.data
     rng = np.random.default_rng(9)
     x = rng.normal(size=(3, DIM))
-    # same params, same inputs on both branches -> both CLS rows identical
+    # same weights, same inputs on both branches -> both CLS rows identical
     out = compose(T.Tensor(x), T.Tensor(x), p)
     branch = fuse_branch_oracle(x, x, *branch_arrays(p.target_branch), 1)
     v = branch[0]

@@ -45,12 +45,14 @@ def test_unknown_keys_rejected():
 
 
 def test_removed_model_keys_rejected():
-    # single-head attention and positional vectors are fixed, not configurable
-    for key in ("heads", "positional"):
+    # single-head attention, positional vectors and two independent compositor
+    # branches are fixed, not configurable
+    for section, key in (("model", "heads"), ("model", "positional"),
+                         ("ablation", "share_compositor_branches")):
         with pytest.raises(ValueError, match="unknown config keys"):
-            config_from_dict({"model": {key: 1}})
+            config_from_dict({section: {key: 1}})
         with pytest.raises(ValueError):
-            apply_override(RunConfig(), f"model.{key}=1")
+            apply_override(RunConfig(), f"{section}.{key}=1")
 
 
 @pytest.mark.parametrize("doc,where", [

@@ -4,8 +4,9 @@ import re
 
 import numpy as np
 import pytest
-from oracles import nearest_subsets_oracle
+from oracles import latent_of_tokens, nearest_subsets_oracle
 
+from cirtrain.config import RunConfig
 from cirtrain.data import (
     SUBSET_SIZE,
     SynthSpec,
@@ -13,8 +14,8 @@ from cirtrain.data import (
     _nearest_subsets,
     batches,
     generate,
-    latent_of_tokens,
     read_records,
+    synth_spec_from_config,
     text_tokens_of_attribute,
     tokens_of_latent,
     write_records,
@@ -59,6 +60,13 @@ def test_spec_validation():
         SynthSpec(text_vocab=4, n_attributes=4)
     with pytest.raises(ValueError):
         SynthSpec(noise_sigma=-1.0)
+    # a NaN noise would generate a noise-free dataset without a word, since `nan > 0` is False
+    with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+        SynthSpec(noise_sigma=float("nan"))
+    with pytest.raises(ValueError, match="n_val must be >= 1"):
+        SynthSpec(n_val=float("nan"))
+    # the spec's defaults are the run config's
+    assert SynthSpec() == synth_spec_from_config(RunConfig())
 
 
 def test_token_latent_round_trip():

@@ -164,11 +164,11 @@ STEP_CENSUS = {
     "+alignment": (51, dict(add=5, attention=3, concat=1, diagonal_nll=2, expand=2,
                             l2_normalize_rows=7, matmul=13, mean_axis=4, reshape=6, scalar_mul=2,
                             slice_rows=1, softmax_rows=1, transpose=4)),
-    "+reasoning": (39, dict(add=5, attention=10, concat=1, diagonal_nll=2, expand=2,
-                            l2_normalize_rows=3, matmul=4, mean_axis=3, reshape=3, scalar_mul=2,
+    "+reasoning": (38, dict(add=5, attention=10, concat=1, diagonal_nll=2, expand=2,
+                            l2_normalize_rows=3, matmul=4, mean_axis=3, reshape=3, scalar_mul=1,
                             slice_rows=3, transpose=1)),
-    "full": (73, dict(add=7, attention=11, concat=1, diagonal_nll=3, expand=2, l2_normalize_rows=9,
-                      matmul=14, mean_axis=5, reshape=8, scalar_mul=4, slice_rows=3,
+    "full": (72, dict(add=7, attention=11, concat=1, diagonal_nll=3, expand=2, l2_normalize_rows=9,
+                      matmul=14, mean_axis=5, reshape=8, scalar_mul=3, slice_rows=3,
                       softmax_rows=1, transpose=5)),
 }
 
@@ -494,7 +494,7 @@ def test_auxiliary_loss_graphs_do_not_grow_with_the_batch(loss):
     # so would a training step whose encoders or fusion ran per triplet
     d, rng = 6, np.random.default_rng(0)
     bridge = BridgeParams(d, np.random.default_rng(1), share_text_projection=True)
-    comp = CompositorParams(d, np.random.default_rng(2), layers=2, share_branches=False)
+    comp = CompositorParams(d, np.random.default_rng(2), layers=2)
     cfg = small_config()
     if loss == "matching-only step":
         cfg.ablation = dataclasses.replace(cfg.ablation, use_alignment=False, use_reasoning=False)
