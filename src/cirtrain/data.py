@@ -87,12 +87,20 @@ class SynthSpec:
     seed: int = SynthConfig.seed
 
     def __post_init__(self):
+        counts = ("image_vocab", "text_vocab", "latent_dim", "n_train", "n_val", "n_attributes")
         # written as `not x >= n` so that a NaN fails too
-        for name in ("image_vocab", "text_vocab", "latent_dim", "n_train", "n_val", "n_attributes"):
+        for name in counts:
             if not getattr(self, name) >= 1:
                 raise ValueError(f"{name} must be >= 1")
         if not self.noise_sigma >= 0:
             raise ValueError("noise_sigma must be >= 0")
+        # refused, not truncated: 2.5 records would reach numpy as a float, and True as 1
+        for name in (*counts, "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if isinstance(self.noise_sigma, bool):
+            raise ValueError(f"noise_sigma must be a number, got {self.noise_sigma!r}")
         if self.n_attributes >= self.latent_dim:
             raise ValueError("need at least one content coordinate beyond the attribute flags")
         if self.bins < 2:

@@ -11,6 +11,7 @@ of queries at once, a B x G score matrix; one query is a chunk of one row.
 from __future__ import annotations
 
 import itertools
+import operator
 
 import numpy as np
 
@@ -20,7 +21,8 @@ def rank_gallery(scores, ids, target):
     ties by ascending id: one plus the count of columns that score higher,
     or score the same with a smaller id.  `scores` is B x G, `ids` holds the
     G columns' ids and `target` one column index per row; the result is B
-    ranks."""
+    ranks.  The target always ties with itself, so only rows with a second
+    column at the target's score have ties to count."""
     scores, ids, target = np.asarray(scores, dtype=float), np.asarray(ids), np.asarray(target)
     if scores.ndim != 2 or ids.shape != scores.shape[1:] or target.shape != scores.shape[:1]:
         raise ValueError(f"scores must be B x G with G = len(ids), and target one column per row; "
@@ -30,33 +32,43 @@ def rank_gallery(scores, ids, target):
         row = outside[0]
         raise ValueError(f"row {row}: target column {target[row]} outside a gallery of {ids.size}")
     s_t = np.take_along_axis(scores, target[:, None], axis=-1)
-    id_t = ids[target[:, None]]
-    return 1 + np.count_nonzero((scores > s_t) | ((scores == s_t) & (ids < id_t)), axis=-1)
+    ranks = 1 + np.count_nonzero(scores > s_t, axis=-1)
+    tied = np.flatnonzero(np.count_nonzero(scores == s_t, axis=-1) > 1)
+    ranks[tied] += np.count_nonzero((scores[tied] == s_t[tied]) & (ids < ids[target[tied, None]]),
+                                    axis=-1)
+    return ranks
 
 
 def rank_within_subset(scores, position, subset_ids, target_id):
     """Rank among the candidate subset only; `position` maps a gallery id to
     its column of the B x G `scores`; `subset_ids` and `target_id` hold one
     entry per row, and each target must be a candidate of its row.  The
-    ranks of the rows whose subset is not None come back in row order."""
+    ranks of the rows whose subset is not None come back in row order.  All
+    candidates are looked up and compared in one flat pass over the chained
+    subsets; the rows are walked one by one only to name the first at fault."""
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2:
         raise ValueError(f"scores must be a B x G chunk, got shape {scores.shape}")
-    rows, pairs = [], []  # pairs: (row, column, target's column, id below target's) per candidate
-    for row, (subset, target) in enumerate(zip(subset_ids, target_id, strict=True)):
-        if subset is None:
-            continue
-        if target not in subset:
-            raise ValueError(f"target {target!r} missing from its candidate subset")
-        missing = [s for s in subset if s not in position]
-        if missing:
-            raise ValueError(f"candidate subset ids {missing} missing from the gallery")
-        rows.append(row)
-        pairs += [(row, position[s], position[target], s < target) for s in subset]
-    pairs = np.fromiter(itertools.chain.from_iterable(pairs), dtype=int).reshape(-1, 4)
-    row, column, target_column, smaller_id = pairs.T
+    kept = [(row, subset, target) for row, (subset, target)
+            in enumerate(zip(subset_ids, target_id, strict=True)) if subset is not None]
+    rows, subsets, targets = [*zip(*kept)] or [(), (), ()]
+    rows = np.array(rows, dtype=int)
+    candidates = list(itertools.chain.from_iterable(subsets))
+    columns = list(map(position.get, candidates))
+    if None in columns or not all(map(operator.contains, subsets, targets)):
+        for subset, target in zip(subsets, targets):
+            if target not in subset:
+                raise ValueError(f"target {target!r} missing from its candidate subset")
+            missing = [s for s in subset if s not in position]
+            if missing:
+                raise ValueError(f"candidate subset ids {missing} missing from the gallery")
+    sizes = list(map(len, subsets))
+    row, column = np.repeat(rows, sizes), np.array(columns, dtype=int)
+    target_column = np.repeat(np.array([*map(position.get, targets)], dtype=int), sizes)
+    target_ids = itertools.chain.from_iterable(map(itertools.repeat, targets, sizes))
+    smaller_id = np.fromiter(map(operator.lt, candidates, target_ids), dtype=bool, count=column.size)
     s, s_t = scores[row, column], scores[row, target_column]
-    ahead = (s > s_t) | ((s == s_t) & (smaller_id == 1))
+    ahead = (s > s_t) | ((s == s_t) & smaller_id)
     return 1 + np.bincount(row[ahead], minlength=len(scores))[rows]
 
 

@@ -9,6 +9,7 @@ auxiliary losses are designed around.
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -127,8 +128,10 @@ class RetrievalModel:
 
 
 def _frozen_rows(encoder: ImageEncoder, ids) -> Tensor:
-    """The frozen encoder's rows of each id tuple, stacked as one constant B x (N + 1) x d."""
-    return Tensor(np.stack([encoder.encode(TokenSeq(t)).data for t in ids]))
+    """The frozen encoder's rows of each id tuple as one constant B x (N + 1) x d, joined
+    in one copy: `check_batch` gives every tuple one length, so a reshape splits them."""
+    rows = [encoder.encode(TokenSeq(t)).data for t in ids]
+    return Tensor(np.concatenate(rows).reshape(len(rows), *rows[0].shape))
 
 
 def _batch(entry: str, **fields) -> dict:
@@ -138,6 +141,9 @@ def _batch(entry: str, **fields) -> dict:
     ids, a batch of one; every field must take the same form.  Each entry must
     pass `data.integer_tokens`, a numpy array failing it, before the batch
     meets `data.check_batch`, which refuses an empty list as an empty batch.
+    A field of exact tuples of exact ints, which is what records hold, passes
+    with one bulk type check; any other field is walked entry by entry with
+    `integer_tokens`, which names the entry it refuses.
     """
     sequences = (list, tuple, np.ndarray)
     one = {name: not (isinstance(ids, list) and (not ids or isinstance(ids[0], sequences)))
@@ -147,8 +153,9 @@ def _batch(entry: str, **fields) -> dict:
         raise ValueError(f"{entry}: {single} holds one record's ids but {batch} a list of records' ids")
     if any(one.values()):
         fields = {name: [ids] for name, ids in fields.items()}
-    fields = {name: [integer_tokens(f"{entry}: {name}", t) for t in ids]
-              for name, ids in fields.items()}
+    for name, ids in fields.items():
+        if {*map(type, ids)} != {tuple} or not {*map(type, chain.from_iterable(ids))} <= {int}:
+            fields[name] = [integer_tokens(f"{entry}: {name}", t) for t in ids]
     check_batch(entry, **fields)
     return fields
 

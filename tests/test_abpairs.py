@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -30,3 +31,26 @@ def test_summary_counts_wins_by_direction_and_ties_for_neither_side():
 
 def test_one_pair_has_its_value_as_every_quartile():
     assert abpairs.quartiles([7.0]) == (7.0, 7.0, 7.0)
+
+
+def test_document_holds_one_summary_per_workload_in_the_order_given():
+    runs = {"train_full": {"parent": _runs([5.0, 4.0]), "change": _runs([6.0, 4.0])},
+            "eval_gallery": {"parent": _runs([2.0, 4.0]), "change": _runs([1.0, 3.0], failed=1)}}
+    doc = abpairs.document(runs, {"t": "lower", "q": "higher"}, parent="p" * 40, change="c" * 40,
+                           pairs=2, seconds=1.0, trace=0)
+    assert list(doc) == ["parent", "change", "pairs", "seconds", "trace", "workloads"]
+    assert list(doc["workloads"]) == ["train_full", "eval_gallery"]
+    for workload, sides in runs.items():
+        assert doc["workloads"][workload] == abpairs.summarize(
+            sides["parent"], sides["change"], {"t": "lower", "q": "higher"})
+    assert doc["workloads"]["train_full"]["metrics"]["t"]["change_wins"] == 0
+    assert doc["workloads"]["eval_gallery"]["metrics"]["t"]["change_wins"] == 2
+    assert json.loads(json.dumps(doc)) == doc
+
+
+def test_a_workload_named_twice_is_refused_before_any_run(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        abpairs.main(["HEAD", "HEAD", "--workload", "eval_gallery", "--workload", "eval_gallery",
+                      "--pairs", "1", "--seconds", "1"])
+    assert exit_info.value.code == 2
+    assert "a workload is named more than once" in capsys.readouterr().err

@@ -65,6 +65,13 @@ def test_spec_validation():
         SynthSpec(noise_sigma=float("nan"))
     with pytest.raises(ValueError, match="n_val must be >= 1"):
         SynthSpec(n_val=float("nan"))
+    # counts and the seed are refused by type, not truncated or read as 1 by numpy
+    for name, value in (("n_val", 2.5), ("seed", 1.5), ("latent_dim", 7.0), ("n_train", True),
+                        ("image_vocab", 80.0)):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
+            SynthSpec(**{name: value})
+    with pytest.raises(ValueError, match="^noise_sigma must be a number, got True$"):
+        SynthSpec(noise_sigma=True)
     # the spec's defaults are the run config's
     assert SynthSpec() == synth_spec_from_config(RunConfig())
 

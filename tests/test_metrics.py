@@ -70,6 +70,28 @@ def test_batched_ranks_match_full_sort_oracle_per_row():
             assert rank == rank_oracle(ids, row.tolist(), ids[target])[1]
 
 
+def test_ranks_of_a_full_size_chunk_match_full_sort_oracle_per_row():
+    # 256 x 1024, the size of an eval chunk against its gallery: a quarter of the rows
+    # untied, a quarter tied away from the target, half tied with it on either side by id
+    rng = np.random.default_rng(7)
+    n_queries, n_gallery = 256, 1024
+    ids = [f"g{i:04d}" for i in rng.permutation(n_gallery)]
+    scores = rng.normal(size=(n_queries, n_gallery))
+    targets = rng.integers(0, n_gallery, size=n_queries)
+    for row in range(64, n_queries):
+        others = rng.choice(np.setdiff1d(np.arange(n_gallery), targets[row]), size=5, replace=False)
+        source = others[0] if row < 128 else targets[row]
+        scores[row, others] = scores[row, source]
+    ties = (scores == np.take_along_axis(scores, targets[:, None], axis=1)).sum(axis=1)
+    assert (ties[:128] == 1).all() and (ties[128:] == 6).all()
+    smaller = [sum(ids[c] < ids[t] for c in np.flatnonzero(r == r[t]))
+               for r, t in zip(scores[128:], targets[128:])]
+    assert min(smaller) == 0 and max(smaller) == 5
+    ranks = rank_gallery(scores, ids, targets)
+    for row, target, rank in zip(scores, targets, ranks):
+        assert rank == rank_oracle(ids, row.tolist(), ids[target])[1]
+
+
 def test_batched_subset_ranks_match_full_sort_oracle_per_row():
     rng = np.random.default_rng(6)
     ids = [f"g{i:02d}" for i in range(12)]
@@ -130,6 +152,21 @@ def test_subset_rerank_and_error_on_missing_target():
     assert rank_within_subset(scores, position, [["c", "d"]], ["d"]).tolist() == [2]
     with pytest.raises(ValueError, match="'d' missing from its candidate subset"):
         rank_within_subset(scores, position, [["a", "b"]], ["d"])
+
+
+def test_subset_rank_names_the_first_row_at_fault_target_before_missing_ids():
+    scores, position = np.zeros((2, 3)), {"a": 0, "b": 1, "c": 2}
+    with pytest.raises(ValueError, match=r"^candidate subset ids \['zz'\] missing from the gallery$"):
+        rank_within_subset(scores, position, [["a", "zz"], ["a", "b"]], ["a", "c"])
+    with pytest.raises(ValueError, match="^target 'c' missing from its candidate subset$"):
+        rank_within_subset(scores, position, [["a", "b"], ["a", "zz"]], ["c", "a"])
+    with pytest.raises(ValueError, match="^target 'c' missing from its candidate subset$"):
+        rank_within_subset(scores, position, [["a", "zz"]], ["c"])
+
+
+def test_subset_rank_of_a_chunk_without_subsets_is_empty():
+    ranks = rank_within_subset(np.zeros((3, 2)), {"a": 0, "b": 1}, [None] * 3, ["a", "b", "a"])
+    assert ranks.shape == (0,) and ranks.dtype.kind == "i"
 
 
 def test_subset_rank_refuses_a_bare_row():

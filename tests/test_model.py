@@ -1,4 +1,5 @@
 import dataclasses
+import enum
 import json
 import re
 from collections import Counter
@@ -15,12 +16,13 @@ from cirtrain.data import (
     TripletRecord,
     batches,
     generate,
+    integer_tokens,
     read_records,
     synth_spec_from_config,
     write_records,
 )
 from cirtrain.encoders import TokenSeq
-from cirtrain.model import RetrievalModel, load_checkpoint, save_checkpoint
+from cirtrain.model import RetrievalModel, _batch, load_checkpoint, save_checkpoint
 from cirtrain.objective import score_query_against_gallery
 from cirtrain.tensor import no_grad
 from cirtrain.train import ABLATION_VARIANTS, Adam, train_model
@@ -108,6 +110,10 @@ UNSTACKABLE = [
      re.escape(r"target_tokens holds b'\x01\x02\x03'; ") + IDS),
     ("a bytes entry", "target_embedding", ([(1, 2, 3), b"\x01\x02\x03"],),
      re.escape(r"target_tokens holds b'\x01\x02\x03'; ") + IDS),
+    ("a bool id", "target_embedding", ([(4, 5, 6), (1, True, 3)],),
+     "target_tokens: token id True is not an integer$"),
+    ("a bool ref id", "query_embedding", ((1, True, 3), (0, 1)),
+     "ref_tokens: token id True is not an integer$"),
     ("a range", "target_embedding", (range(1, 4),),
      re.escape("target_tokens holds range(1, 4); ") + IDS),
     ("a set", "query_embedding", ({1, 2, 3}, (0, 1)), "ref_tokens holds {1, 2, 3}; " + IDS),
@@ -140,6 +146,21 @@ def test_every_entry_refuses_an_unstackable_batch_by_entry_and_field(entry, args
     with pytest.raises(ValueError, match=f"^{entry}: {message}"):
         getattr(model, entry)(*args)
     assert [p.reads for p in model.ref_encoder.params() + model.tgt_encoder.params()] == [0] * 12
+
+
+class _Token(enum.IntEnum):
+    A, B, C = 1, 2, 3
+
+
+@pytest.mark.parametrize("ids", [[[1, 2, 3], [4, 5, 6]], [(_Token.A, _Token.B), (_Token.C, 2)],
+                                 [[1, 2], (3, 4)], [(1, 2), (3, 4)]],
+                         ids=["lists", "int enums", "a list and a tuple", "records' tuples"])
+def test_batch_returns_the_ids_integer_tokens_returns(ids):
+    # records hold exact tuples of exact ints and pass in bulk; anything else is walked
+    expected = [integer_tokens("target_embedding: target_tokens", t) for t in ids]
+    got = _batch("target_embedding", target_tokens=ids)["target_tokens"]
+    assert [(type(t), [*map(type, t)]) for t in got] == [(type(t), [*map(type, t)]) for t in expected]
+    assert got == expected
 
 
 def _op_census(loss) -> Counter:

@@ -1,19 +1,22 @@
 """Run the benchmark on two revisions in interleaved pairs and print one JSON summary.
 
-    python tools/abpairs.py <parent-rev> <change-rev> --workload W --pairs N --seconds S [--trace 1]
+    python tools/abpairs.py <parent-rev> <change-rev> --workload W [--workload W2 ...] \
+        --pairs N --seconds S [--trace 1]
 
 Each run extracts its revision with `git archive` into a new temporary
 directory, so no `__pycache__` left by an earlier run or an edited tree
 reaches it, and runs that copy's `cirbench/run.py`.  Pair i runs both sides
 with seed i + 1; the parent runs first in even pairs and the change first
 in odd ones, so a drift of the host over time weighs on both sides alike.
-Nothing is written into the repository.
+Given more than once, `--workload` runs all pairs of one workload, then all
+of the next, in the order given.  Nothing is written into the repository.
 
-The summary gives, per metric, every run's value, each side's median and
-quartiles, the parent's quartile distance (its run-to-run spread), the
-relative change of the median, and in how many pairs the change was better
-(ties count for neither side), plus the attempted and failed operations of
-every run.
+The document names both commits and the run settings, and holds one summary
+per workload under "workloads".  A summary gives, per metric, every run's
+value, each side's median and quartiles, the parent's quartile distance (its
+run-to-run spread), the relative change of the median, and in how many pairs
+the change was better (ties count for neither side), plus the attempted and
+failed operations of every run.
 With `--trace 1` the metrics are the benchmark's per-layer ones.
 """
 
@@ -95,35 +98,43 @@ def summarize(parent_runs, change_runs, better: dict) -> dict:
     }
 
 
+def document(runs: dict, better: dict, **header) -> dict:
+    """The printed JSON object: the `header` entries (both commits and the run
+    settings), then under "workloads" one summary per workload of `runs`, which
+    maps a workload to its {"parent": [...], "change": [...]} result lines."""
+    return {**header, "workloads": {workload: summarize(sides["parent"], sides["change"], better)
+                                    for workload, sides in runs.items()}}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent")
     parser.add_argument("change")
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", required=True, action="append")
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    if len(set(args.workload)) < len(args.workload):
+        parser.error(f"a workload is named more than once: {args.workload}")
 
     sides = {"parent": archive(args.parent), "change": archive(args.change)}
     with tarfile.open(fileobj=io.BytesIO(sides["parent"][1])) as parent_tar:
         bench = json.loads(parent_tar.extractfile("BENCHMARK.json").read())
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
-    runs = {"parent": [], "change": []}
-    for pair in range(args.pairs):
-        order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
-        for side in order:
-            result = run_once(sides[side][1], args.workload, pair + 1, args.seconds, args.trace)
-            runs[side].append(result)
-            print(f"pair {pair + 1}/{args.pairs} {side}: failed {result['failed']} "
-                  f"of {result['attempted']}", file=sys.stderr)
-    print(json.dumps({
-        "parent": sides["parent"][0], "change": sides["change"][0],
-        "workload": args.workload, "pairs": args.pairs, "seconds": args.seconds,
-        "trace": args.trace, **summarize(runs["parent"], runs["change"], better),
-    }, indent=1))
+    runs = {workload: {"parent": [], "change": []} for workload in args.workload}
+    for workload, results in runs.items():
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(sides[side][1], workload, pair + 1, args.seconds, args.trace)
+                results[side].append(result)
+                print(f"{workload} pair {pair + 1}/{args.pairs} {side}: failed {result['failed']} "
+                      f"of {result['attempted']}", file=sys.stderr)
+    print(json.dumps(document(runs, better, parent=sides["parent"][0], change=sides["change"][0],
+                              pairs=args.pairs, seconds=args.seconds, trace=args.trace), indent=1))
     return 0
 
 
