@@ -47,10 +47,3 @@ def test_document_holds_one_summary_per_workload_in_the_order_given():
     assert doc["workloads"]["eval_gallery"]["metrics"]["t"]["change_wins"] == 2
     assert json.loads(json.dumps(doc)) == doc
 
-
-def test_a_workload_named_twice_is_refused_before_any_run(capsys):
-    with pytest.raises(SystemExit) as exit_info:
-        abpairs.main(["HEAD", "HEAD", "--workload", "eval_gallery", "--workload", "eval_gallery",
-                      "--pairs", "1", "--seconds", "1"])
-    assert exit_info.value.code == 2
-    assert "a workload is named more than once" in capsys.readouterr().err

@@ -117,8 +117,6 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    if len(set(args.workload)) < len(args.workload):
-        parser.error(f"a workload is named more than once: {args.workload}")
 
     sides = {"parent": archive(args.parent), "change": archive(args.change)}
     with tarfile.open(fileobj=io.BytesIO(sides["parent"][1])) as parent_tar:
