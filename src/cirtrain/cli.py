@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import RunConfig, apply_override, load_config
-from .data import TOKEN_FIELDS, generate, read_records, synth_spec_from_config, write_records
+from .data import generate, id_ranks, read_records, synth_spec_from_config, write_records
 from .metrics import format_report, rank_gallery, rank_within_subset, summarize
 from .model import RetrievalModel, load_checkpoint, save_checkpoint
 from .objective import score_query_against_gallery
@@ -63,21 +63,24 @@ EVAL_CHUNK = 256  # the most records one batched eval forward embeds
 
 
 def _length_runs(records):
-    """Runs of consecutive records with equal ref, text and target lengths,
-    at most EVAL_CHUNK long: each run stacks without padding."""
-    for _, run in itertools.groupby(records, lambda r: [len(getattr(r, f)) for f in TOKEN_FIELDS]):
-        run = list(run)
-        for start in range(0, len(run), EVAL_CHUNK):
-            yield run[start:start + EVAL_CHUNK]
+    """(start, stop) ranges of consecutive records with equal ref, text and
+    target lengths, at most EVAL_CHUNK long: each run stacks without padding."""
+    stop = 0
+    for _, run in itertools.groupby(
+            records, lambda r: (len(r.ref_tokens), len(r.text_tokens), len(r.target_tokens))):
+        start, stop = stop, stop + sum(1 for _ in run)
+        for begin in range(start, stop, EVAL_CHUNK):
+            yield begin, min(begin + EVAL_CHUNK, stop)
 
 
 def evaluate_model(model: RetrievalModel, val_records) -> dict:
     """Score every validation query against the gallery of all validation
     targets and summarize full-gallery plus subset recalls.
 
-    The gallery is embedded in length runs (`_length_runs`); each run's
-    queries are then embedded, scored with one product and ranked together,
-    so at most EVAL_CHUNK x G scores are held at a time.
+    Ids become gallery columns (record i's target is column i) and `id_ranks`
+    keys once, before anything is embedded.  The gallery is embedded in
+    length runs (`_length_runs`), then each run's queries, scored with one
+    product and ranked together: at most EVAL_CHUNK x G scores at a time.
     """
     if not val_records:
         raise ValueError("validation set is empty")
@@ -85,23 +88,34 @@ def evaluate_model(model: RetrievalModel, val_records) -> dict:
     for column, record in enumerate(val_records):
         if position.setdefault(record.id, column) != column:
             raise ValueError(f"validation id {record.id!r} is repeated")
-    id_keys = np.argsort(np.argsort(np.array(list(position))))  # unique ids: same order
+    subsets = [r.subset_ids for r in val_records]
+    rows = np.repeat(np.arange(len(subsets)), [len(s or ()) for s in subsets])
+    columns = np.fromiter(map(position.get, itertools.chain.from_iterable(filter(None, subsets)),
+                              itertools.repeat(-1)), dtype=int, count=rows.size)
+    held = np.unique(rows[columns == rows]).size + subsets.count(None)  # subsets with their target
+    if (columns < 0).any() or held < len(subsets):
+        for record in val_records:  # name the first record at fault
+            if record.subset_ids is not None and record.id not in record.subset_ids:
+                raise ValueError(f"target {record.id!r} missing from its candidate subset")
+            if missing := [s for s in record.subset_ids or () if s not in position]:
+                raise ValueError(f"candidate subset ids {missing} missing from the gallery")
+    if not rows.size:
+        raise ValueError("validation records carry no candidate subsets")
+    id_keys = id_ranks(list(position))
     full_ranks, subset_ranks = [], []
     with no_grad():
         runs = list(_length_runs(val_records))
-        gallery = np.vstack([model.target_embedding([r.target_tokens for r in run]).data
-                             for run in runs])
-        for run in runs:
+        gallery = np.vstack([model.target_embedding([r.target_tokens for r in val_records[a:b]]).data
+                             for a, b in runs])
+        for (start, stop), (first, end) in zip(runs, np.searchsorted(rows, runs)):
+            run, targets = val_records[start:stop], np.arange(start, stop)
             scores = score_query_against_gallery(
                 model.query_embedding([r.ref_tokens for r in run], [r.text_tokens for r in run]),
                 gallery)
-            full_ranks.append(rank_gallery(scores, id_keys, [position[r.id] for r in run]))
+            full_ranks.append(rank_gallery(scores, id_keys, targets))
             subset_ranks.append(rank_within_subset(
-                scores, position, [r.subset_ids for r in run], [r.id for r in run]))
-    subset_ranks = np.concatenate(subset_ranks)
-    if not subset_ranks.size:
-        raise ValueError("validation records carry no candidate subsets")
-    return summarize(np.concatenate(full_ranks), subset_ranks)
+                scores, id_keys, targets, rows[first:end] - start, columns[first:end]))
+    return summarize(np.concatenate(full_ranks), np.concatenate(subset_ranks))
 
 
 def cmd_eval(cfg: RunConfig) -> int:

@@ -16,6 +16,7 @@ import numpy as np
 
 from .encoders import Attention
 from .tensor import (
+    NORM_EPS,
     Tensor,
     add,
     diagonal_nll,
@@ -60,7 +61,7 @@ def compose(f_r_prime: Tensor, f_t: Tensor, p: CompositorParams) -> Tensor:
     h_target = fuse_branch(f_r_prime, f_t, p.target_branch, p.layers)
     h_reference = fuse_branch(f_t, f_r_prime, p.reference_branch, p.layers)
     cls_sum = add(slice_rows(h_target, 0, 1), slice_rows(h_reference, 0, 1))
-    if (np.linalg.norm(cls_sum.data, axis=-1) < 1e-12).any():
+    if (np.linalg.norm(cls_sum.data, axis=-1) < NORM_EPS).any():
         log.warning("degenerate composite vector: branch CLS rows cancel")
     return l2_normalize_rows(reshape(cls_sum, (cls_sum.shape[0], cls_sum.shape[-1])))
 

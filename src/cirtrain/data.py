@@ -204,16 +204,21 @@ def generate(spec: SynthSpec):
     return train, val
 
 
+def id_ranks(ids: list) -> np.ndarray:
+    """Each id's 0-based place in ascending Python string order: the one id order of ties."""
+    ranks = np.empty(len(ids), dtype=np.int64)
+    ranks[sorted(range(len(ids)), key=ids.__getitem__)] = np.arange(len(ids))
+    return ranks
+
+
 def _nearest_subsets(latents, ids: list) -> list:
     """Per row of the integer `latents`, the ids of its `SUBSET_SIZE` nearest rows.
 
-    The key d² · n + (the id's place in string order) is exact in int64 and
-    unique within a row, so k argmin passes over each block of rows pick the
-    subset in order, ties by id string, without an (n, n) array.
+    The key d² · n + `id_ranks` is exact in int64 and unique within a row,
+    so k argmin passes over each block of rows pick the subset in order,
+    ties by id string, without an (n, n) array.
     """
-    n, k = len(ids), min(SUBSET_SIZE, len(ids))
-    id_rank = np.empty(n, dtype=np.int64)
-    id_rank[sorted(range(n), key=ids.__getitem__)] = np.arange(n)
+    n, k, id_rank = len(ids), min(SUBSET_SIZE, len(ids)), id_ranks(ids)
     columns = np.asarray(latents, dtype=np.int64).T.copy()  # one contiguous row per coordinate
     subsets = []
     for start in range(0, n, 16):  # 16 rows of n int64 keys stay in cache up to n ~ 4k

@@ -1,17 +1,14 @@
 """Retrieval metrics: Recall@K over the full gallery and over candidate subsets.
 
 All fractions live in [0, 1] internally; the CLI multiplies by 100 for
-display.  Ties are broken by ascending gallery id so ranks (and hence
-every metric) are deterministic.  A rank is counted, not sorted: it is one
-plus the number of candidates that order ahead of the target, and the
-metrics need nothing else from a ranking.  Both rankers take a whole chunk
-of queries at once, a B x G score matrix; one query is a chunk of one row.
+display.  Ties are broken by ascending gallery id, given as sort keys (an
+evaluation passes the integer `data.id_ranks`, so no ranker reads a string).
+A rank is counted, not sorted: one plus the number of candidates that
+order ahead of the target.  Both rankers take a whole chunk of queries at
+once, a B x G score matrix addressed by column; one query is one row.
 """
 
 from __future__ import annotations
-
-import itertools
-import operator
 
 import numpy as np
 
@@ -39,37 +36,20 @@ def rank_gallery(scores, ids, target):
     return ranks
 
 
-def rank_within_subset(scores, position, subset_ids, target_id):
-    """Rank among the candidate subset only; `position` maps a gallery id to
-    its column of the B x G `scores`; `subset_ids` and `target_id` hold one
-    entry per row, and each target must be a candidate of its row.  The
-    ranks of the rows whose subset is not None come back in row order.  All
-    candidates are looked up and compared in one flat pass over the chained
-    subsets; the rows are walked one by one only to name the first at fault."""
+def rank_within_subset(scores, ids, target, rows, columns):
+    """Rank among each row's candidate subset only, by `rank_gallery`'s rule
+    and keys: `ids` holds the G columns' sort keys and `target` one column
+    per row of the B x G `scores`; `rows` and `columns` list every candidate
+    as a (row, column) pair, rows ascending.  The ranks of the rows that have
+    candidates come back in row order."""
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2:
         raise ValueError(f"scores must be a B x G chunk, got shape {scores.shape}")
-    kept = [(row, subset, target) for row, (subset, target)
-            in enumerate(zip(subset_ids, target_id, strict=True)) if subset is not None]
-    rows, subsets, targets = [*zip(*kept)] or [(), (), ()]
-    rows = np.array(rows, dtype=int)
-    candidates = list(itertools.chain.from_iterable(subsets))
-    columns = list(map(position.get, candidates))
-    if None in columns or not all(map(operator.contains, subsets, targets)):
-        for subset, target in zip(subsets, targets):
-            if target not in subset:
-                raise ValueError(f"target {target!r} missing from its candidate subset")
-            missing = [s for s in subset if s not in position]
-            if missing:
-                raise ValueError(f"candidate subset ids {missing} missing from the gallery")
-    sizes = list(map(len, subsets))
-    row, column = np.repeat(rows, sizes), np.array(columns, dtype=int)
-    target_column = np.repeat(np.array([*map(position.get, targets)], dtype=int), sizes)
-    target_ids = itertools.chain.from_iterable(map(itertools.repeat, targets, sizes))
-    smaller_id = np.fromiter(map(operator.lt, candidates, target_ids), dtype=bool, count=column.size)
-    s, s_t = scores[row, column], scores[row, target_column]
-    ahead = (s > s_t) | ((s == s_t) & smaller_id)
-    return 1 + np.bincount(row[ahead], minlength=len(scores))[rows]
+    rows, columns = np.asarray(rows, dtype=int), np.asarray(columns, dtype=int)
+    ids, own = np.asarray(ids), np.asarray(target)[rows]
+    s, s_t = scores[rows, columns], scores[rows, own]
+    ahead = (s > s_t) | ((s == s_t) & (ids[columns] < ids[own]))
+    return 1 + np.bincount(rows[ahead], minlength=len(scores))[np.unique(rows)]
 
 
 def recall_at_k(ranks, k: int) -> float:

@@ -185,21 +185,50 @@ def test_evaluate_model_across_chunk_boundaries(tmp_path, monkeypatch):
 def test_run_scores_are_bitwise_rows_of_one_full_product(tmp_path):
     cfg = tiny_config(tmp_path)
     _, val = generate(synth_spec_from_config(cfg))
-    runs = list(cli._length_runs(ragged(val)))
-    assert min(map(len, runs)) == 1 and max(map(len, runs)) > 1
+    val = ragged(val)
+    runs = list(cli._length_runs(val))
+    # consecutive (start, stop) ranges that cover the set
+    assert [start for start, _ in runs] == [0] + [stop for _, stop in runs[:-1]]
+    assert runs[-1][1] == len(val)
+    assert min(stop - start for start, stop in runs) == 1
+    assert max(stop - start for start, stop in runs) > 1
     model = RetrievalModel(cfg)
     with no_grad():
-        gallery = np.vstack([model.target_embedding([r.target_tokens for r in run]).data
-                             for run in runs])
-        queries = [model.query_embedding([r.ref_tokens for r in run], [r.text_tokens for r in run])
-                   for run in runs]
+        gallery = np.vstack([model.target_embedding([r.target_tokens for r in val[a:b]]).data
+                             for a, b in runs])
+        queries = [model.query_embedding([r.ref_tokens for r in val[a:b]],
+                                         [r.text_tokens for r in val[a:b]]) for a, b in runs]
     full = np.vstack([q.data for q in queries]) @ gallery.T
-    start = 0
-    for q in queries:
+    for (start, stop), q in zip(runs, queries):
         scores = cli.score_query_against_gallery(q, gallery)
-        assert scores.shape == (len(q.data), len(val))
-        assert scores.tobytes() == full[start:start + len(q.data)].tobytes()
-        start += len(q.data)
+        assert scores.shape == (stop - start, len(val))
+        assert scores.tobytes() == full[start:stop].tobytes()
+
+
+def tie_heavy(val):
+    """Each group of three records shares the group's first target, so their gallery rows tie
+    exactly; record i holds 1 + i % 6 candidates, and every fifth record holds none."""
+    ids = [r.id for r in val]
+    return [dataclasses.replace(
+        r,
+        target_tokens=val[i - i % 3].target_tokens,
+        subset_ids=None if i % 5 == 4 else
+        (r.id, *(ids[(i + 7 * j) % len(ids)] for j in range(1, 1 + i % 6))),
+    ) for i, r in enumerate(val)]
+
+
+def test_evaluate_model_on_a_ragged_tie_heavy_set_in_chunks_of_five(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path)
+    _, val = generate(synth_spec_from_config(cfg))
+    val = tie_heavy(ragged(val[:12]) + val[12:])
+    assert {len(r.subset_ids or ()) for r in val} == {0, 1, 2, 3, 4, 5, 6}
+    model = RetrievalModel(cfg)
+    expected, gallery = full_sort_report(model, val)
+    assert len({row.tobytes() for row in gallery}) == len(val) // 3
+    monkeypatch.setattr(cli, "EVAL_CHUNK", 5)
+    sizes = _embedded_batch_sizes(monkeypatch)
+    assert evaluate_model(model, val) == expected
+    assert sum(sizes) == len(val) and min(sizes) == 1 and max(sizes) == 5
 
 
 def test_evaluate_model_ranks_exact_ties_across_chunks(tmp_path, monkeypatch):
@@ -243,6 +272,72 @@ def test_evaluate_model_rejects_repeated_and_unknown_ids(tmp_path):
     object.__setattr__(stray[9], "subset_ids", (val[8].id,))
     with pytest.raises(ValueError, match=f"{val[9].id!r} missing from its candidate subset"):
         evaluate_model(model, stray)
+
+
+def test_evaluate_model_names_the_first_record_at_fault_before_embedding(tmp_path, monkeypatch):
+    cfg = tiny_config(tmp_path)
+    _, val = generate(synth_spec_from_config(cfg))
+    a, b, c = (r.id for r in val[:3])
+    model = RetrievalModel(cfg)
+    sizes = _embedded_batch_sizes(monkeypatch)
+
+    def evaluate(subsets):
+        # records refuse a subset without their own id, so subsets are set after construction
+        records = [dataclasses.replace(r, subset_ids=None) for r in val[:3]]
+        for record, subset in zip(records, subsets):
+            object.__setattr__(record, "subset_ids", subset)
+        return evaluate_model(model, records)
+
+    with pytest.raises(ValueError, match=r"^candidate subset ids \['zz'\] missing from the gallery$"):
+        evaluate([(a, "zz"), None, (a, b)])
+    with pytest.raises(ValueError, match=f"^target {a!r} missing from its candidate subset$"):
+        evaluate([(b, c), (b, "zz")])
+    # one record at fault both ways: the target check comes first
+    with pytest.raises(ValueError, match=f"^target {c!r} missing from its candidate subset$"):
+        evaluate([None, None, (a, "zz", b)])
+    with pytest.raises(ValueError, match=r"^candidate subset ids \['zz', 'yy'\] missing from"):
+        evaluate([(a, "zz", b, "yy")])
+    with pytest.raises(ValueError, match="^validation records carry no candidate subsets$"):
+        evaluate([None, None, None])
+    assert sizes == []
+
+
+def _returns(monkeypatch, name):
+    """Record every value `cli.<name>` returns."""
+    values, original = [], getattr(cli, name)
+
+    def spy(*args):
+        values.append(original(*args))
+        return values[-1]
+
+    monkeypatch.setattr(cli, name, spy)
+    return values
+
+
+def test_ids_differing_by_a_trailing_nul_rank_in_string_order(tmp_path, monkeypatch):
+    # numpy's string order drops trailing NULs and reads "v0\0" as "v0"; Python's puts "v0" first
+    cfg = tiny_config(tmp_path)
+    _, val = generate(synth_spec_from_config(cfg))
+    ids = [f"v{i // 2}" + "\x00" * (1 - i % 2) for i in range(len(val))]  # "v0\0", "v0", "v1\0", ...
+    val = [dataclasses.replace(r, id=ids[i], subset_ids=(ids[i ^ 1], ids[i], ids[(i + 2) % len(ids)]))
+           for i, r in enumerate(val)]
+    model = RetrievalModel(cfg)
+    # a zero target encoder embeds every target alike, so only the id order ranks
+    for name, p in model.parameters().items():
+        if name.startswith("tgt_encoder."):
+            p.assign(np.zeros(p.shape))
+    scores, full, subset = (_returns(monkeypatch, name) for name in
+                            ("score_query_against_gallery", "rank_gallery", "rank_within_subset"))
+    report = evaluate_model(model, val)
+    scores = np.vstack(scores)
+    assert (scores == scores[:, :1]).all()
+    position = {rid: column for column, rid in enumerate(ids)}
+    assert np.concatenate(full).tolist() == [
+        rank_oracle(ids, row.tolist(), rid)[1] for row, rid in zip(scores, ids)]
+    assert np.concatenate(subset).tolist() == [
+        rank_oracle(list(r.subset_ids), [row[position[s]] for s in r.subset_ids], r.id)[1]
+        for row, r in zip(scores, val)]
+    assert report == full_sort_report(model, val)[0]
 
 
 def test_disabled_auxiliaries_logged_as_null(tmp_path):

@@ -14,6 +14,7 @@ from cirtrain.data import (
     _nearest_subsets,
     batches,
     generate,
+    id_ranks,
     read_records,
     synth_spec_from_config,
     text_tokens_of_attribute,
@@ -165,6 +166,16 @@ def test_nearest_subsets_break_ties_by_id_string_not_by_index():
     # several row blocks, the last one partial, and unpadded ids
     ids = [f"val-{i}" for i in range(150)]
     latents = np.random.default_rng(0).integers(0, 3, size=(150, 3))
+    assert _nearest_subsets(latents, ids) == nearest_subsets_oracle(latents, ids, SUBSET_SIZE)
+
+
+def test_nearest_subsets_order_ids_differing_by_trailing_nuls_as_strings():
+    # numpy's string order drops trailing NULs; the one id order is Python's: "a" < "a\0" < "a\0\0"
+    ids = ["a\x00", "b", "a\x00\x00", "a", "a\x00b"]
+    assert id_ranks(ids).tolist() == [1, 4, 2, 0, 3]
+    same = np.zeros((len(ids), 2), dtype=int)
+    assert _nearest_subsets(same, ids) == [("a", "a\x00", "a\x00\x00", "a\x00b", "b")] * len(ids)
+    latents = np.array([[0, 0], [0, 0], [1, 0], [0, 0], [1, 0]])
     assert _nearest_subsets(latents, ids) == nearest_subsets_oracle(latents, ids, SUBSET_SIZE)
 
 

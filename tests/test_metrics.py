@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cirtrain.data import id_ranks
 from cirtrain.metrics import (
     avg_metric,
     challenge_metric,
@@ -92,19 +93,40 @@ def test_ranks_of_a_full_size_chunk_match_full_sort_oracle_per_row():
         assert rank == rank_oracle(ids, row.tolist(), ids[target])[1]
 
 
+def flat_candidates(subsets):
+    """The (rows, columns) pairs rank_within_subset takes, for subsets given as column lists."""
+    rows = [row for row, subset in enumerate(subsets) for _ in subset or ()]
+    return rows, [column for subset in subsets for column in subset or ()]
+
+
 def test_batched_subset_ranks_match_full_sort_oracle_per_row():
     rng = np.random.default_rng(6)
-    ids = [f"g{i:02d}" for i in range(12)]
-    position = {gid: i for i, gid in enumerate(ids)}
+    ids = [f"g{i:02d}" for i in rng.permutation(12)]  # column order is not id order
+    keys = id_ranks(ids)
+    sizes = set()
     for _ in range(30):
         scores = rng.integers(0, 3, size=(6, 12)).astype(float)  # forced ties
-        targets = rng.choice(ids, size=6).tolist()
+        targets = rng.integers(0, 12, size=6)
+        # 1-6 candidates, the target among them, or no subset at all
         subsets = [None if rng.random() < 0.3 else
-                   rng.permutation(sorted({t} | set(rng.choice(ids, size=int(rng.integers(0, 6))))))
+                   rng.permutation(sorted({t} | set(rng.choice(12, size=int(rng.integers(0, 6))))))
                    .tolist() for t in targets]
-        expected = [rank_oracle(sub, [row[position[s]] for s in sub], t)[1]
+        sizes |= {len(sub) for sub in subsets if sub is not None}
+        expected = [rank_oracle([ids[c] for c in sub], row[sub].tolist(), ids[t])[1]
                     for row, sub, t in zip(scores, subsets, targets) if sub is not None]
-        assert rank_within_subset(scores, position, subsets, targets).tolist() == expected
+        ranks = rank_within_subset(scores, keys, targets, *flat_candidates(subsets))
+        assert ranks.tolist() == expected
+    assert sizes == {1, 2, 3, 4, 5, 6}
+
+
+def test_ids_differing_by_a_trailing_nul_tie_in_string_order():
+    # numpy's string order drops trailing NULs and reads "a\0" as "a"; Python's puts "a" first
+    ids = ["a\x00", "a", "z"]
+    scores = np.array([[0.5, 0.5, 0.1]])
+    _, rank = rank_oracle(ids, scores[0].tolist(), "a\x00")
+    assert rank == 2
+    assert rank_gallery(scores, id_ranks(ids), [0]).tolist() == [rank]
+    assert rank_within_subset(scores, id_ranks(ids), [0], [0, 0], [0, 1]).tolist() == [rank]
 
 
 def test_recall_counting():
@@ -144,53 +166,34 @@ def test_recall_rejects_bad_input():
         recall_at_k([1], 0)
 
 
-def test_subset_rerank_and_error_on_missing_target():
+def test_subset_rerank():
     scores = np.array([[0.3, 0.9, 0.5, 0.1]])
-    position = {"a": 0, "b": 1, "c": 2, "d": 3}
+    keys = [0, 1, 2, 3]
     # the subset orders b, c, a
-    assert rank_within_subset(scores, position, [["a", "b", "c"]], ["c"]).tolist() == [2]
-    assert rank_within_subset(scores, position, [["c", "d"]], ["d"]).tolist() == [2]
-    with pytest.raises(ValueError, match="'d' missing from its candidate subset"):
-        rank_within_subset(scores, position, [["a", "b"]], ["d"])
-
-
-def test_subset_rank_names_the_first_row_at_fault_target_before_missing_ids():
-    scores, position = np.zeros((2, 3)), {"a": 0, "b": 1, "c": 2}
-    with pytest.raises(ValueError, match=r"^candidate subset ids \['zz'\] missing from the gallery$"):
-        rank_within_subset(scores, position, [["a", "zz"], ["a", "b"]], ["a", "c"])
-    with pytest.raises(ValueError, match="^target 'c' missing from its candidate subset$"):
-        rank_within_subset(scores, position, [["a", "b"], ["a", "zz"]], ["c", "a"])
-    with pytest.raises(ValueError, match="^target 'c' missing from its candidate subset$"):
-        rank_within_subset(scores, position, [["a", "zz"]], ["c"])
+    assert rank_within_subset(scores, keys, [2], [0, 0, 0], [0, 1, 2]).tolist() == [2]
+    assert rank_within_subset(scores, keys, [3], [0, 0], [2, 3]).tolist() == [2]
 
 
 def test_subset_rank_of_a_chunk_without_subsets_is_empty():
-    ranks = rank_within_subset(np.zeros((3, 2)), {"a": 0, "b": 1}, [None] * 3, ["a", "b", "a"])
+    ranks = rank_within_subset(np.zeros((3, 2)), [0, 1], [0, 1, 0], [], [])
     assert ranks.shape == (0,) and ranks.dtype.kind == "i"
 
 
 def test_subset_rank_refuses_a_bare_row():
     with pytest.raises(ValueError, match=r"^scores must be a B x G chunk, got shape \(2,\)$"):
-        rank_within_subset(np.array([0.3, 0.9]), {"a": 0, "b": 1}, [["a", "b"]], ["a"])
-
-
-def test_subset_id_outside_gallery_rejected():
-    scores = np.array([[0.3, 0.9]])
-    with pytest.raises(ValueError, match=r"\['zz'\] missing from the gallery"):
-        rank_within_subset(scores, {"a": 0, "b": 1}, [["a", "zz", "b"]], ["a"])
+        rank_within_subset(np.array([0.3, 0.9]), [0, 1], [0], [0, 0], [0, 1])
 
 
 def test_subset_recall_never_below_full_recall():
     # fewer competitors can only improve the target's rank
     rng = np.random.default_rng(3)
     ids = [f"g{i:02d}" for i in range(12)]
-    position = {gid: i for i, gid in enumerate(ids)}
     for _ in range(25):
         scores = rng.normal(size=(1, 12))
         target = int(rng.integers(0, 12))
-        subset = sorted(set(rng.choice(ids, size=4, replace=False).tolist()) | {ids[target]})
+        subset = sorted(set(rng.choice(12, size=4, replace=False).tolist()) | {target})
         [full] = rank_gallery(scores, ids, [target])
-        [sub] = rank_within_subset(scores, position, [subset], [ids[target]])
+        [sub] = rank_within_subset(scores, id_ranks(ids), [target], [0] * len(subset), subset)
         assert sub <= full
         for k in (1, 2, 3):
             assert recall_at_k([sub], k) >= recall_at_k([full], k)

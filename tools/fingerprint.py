@@ -15,7 +15,10 @@ dim 8 / batch 8, the document records:
 - the eval report at init and after one epoch;
 - the epoch row and the sha256 of each parameter after one epoch.
 It also records the sha256 of each artifact of the c7 determinism run
-(datasets, checkpoint, training log and report).
+(datasets, checkpoint, training log and report), and the eval report of the
+default model at init on a ragged, tie-heavy copy of the default validation
+set at an eval chunk of 5 (`_ragged_tied`), so the run and candidate slicing
+of the eval pass is covered too.
 """
 
 from __future__ import annotations
@@ -115,6 +118,36 @@ def _c7_artifacts() -> dict:
                 for name in ("train.jsonl", "val.jsonl", "ckpt.json", "log.jsonl", "report.json")}
 
 
+def _ragged_tied(val) -> list:
+    """`val` with lengths that change every few records in its first half (runs of 1-3) and
+    not in its second (runs cut at the eval chunk), each group of three records sharing one
+    target (exact gallery ties), record i keeping the first 1 + i % 6 of its candidates and
+    every fifth record keeping none."""
+    def cut(tokens, ragged):
+        return tokens[:-1] if ragged else tokens
+
+    half = len(val) // 2
+    return [dataclasses.replace(
+        r,
+        ref_tokens=cut(r.ref_tokens, i < half and i % 4 == 0),
+        text_tokens=cut(r.text_tokens, i < half and i % 5 == 0),
+        target_tokens=cut(val[i - i % 3].target_tokens, i < half and i // 3 % 2),
+        subset_ids=None if i % 5 == 4 else r.subset_ids[:1 + i % 6],
+    ) for i, r in enumerate(val)]
+
+
+def _ragged_tied_report(val) -> dict:
+    from cirtrain import cli
+    from cirtrain.config import RunConfig
+    from cirtrain.model import RetrievalModel
+
+    chunk, cli.EVAL_CHUNK = cli.EVAL_CHUNK, 5
+    try:
+        return cli.evaluate_model(RetrievalModel(RunConfig()), _ragged_tied(val))
+    finally:
+        cli.EVAL_CHUNK = chunk
+
+
 def fingerprint(checkout) -> dict:
     sys.path.insert(0, str(Path(checkout).resolve() / "src"))
     from cirtrain.config import RunConfig
@@ -126,6 +159,8 @@ def fingerprint(checkout) -> dict:
         train, val = generate(synth_spec_from_config(_replace(RunConfig(), overrides)))
         doc[geometry] = {name: _variant(overrides, alignment, reasoning, train, val)
                          for name, alignment, reasoning in ABLATION_VARIANTS}
+    _, val = generate(synth_spec_from_config(RunConfig()))
+    doc["eval_ragged_tied"] = _ragged_tied_report(val)
     return doc
 
 
