@@ -175,14 +175,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     if args.command == "gradcheck":
         return cmd_gradcheck()
-    cfg = _resolve_config(args)
-    if args.command == "synth":
-        return cmd_synth(cfg)
-    if args.command == "train":
-        return cmd_train(cfg)
-    if args.command == "eval":
-        return cmd_eval(cfg)
-    raise AssertionError(f"unhandled command {args.command!r}")
+    commands = {"synth": cmd_synth, "train": cmd_train, "eval": cmd_eval}
+    return commands[args.command](_resolve_config(args))
 
 
 if __name__ == "__main__":

@@ -20,11 +20,11 @@ from .tensor import (
     Tensor,
     add,
     diagonal_nll,
+    first_row,
     l2_normalize_rows,
     matmul,
     mean_axis,
     reshape,
-    slice_rows,
     transpose,
 )
 
@@ -60,10 +60,10 @@ def compose(f_r_prime: Tensor, f_t: Tensor, p: CompositorParams) -> Tensor:
     per item: bit for bit the normalized mean, since halving is exact in float64."""
     h_target = fuse_branch(f_r_prime, f_t, p.target_branch, p.layers)
     h_reference = fuse_branch(f_t, f_r_prime, p.reference_branch, p.layers)
-    cls_sum = add(slice_rows(h_target, 0, 1), slice_rows(h_reference, 0, 1))
+    cls_sum = add(first_row(h_target), first_row(h_reference))
     if (np.linalg.norm(cls_sum.data, axis=-1) < NORM_EPS).any():
         log.warning("degenerate composite vector: branch CLS rows cancel")
-    return l2_normalize_rows(reshape(cls_sum, (cls_sum.shape[0], cls_sum.shape[-1])))
+    return l2_normalize_rows(cls_sum)
 
 
 def reasoning_loss(f_r_prime: Tensor, f_t: Tensor, f_c: Tensor, p: CompositorParams,

@@ -162,19 +162,13 @@ def generate(spec: SynthSpec):
     distance: nearest first, ties by ascending id string, itself included.
     """
     rng = np.random.default_rng(spec.seed)
-    bins = spec.bins
 
-    train = []
-    for i in range(spec.n_train):
-        ref, attr, target = _sample_triplet(rng, spec)
-        train.append(
-            TripletRecord(
-                id=f"train-{i:05d}",
-                ref_tokens=tokens_of_latent(ref, bins),
-                text_tokens=text_tokens_of_attribute(attr, spec.n_attributes),
-                target_tokens=tokens_of_latent(target, bins),
-            )
-        )
+    def record(name, ref, attr, target, subset_ids=None):
+        return TripletRecord(id=name, ref_tokens=tokens_of_latent(ref, spec.bins),
+                             text_tokens=text_tokens_of_attribute(attr, spec.n_attributes),
+                             target_tokens=tokens_of_latent(target, spec.bins), subset_ids=subset_ids)
+
+    train = [record(f"train-{i:05d}", *_sample_triplet(rng, spec)) for i in range(spec.n_train)]
 
     val_rows = []
     seen_targets = set()
@@ -191,16 +185,7 @@ def generate(spec: SynthSpec):
 
     ids = [f"val-{i:05d}" for i in range(spec.n_val)]
     subsets = _nearest_subsets([row[2] for row in val_rows], ids)
-    val = [
-        TripletRecord(
-            id=ids[i],
-            ref_tokens=tokens_of_latent(ref, bins),
-            text_tokens=text_tokens_of_attribute(attr, spec.n_attributes),
-            target_tokens=tokens_of_latent(target, bins),
-            subset_ids=subsets[i],
-        )
-        for i, (ref, attr, target) in enumerate(val_rows)
-    ]
+    val = [record(ids[i], *row, subsets[i]) for i, row in enumerate(val_rows)]
     return train, val
 
 

@@ -1,13 +1,12 @@
 """Toy trainable encoders: embedding tables plus single-head attention blocks.
 
 These stand in for the large pretrained backbones a production retrieval
-system would use.  Each encoder is an embedding lookup (realised as a
-one-hot matmul so gradients reach the table through the ordinary matmul
-rule), learned positional vectors, and one self-attention block with a
-residual connection.  Image encoders prepend a CLS row; the text encoder
-does not.  The frozen image encoders take one sequence at a time; the text
-encoder, cross encoder and query fusion take only batches, B x L x d, in
-training and evaluation alike (one item is a batch of one).
+system would use.  Each encoder is an embedding lookup and learned positional
+vectors, both read from their tables by `take_rows`, and one self-attention
+block with a residual connection.  Image encoders prepend a CLS row; the
+text encoder does not.  The frozen image encoders take one sequence at a
+time; the text encoder, cross encoder and query fusion take only batches,
+B x L x d, in training and evaluation alike (one item is a batch of one).
 
 A frozen encode is a pure function of the token tuple and the frozen
 weights, so each image encoder computes it once per tuple and keeps the
@@ -36,12 +35,11 @@ from .tensor import (
     add,
     attention,
     concat,
-    expand,
     l2_normalize_rows,
     matmul,
     mean_axis,
     reshape,
-    slice_rows,
+    take_rows,
 )
 
 
@@ -53,7 +51,7 @@ class TokenSeq:
 
 
 def _embed(encoder, ids, table: Tensor) -> Tensor:
-    """one_hot @ table: the (..., N, d) rows of `table` at (..., N) ids `encoder` can embed."""
+    """The (..., N, d) rows of `table` at (..., N) ids `encoder` can embed."""
     ids = np.asarray(ids)
     if ids.shape[-1] == 0:
         raise ValueError("token sequence must be non-empty")
@@ -64,7 +62,7 @@ def _embed(encoder, ids, table: Tensor) -> Tensor:
     outside = (ids < 0) | (ids >= encoder.vocab)
     if outside.any():
         raise ValueError(f"token id {ids[outside][0]} outside vocabulary [0, {encoder.vocab})")
-    return matmul(Tensor(ids[..., None] == np.arange(encoder.vocab)), table)
+    return take_rows(table, ids)
 
 
 class Attention:
@@ -127,7 +125,7 @@ class ImageEncoder:
         if out is None:
             embedding, cls, positions, wq, wk, wv = weights
             rows = concat([cls, _embed(self, seq.tokens, embedding)])
-            rows = add(rows, slice_rows(positions, 0, len(seq.tokens) + 1))
+            rows = add(rows, take_rows(positions, np.arange(len(seq.tokens) + 1)))
             out = self._rows[seq.tokens] = add(rows, attention(rows, rows, wq, wk, wv))
             out.data.flags.writeable = False
         return out
@@ -159,7 +157,7 @@ class TextEncoder:
         entries refuse any other batch first (`data.check_batch`)."""
         rows = _embed(self, ids, self.embedding.tensor)
         b, length = rows.shape[:2]
-        rows = add(rows, expand(slice_rows(self.positions.tensor, 0, length), 0, b))
+        rows = add(rows, take_rows(self.positions.tensor, np.tile(np.arange(length), (b, 1))))
         return add(rows, self.attn(rows, rows))
 
     def params(self):
@@ -198,7 +196,8 @@ class QueryFusion:
 
     def fuse(self, f_c: Tensor, f_r: Tensor) -> Tensor:
         b, p, length = f_c.shape[0], self.n_prompts, f_c.shape[-2]
-        query_side = concat([expand(self.prompts.tensor, 0, b), f_c]) if p else f_c
+        query_side = (concat([take_rows(self.prompts.tensor, np.tile(np.arange(p), (b, 1))), f_c])
+                      if p else f_c)
         text_mask = np.zeros((b, p + length, 1))
         text_mask[:, p:] = 1.0
         return add(self.attn(query_side, f_r), matmul(Tensor(text_mask), mean_axis(f_c, axis=-2)))

@@ -20,7 +20,7 @@ from .config import RunConfig
 from .data import TOKEN_FIELDS, check_batch, integer_tokens
 from .encoders import CrossEncoder, ImageEncoder, QueryFusion, TextEncoder, TokenSeq
 from .objective import LossBreakdown, matching_loss, total_loss
-from .tensor import Tensor, l2_normalize_rows, reshape, slice_rows
+from .tensor import Tensor, first_row, l2_normalize_rows
 
 
 class RetrievalModel:
@@ -65,7 +65,7 @@ class RetrievalModel:
 
     def pooled_target(self, f_t: Tensor) -> Tensor:
         """CLS rows of B x N x d target features, L2-normalized: B x d."""
-        return l2_normalize_rows(reshape(slice_rows(f_t, 0, 1), (f_t.shape[0], f_t.shape[-1])))
+        return l2_normalize_rows(first_row(f_t))
 
     def batch_losses(self, records) -> tuple:
         """Joint loss over one batch; returns (total tensor, LossBreakdown).
@@ -205,7 +205,10 @@ def load_checkpoint(model: RetrievalModel, path):
         data = entry.get("data")
         if type(data) is not list or len(data) != p.data.size or {*map(type, data)} - {int, float}:
             raise ValueError(f"{name}: checkpoint data must be a list of {p.data.size} numbers")
-        values[name] = np.array(data, dtype=np.float64).reshape(p.shape)
+        try:
+            values[name] = np.array(data, dtype=np.float64).reshape(p.shape)
+        except OverflowError:
+            raise ValueError(f"{name}: checkpoint holds an integer beyond the float range") from None
         if not np.isfinite(values[name]).all():
             raise ValueError(f"{name}: checkpoint holds non-finite values")
     for name, value in values.items():

@@ -4,12 +4,12 @@ Shapes are explicit everywhere: `add`, the one elementwise op, demands
 identical shapes, which keeps every gradient rule below auditable by eye.
 Tensors may carry leading batch axes: at any rank the last two axes are a
 matrix's rows and columns, which `transpose` (unless given a permutation of
-all axes), `slice_rows`, `concat`, `softmax_rows` and `l2_normalize_rows`
-act on, `mean_axis` takes any axis, and `matmul` pairs matrices over equal
-leading axes.  There are three broadcasts and no others: scalar times
-tensor, a 2-D weight right of `matmul` (applied to every matrix on the
-left; its gradient sums over the leading axes), and an explicit `expand`
-along a new axis (its gradient sums over that axis).  Two ops are fused,
+all axes), `first_row`, `concat`, `softmax_rows` and `l2_normalize_rows` act
+on, `mean_axis` takes any axis, and `matmul` pairs matrices over equal
+leading axes.  There are two broadcasts and no others: scalar times tensor,
+and a 2-D weight right of `matmul` (applied to every matrix on the left; its
+gradient sums over the leading axes).  A 2-D table is read by `take_rows`, a
+gather whose gradient sums the rows each id read.  Two ops are fused,
 each owning its softmax and backward: `diagonal_nll` takes the in-batch
 NLL at the temperature τ it is given as one log-sum-exp op, and
 `attention` is a whole single-head attention block.  Each op does its
@@ -36,9 +36,9 @@ __all__ = [
     "transpose",
     "mean_axis",
     "concat",
-    "expand",
     "reshape",
-    "slice_rows",
+    "take_rows",
+    "first_row",
     "softmax_rows",
     "l2_normalize_rows",
     "diagonal_nll",
@@ -212,7 +212,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         out_data = ad @ bd
 
     # d(sum g.C)/dA = g @ B^T, d/dB = A^T @ g; a shared weight sums A^T @ g over every matrix.
-    # An operand that takes no gradient (a one-hot or mask on the left) gets None, not a product.
+    # An operand that takes no gradient (a mask on the left) gets None, not a product.
     def back(g):
         ga = g @ bd.swapaxes(-1, -2) if a.requires_grad else None
         if not b.requires_grad:
@@ -264,15 +264,6 @@ def concat(parts) -> Tensor:
                    lambda g: tuple(np.split(g, splits, axis=-2)), "concat")
 
 
-def expand(x: Tensor, axis: int, n: int) -> Tensor:
-    """Repeat `x` n times along a new axis inserted at `axis`; the gradient sums over it."""
-    if not 0 <= axis <= x.data.ndim:
-        raise ValueError(f"expand: axis {axis} out of range for shape {x.shape}")
-    data = np.expand_dims(x.data, axis)
-    shape = data.shape[:axis] + (n,) + data.shape[axis + 1:]
-    return _result(np.broadcast_to(data, shape), (x,), lambda g: (g.sum(axis=axis),), "expand")
-
-
 def reshape(x: Tensor, shape: tuple) -> Tensor:
     """The same values, in row-major order, under a new shape."""
     shape = tuple(shape)
@@ -282,20 +273,34 @@ def reshape(x: Tensor, shape: tuple) -> Tensor:
     return _result(x.data.reshape(shape), (x,), lambda g: (g.reshape(in_shape),), "reshape")
 
 
-def slice_rows(x: Tensor, start: int, stop: int) -> Tensor:
-    """Rows [start, stop) along the second-to-last axis."""
-    _check_rows(x, "slice_rows")
-    m = x.shape[-2]
-    if not (0 <= start < stop <= m):
-        raise ValueError(f"slice_rows: invalid range [{start}, {stop}) for {m} rows")
-    shape = x.data.shape
+def take_rows(table: Tensor, ids) -> Tensor:
+    """The rows of a 2-D table at integer `ids`, ids.shape + (d,); the gradient is the one-hot
+    product `matmul` would give, the one-hot built only in the backward."""
+    ids = np.asarray(ids)
+    if table.data.ndim != 2 or ids.dtype.kind not in "iu":
+        raise ValueError(f"take_rows: expected a 2-D table and integer ids, got shape {table.shape} "
+                         f"and {ids.dtype} ids")
+    n = table.shape[0]
+    if ((ids < 0) | (ids >= n)).any():
+        raise ValueError(f"take_rows: ids outside [0, {n})")
 
     def back(g):
-        full = np.zeros(shape)
-        full[..., start:stop, :] = g
+        return (_weight_grad((ids[..., None] == np.arange(n)).astype(np.float64), g),)
+
+    return _result(table.data[ids], (table,), back, "take_rows")
+
+
+def first_row(x: Tensor) -> Tensor:
+    """Row 0 of each matrix: (..., N, d) -> (..., d)."""
+    if x.data.ndim < 2 or x.shape[-2] == 0:
+        raise ValueError(f"first_row: expected matrices with rows, got shape {x.shape}")
+
+    def back(g):
+        full = np.zeros(x.shape)
+        full[..., 0, :] = g
         return (full,)
 
-    return _result(x.data[..., start:stop, :].copy(), (x,), back, "slice_rows")
+    return _result(x.data[..., 0, :].copy(), (x,), back, "first_row")
 
 
 def softmax_rows(x: Tensor) -> Tensor:

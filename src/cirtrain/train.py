@@ -75,38 +75,32 @@ def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
                                       for name in TOKEN_FIELDS})
     optimizer = Adam(model.trainable(), lr=tc.learning_rate)
     history = []
-    log_fh = None
-    try:
-        for epoch in range(tc.epochs):
-            steps = []
-            for step, batch in enumerate(batches(records, tc.batch_size, tc.seed, epoch)):
-                model.zero_grad()
-                try:
-                    total, breakdown = model.batch_losses(batch)
-                    total.backward()
-                    optimizer.step()
-                except NonFiniteError as err:
-                    raise RuntimeError(f"training aborted at epoch {epoch}, step {step}: non-finite "
-                                       f"values in output of op '{err.op}'") from err
-                steps.append(dataclasses.asdict(breakdown))
-            row = {"epoch": epoch, "batches": len(steps)}
-            for key in steps[0]:
-                values = [step[key] for step in steps if step[key] is not None]
-                # summed left to right on every Python: from 3.12 the builtin sum compensates
-                summed = functools.reduce(operator.add, values, 0.0)
-                row[key] = summed / len(values) if values else None
-            history.append(row)
-            line = json.dumps(row)
-            log.info("epoch %d: %s", epoch, line)
-            if log_path is not None:
-                if log_fh is None:
-                    # opened at the first row, so a run refused before it leaves no log
-                    Path(log_path).parent.mkdir(parents=True, exist_ok=True)
-                    log_fh = Path(log_path).open("w", encoding="utf-8")
-                log_fh.write(line + "\n")
-    finally:
-        if log_fh is not None:
-            log_fh.close()
+    for epoch in range(tc.epochs):
+        steps = []
+        for step, batch in enumerate(batches(records, tc.batch_size, tc.seed, epoch)):
+            model.zero_grad()
+            try:
+                total, breakdown = model.batch_losses(batch)
+                total.backward()
+                optimizer.step()
+            except NonFiniteError as err:
+                raise RuntimeError(f"training aborted at epoch {epoch}, step {step}: non-finite "
+                                   f"values in output of op '{err.op}'") from err
+            steps.append(dataclasses.asdict(breakdown))
+        row = {"epoch": epoch, "batches": len(steps)}
+        for key in steps[0]:
+            values = [step[key] for step in steps if step[key] is not None]
+            # summed left to right on every Python: from 3.12 the builtin sum compensates
+            summed = functools.reduce(operator.add, values, 0.0)
+            row[key] = summed / len(values) if values else None
+        history.append(row)
+        line = json.dumps(row)
+        log.info("epoch %d: %s", epoch, line)
+        if log_path is not None:
+            # opened for each row, new at the first, so a run refused before it leaves no log
+            Path(log_path).parent.mkdir(parents=True, exist_ok=True)
+            with Path(log_path).open("w" if epoch == 0 else "a", encoding="utf-8") as fh:
+                fh.write(line + "\n")
     return history
 
 

@@ -5,6 +5,7 @@ import pytest
 
 from cirtrain import tensor as T
 from cirtrain.bridge import BridgeParams, alignment_loss, cosines
+from graph import graph_nodes
 from oracles import (
     alignment_loss_oracle,
     bridged_chain,
@@ -267,27 +268,18 @@ def test_distinct_axis_sizes_match_the_oracle_and_finite_differences(b):
         assert max_rel_err(analytic, finite_diff(value, array)) < 1e-4, name
 
 
-def _graph_ops(loss):
-    """(op, element count) of every recorded node reachable from `loss`."""
-    seen, stack, ops = set(), [loss], []
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen and node.op != "leaf":
-            seen.add(id(node))
-            ops.append((node.op, node.data.size))
-            stack.extend(node._parents)
-    return ops
-
-
 def test_the_grid_is_never_expanded_over_a_second_batch_axis():
     # the hinge logits, B x N x B x M, are the largest tensor; a (B, B, N, d) value product
-    # (d > M here) or any expanded stack would be larger, or show up as an `expand` node
+    # (d > M here) or any expanded stack would be larger, or show up as a `take_rows` node,
+    # the engine's one op that can repeat rows
     n, length, m = 4, 2, 3
     censuses = []
     for b in (2, 16):
         feats = _feature_tensors(np.random.default_rng(b), b, n, length, m)
-        ops = _graph_ops(alignment_loss(*feats, make_params(share=False), TAU))
-        assert "expand" not in {op for op, _ in ops}
+        ops = [(node.op, node.data.size)
+               for node in graph_nodes(alignment_loss(*feats, make_params(share=False), TAU))
+               if node.op != "leaf"]
+        assert "take_rows" not in {op for op, _ in ops}
         assert max(size for _, size in ops) == b * b * n * m
         censuses.append(sorted(op for op, _ in ops))
     assert censuses[0] == censuses[1]

@@ -113,7 +113,7 @@ def test_compose_identical_branch_outputs():
     rng = np.random.default_rng(9)
     x = rng.normal(size=(3, DIM))
     # same weights, same inputs on both branches -> both CLS rows identical
-    out = compose(T.Tensor(x), T.Tensor(x), p)
+    out = compose(T.Tensor(x[None]), T.Tensor(x[None]), p)
     branch = fuse_branch_oracle(x, x, *branch_arrays(p.target_branch), 1)
     v = branch[0]
     assert np.allclose(out.data.reshape(-1), v / np.linalg.norm(v), atol=1e-12)
@@ -125,7 +125,7 @@ def test_compose_antisymmetric_branches_flag_degenerate(caplog):
         w.wq.data[...] = 0.0
         w.wv.data[...] = sign * np.eye(DIM)
     # both branches see the same single-row inputs, so CLS outputs are v and -v
-    x = np.ones((1, DIM))
+    x = np.ones((1, 1, DIM))
     with caplog.at_level(logging.WARNING, logger="cirtrain.compositor"):
         out = compose(T.Tensor(x), T.Tensor(x), p)
     assert np.allclose(out.data, 0.0, atol=1e-12)
@@ -137,7 +137,7 @@ def test_batched_compose_warns_when_any_row_is_degenerate(caplog):
     for w, sign in ((p.target_branch, 1.0), (p.reference_branch, -1.0)):
         w.wq.data[...] = 0.0
         w.wv.data[...] = sign * np.eye(DIM)
-    # item 0 cancels as in the 2-D case; item 1's branches see different inputs
+    # item 0 cancels as in the batch of one above; item 1's branches see different inputs
     rng = np.random.default_rng(20)
     f_r_prime = T.Tensor(np.stack([np.ones((1, DIM)), rng.normal(size=(1, DIM))]))
     f_t = T.Tensor(np.stack([np.ones((1, DIM)), rng.normal(size=(1, DIM))]))
@@ -165,7 +165,7 @@ def test_compose_matches_straight_line_oracle():
     rng = np.random.default_rng(11)
     f_r_prime = rng.normal(size=(4, DIM))
     f_t = rng.normal(size=(5, DIM))
-    out = compose(T.Tensor(f_r_prime), T.Tensor(f_t), p)
+    out = compose(T.Tensor(f_r_prime[None]), T.Tensor(f_t[None]), p)
     expected = compose_oracle(f_r_prime, f_t,
                               branch_arrays(p.target_branch),
                               branch_arrays(p.reference_branch), 3)

@@ -26,6 +26,7 @@ from cirtrain.model import RetrievalModel, _batch, load_checkpoint, save_checkpo
 from cirtrain.objective import score_query_against_gallery
 from cirtrain.tensor import no_grad
 from cirtrain.train import ABLATION_VARIANTS, Adam, train_model
+from graph import graph_nodes
 
 
 def small_config(**training_kw):
@@ -165,14 +166,7 @@ def test_batch_returns_the_ids_integer_tokens_returns(ids):
 
 def _op_census(loss) -> Counter:
     """Recorded graph nodes reachable from `loss`, counted by op."""
-    counts, seen, stack = Counter(), set(), [loss]
-    while stack:
-        node = stack.pop()
-        if id(node) not in seen and node.requires_grad:
-            seen.add(id(node))
-            counts[node.op] += node.op != "leaf"
-            stack.extend(node._parents)
-    return +counts  # without the leaves' zero
+    return Counter(node.op for node in graph_nodes(loss) if node.requires_grad and node.op != "leaf")
 
 
 # one step's recorded graph at the default geometry, nodes by op: text, cross and fusion
@@ -180,17 +174,17 @@ def _op_census(loss) -> Counter:
 # encoder and fusion; each loss is one diagonal_nll node, and the bridge's hinge is the only
 # softmax left outside the fused attention op
 STEP_CENSUS = {
-    "baseline": (17, dict(add=3, attention=2, concat=1, diagonal_nll=1, expand=2,
-                          l2_normalize_rows=1, matmul=3, mean_axis=2, reshape=1, slice_rows=1)),
-    "+alignment": (51, dict(add=5, attention=3, concat=1, diagonal_nll=2, expand=2,
-                            l2_normalize_rows=7, matmul=13, mean_axis=4, reshape=6, scalar_mul=2,
-                            slice_rows=1, softmax_rows=1, transpose=4)),
-    "+reasoning": (38, dict(add=5, attention=10, concat=1, diagonal_nll=2, expand=2,
-                            l2_normalize_rows=3, matmul=4, mean_axis=3, reshape=3, scalar_mul=1,
-                            slice_rows=3, transpose=1)),
-    "full": (72, dict(add=7, attention=11, concat=1, diagonal_nll=3, expand=2, l2_normalize_rows=9,
-                      matmul=14, mean_axis=5, reshape=8, scalar_mul=3, slice_rows=3,
-                      softmax_rows=1, transpose=5)),
+    "baseline": (16, dict(add=3, attention=2, concat=1, diagonal_nll=1, l2_normalize_rows=1,
+                          matmul=2, mean_axis=2, reshape=1, take_rows=3)),
+    "+alignment": (50, dict(add=5, attention=3, concat=1, diagonal_nll=2, l2_normalize_rows=7,
+                            matmul=12, mean_axis=4, reshape=6, scalar_mul=2, softmax_rows=1,
+                            take_rows=3, transpose=4)),
+    "+reasoning": (36, dict(add=5, attention=10, concat=1, diagonal_nll=2, first_row=2,
+                            l2_normalize_rows=3, matmul=3, mean_axis=3, reshape=2, scalar_mul=1,
+                            take_rows=3, transpose=1)),
+    "full": (70, dict(add=7, attention=11, concat=1, diagonal_nll=3, first_row=2,
+                      l2_normalize_rows=9, matmul=13, mean_axis=5, reshape=7, scalar_mul=3,
+                      softmax_rows=1, take_rows=3, transpose=5)),
 }
 
 
@@ -250,14 +244,9 @@ def test_a_default_step_skips_the_input_gradients_of_frozen_features():
     # the 8 compositor layers and the cross encoder take frozen query rows; each branch's
     # first layer and query fusion take frozen key/value rows
     total, _ = RetrievalModel(RunConfig()).batch_losses(small_records(4))
-    skipped, seen, stack = Counter(), set(), [total]
-    while stack:
-        node = stack.pop()
-        if id(node) in seen or not node.requires_grad:
-            continue
-        seen.add(id(node))
-        stack.extend(node._parents)
-        if node.op == "attention":
+    skipped = Counter()
+    for node in graph_nodes(total):
+        if node.op == "attention" and node.requires_grad:
             slots = node._backprop(np.ones(node.shape))
             for side, slot, parent in zip(("x_q", "x_kv"), slots, node._parents):
                 assert (slot is None) == (not parent.requires_grad)
@@ -507,6 +496,14 @@ def test_non_finite_checkpoint_values_refused(tmp_path, bad):
         doc["fusion.wq"]["data"][5] = bad
 
     _refused_load(tmp_path, edit, "^fusion.wq: checkpoint holds non-finite values$")
+
+
+def test_checkpoint_integer_beyond_the_float_range_refused(tmp_path):
+    # a JSON integer is exact, so float64 conversion overflows rather than giving inf
+    def edit(doc):
+        doc["fusion.wq"]["data"][5] = 10**400
+
+    _refused_load(tmp_path, edit, "^fusion.wq: checkpoint holds an integer beyond the float range$")
 
 
 @pytest.mark.parametrize("loss", ["alignment", "reasoning", "full step", "matching-only step"])

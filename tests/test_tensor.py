@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cirtrain import tensor as T
+from graph import graph_nodes
 from oracles import attention_oracle, finite_diff, max_rel_err, np_diagonal_nll
 from scalarize import scalarize
 
@@ -222,7 +223,7 @@ FD_CASES = [
     ("mean_axis1", lambda a: T.mean_axis(a, 1), [(3, 4)]),
     ("concat0", lambda a, b: T.concat([a, b]), [(2, 3), (4, 3)]),
     ("concat1", lambda a, b: T.concat([a, b]), [(1, 4), (3, 4)]),
-    ("slice_rows", lambda a: T.slice_rows(a, 1, 3), [(4, 3)]),
+    ("take_rows", lambda t: T.take_rows(t, [2, 0, 2, 3]), [(4, 3)]),
     ("attention", lambda q, k, v: T.matmul(
         T.softmax_rows(T.scalar_mul(T.matmul(q, T.transpose(k)), 0.5)), v),
      [(3, 4), (5, 4), (5, 2)]),
@@ -236,11 +237,11 @@ FD_CASES = [
     ("matmul_weight4", lambda a, w: T.matmul(a, w), [(2, 3, 2, 4), (4, 3)]),
     ("transpose3", lambda a: T.matmul(T.transpose(a), a), [(2, 3, 4)]),
     ("transpose4", lambda a: T.matmul(T.transpose(a), a), [(2, 2, 3, 4)]),
-    ("expand3", lambda a: T.expand(a, 1, 2), [(3, 4)]),
-    ("expand4", lambda a: T.expand(a, 0, 3), [(2, 3, 4)]),
-    # the model's two poolings: a CLS row and a row mean, each with its kept axis dropped
-    ("pooled_cls_row", lambda a: T.l2_normalize_rows(T.reshape(T.slice_rows(a, 0, 1), (2, 4))),
-     [(2, 3, 4)]),
+    # a table read at ids of rank 2 and 3, ids repeated so one row's gradient sums several reads
+    ("take_rows2", lambda t: T.take_rows(t, [[1, 1, 0], [3, 1, 1]]), [(4, 3)]),
+    ("take_rows3", lambda t: T.take_rows(t, [[[0, 2], [2, 2]], [[1, 0], [2, 1]]]), [(3, 4)]),
+    # the model's two poolings: a CLS row and a row mean, the latter with its kept axis dropped
+    ("pooled_cls_row", lambda a: T.l2_normalize_rows(T.first_row(a)), [(2, 3, 4)]),
     ("pooled_mean", lambda a: T.l2_normalize_rows(T.reshape(T.mean_axis(a, -2), (2, 4))),
      [(2, 3, 4)]),
     ("reshape3", lambda a: T.reshape(a, (2, 6)), [(2, 3, 2)]),
@@ -251,10 +252,8 @@ FD_CASES = [
     ("l2_normalize4", lambda a: T.l2_normalize_rows(a), [(2, 2, 3, 4)]),
     ("mean_axis2_rank3", lambda a: T.mean_axis(a, 2), [(2, 3, 4)]),
     ("mean_axis2_rank4", lambda a: T.mean_axis(a, 2), [(2, 2, 3, 4)]),
-    ("slice_rows3", lambda a: T.concat([T.slice_rows(a, 1, 3), T.slice_rows(a, 0, 2)]),
-     [(2, 4, 3)]),
-    ("slice_rows4", lambda a: T.concat([T.slice_rows(a, 1, 3), T.slice_rows(a, 0, 2)]),
-     [(2, 2, 4, 3)]),
+    ("first_row3", lambda a: T.first_row(a), [(2, 4, 3)]),
+    ("first_row4", lambda a: T.first_row(a), [(2, 2, 4, 3)]),
     ("concat_rank3", lambda a, b: T.concat([a, b]), [(2, 1, 4), (2, 3, 4)]),
     ("concat_rank4", lambda a, b: T.concat([a, b, a]), [(2, 2, 1, 3), (2, 2, 2, 3)]),
     # the fused attention op: rank-2 self attention (x_q is x_kv), rank-3 cross attention
@@ -266,6 +265,7 @@ FD_CASES = [
     ("diagonal_nll_tau", lambda a: T.diagonal_nll(a, 0.3), [(3, 3)]),
     ("transpose_axes3", lambda a: T.transpose(a, (1, 2, 0)), [(2, 3, 4)]),
     ("transpose_axes4", lambda a: T.transpose(a, (2, 0, 3, 1)), [(2, 3, 4, 5)]),
+    ("first_row", lambda a: T.first_row(a), [(4, 3)]),
 ]
 
 
@@ -281,13 +281,9 @@ NOT_OPS = {"NonFiniteError", "Tensor", "Param", "no_grad"}
 
 def test_every_exported_op_has_a_finite_difference_case():
     # the ops each case's graph records, walked back from its output
-    recorded = set()
-    for _, build, shapes in FD_CASES:
-        stack = [build(*(T.Tensor(np.ones(s), requires_grad=True) for s in shapes))]
-        while stack:
-            node = stack.pop()
-            recorded.add(node.op)
-            stack.extend(node._parents)
+    recorded = {node.op for _, build, shapes in FD_CASES
+                for node in graph_nodes(build(*(T.Tensor(np.ones(s), requires_grad=True)
+                                                for s in shapes)))}
     assert not set(T.__all__) - NOT_OPS - recorded
 
 
@@ -491,11 +487,11 @@ def test_batched_ops_equal_their_2d_slices_bitwise(rng):
     a, b, w = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2)), rng.normal(size=(5, 5))
     batched = [T.matmul(T.Tensor(a), T.Tensor(b)), T.matmul(T.Tensor(a), T.Tensor(w)),
                T.softmax_rows(T.Tensor(a)), T.l2_normalize_rows(T.Tensor(a)),
-               T.transpose(T.Tensor(a)), T.mean_axis(T.Tensor(a), 1), T.slice_rows(T.Tensor(a), 1, 3)]
+               T.transpose(T.Tensor(a)), T.mean_axis(T.Tensor(a), 1), T.first_row(T.Tensor(a))]
     for i in range(3):
         x = T.Tensor(a[i])
         single = [T.matmul(x, T.Tensor(b[i])), T.matmul(x, T.Tensor(w)), T.softmax_rows(x),
-                  T.l2_normalize_rows(x), T.transpose(x), T.mean_axis(x, 0), T.slice_rows(x, 1, 3)]
+                  T.l2_normalize_rows(x), T.transpose(x), T.mean_axis(x, 0), T.first_row(x)]
         for whole, part in zip(batched, single):
             assert np.array_equal(whole.data[i], part.data), whole.op
 
@@ -510,14 +506,41 @@ def test_concat_refuses_parts_that_differ_outside_the_row_axis():
         T.concat([T.Tensor(np.ones(4))])
 
 
-def test_expand_and_reshape_check_their_arguments():
+def test_reshape_checks_its_arguments():
     x = T.Tensor(np.ones((2, 3)))
-    assert T.expand(x, 2, 4).shape == (2, 3, 4)
-    with pytest.raises(ValueError, match="expand: axis 3 out of range"):
-        T.expand(x, 3, 2)
     assert T.reshape(x, (3, 1, 2)).shape == (3, 1, 2)
     with pytest.raises(ValueError, match="reshape: cannot reshape"):
         T.reshape(x, (4, 2))
+
+
+@pytest.mark.parametrize("table,ids,message", [
+    ((4, 3), [0, -1], r"ids outside \[0, 4\)"),  # numpy would wrap a negative id to the last row
+    ((4, 3), [[1, 4]], r"ids outside \[0, 4\)"),
+    ((4, 3), [0.0, 1.0], "integer ids"),
+    ((4, 3), [True], "integer ids"),
+    ((2, 4, 3), [0, 1], "2-D table"),
+])
+def test_take_rows_refuses_ids_it_cannot_read_and_tables_that_are_not_2d(table, ids, message):
+    with pytest.raises(ValueError, match=f"^take_rows: .*{message}"):
+        T.take_rows(T.Tensor(np.ones(table)), ids)
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 0, 3)])
+def test_first_row_refuses_what_has_no_rows(shape):
+    with pytest.raises(ValueError, match="^first_row: expected matrices with rows"):
+        T.first_row(T.Tensor(np.ones(shape)))
+
+
+def test_take_rows_gradient_is_the_one_hot_product_bitwise(rng):
+    # the gradient a one-hot `matmul` gives its table, repeated ids summing several rows
+    table, ids = rng.normal(size=(7, 5)), rng.integers(0, 7, size=(16, 8))
+    g = rng.normal(size=(16, 8, 5))
+    gathered = T.Tensor(table, requires_grad=True)
+    read = T.take_rows(gathered, ids)
+    assert np.array_equal(read.data, table[ids])
+    one_hot = T.Tensor(ids[..., None] == np.arange(7))
+    product = T.matmul(one_hot, T.Tensor(table, requires_grad=True))
+    assert np.array_equal(read._backprop(g)[0], product._backprop(g)[1])
 
 
 def test_transpose_with_axes_permutes_them_and_refuses_what_is_not_a_permutation(rng):
