@@ -77,10 +77,11 @@ def evaluate_model(model: RetrievalModel, val_records) -> dict:
     """Score every validation query against the gallery of all validation
     targets and summarize full-gallery plus subset recalls.
 
-    Ids become gallery columns (record i's target is column i) and `id_ranks`
-    keys once, before anything is embedded.  The gallery is embedded in
-    length runs (`_length_runs`), then each run's queries, scored with one
-    product and ranked together: at most EVAL_CHUNK x G scores at a time.
+    A record's subset holds its own id (`TripletRecord` refuses others).  Ids
+    become gallery columns (record i's target is column i) and `id_ranks` keys
+    once, before anything is embedded.  The gallery is embedded in length
+    runs (`_length_runs`), then each run's queries, scored with one product
+    and ranked together: at most EVAL_CHUNK x G scores at a time.
     """
     if not val_records:
         raise ValueError("validation set is empty")
@@ -92,13 +93,9 @@ def evaluate_model(model: RetrievalModel, val_records) -> dict:
     rows = np.repeat(np.arange(len(subsets)), [len(s or ()) for s in subsets])
     columns = np.fromiter(map(position.get, itertools.chain.from_iterable(filter(None, subsets)),
                               itertools.repeat(-1)), dtype=int, count=rows.size)
-    held = np.unique(rows[columns == rows]).size + subsets.count(None)  # subsets with their target
-    if (columns < 0).any() or held < len(subsets):
-        for record in val_records:  # name the first record at fault
-            if record.subset_ids is not None and record.id not in record.subset_ids:
-                raise ValueError(f"target {record.id!r} missing from its candidate subset")
-            if missing := [s for s in record.subset_ids or () if s not in position]:
-                raise ValueError(f"candidate subset ids {missing} missing from the gallery")
+    if (columns < 0).any():  # name the first record at fault
+        missing = [s for s in subsets[rows[np.argmax(columns < 0)]] if s not in position]
+        raise ValueError(f"candidate subset ids {missing} missing from the gallery")
     if not rows.size:
         raise ValueError("validation records carry no candidate subsets")
     id_keys = id_ranks(list(position))
@@ -119,8 +116,6 @@ def evaluate_model(model: RetrievalModel, val_records) -> dict:
 
 
 def cmd_eval(cfg: RunConfig) -> int:
-    if not Path(cfg.paths.checkpoint).exists():
-        raise FileNotFoundError(f"checkpoint not found: {cfg.paths.checkpoint}")
     model = RetrievalModel(cfg)
     load_checkpoint(model, cfg.paths.checkpoint)
     report = evaluate_model(model, read_records(cfg.paths.val_set))

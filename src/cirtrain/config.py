@@ -9,8 +9,18 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
+
+
+def check_bounds(section: str, values, least: dict, above=()):
+    """Refuse a field of `values` that is not a number at or above its least value in `least`
+    (above it, for a key in `above`); `not x >= n` / `not x > n`, so that a NaN fails too."""
+    for key, n in least.items():
+        value, op = getattr(values, key), ">" if key in above else ">="
+        if not (isinstance(value, numbers.Real) and (value > n if op == ">" else value >= n)):
+            raise ValueError(f"{section}.{key} must be {op} {n}, got {value!r}")
 
 
 @dataclass
@@ -23,11 +33,8 @@ class ModelConfig:
     compositor_layers: int = 4
 
     def __post_init__(self):
-        # written as `not x >= n` so that a NaN passed in directly fails too
-        for key in ("dim", "image_vocab", "text_vocab", "max_tokens", "prompts", "compositor_layers"):
-            least = 0 if key == "prompts" else 1
-            if not getattr(self, key) >= least:
-                raise ValueError(f"model.{key} must be >= {least}, got {getattr(self, key)!r}")
+        check_bounds("model", self, {"dim": 1, "image_vocab": 1, "text_vocab": 1, "max_tokens": 1,
+                                     "prompts": 0, "compositor_layers": 1})
 
 
 @dataclass
@@ -37,12 +44,7 @@ class ObjectiveConfig:
     tau: float = 0.1
 
     def __post_init__(self):
-        # written as `not x >= 0` / `not x > 0` so that NaN fails too
-        for key in ("alpha", "beta"):
-            if not getattr(self, key) >= 0:
-                raise ValueError(f"objective.{key} must be >= 0, got {getattr(self, key)!r}")
-        if not self.tau > 0:
-            raise ValueError(f"objective.tau must be > 0, got {self.tau!r}")
+        check_bounds("objective", self, {"alpha": 0, "beta": 0, "tau": 0}, above=("tau",))
 
 
 @dataclass
@@ -54,12 +56,8 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # written as `not x >= 1` / `not x > 0` so that NaN fails too
-        for key in ("batch_size", "epochs"):
-            if not getattr(self, key) >= 1:
-                raise ValueError(f"training.{key} must be >= 1, got {getattr(self, key)!r}")
-        if not self.learning_rate > 0:
-            raise ValueError(f"training.learning_rate must be > 0, got {self.learning_rate!r}")
+        check_bounds("training", self, {"batch_size": 1, "epochs": 1, "learning_rate": 0, "seed": 0},
+                     above=("learning_rate",))
 
 
 @dataclass

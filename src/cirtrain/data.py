@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ModelConfig, RunConfig, SynthConfig
+from .config import ModelConfig, RunConfig, SynthConfig, check_bounds
 
 TOKEN_FIELDS = ("ref_tokens", "text_tokens", "target_tokens")
 JSONL_FIELDS = ("id", *TOKEN_FIELDS, "subset_ids")
@@ -54,6 +54,9 @@ class TripletRecord:
     subset_ids: tuple | None = None
 
     def __post_init__(self):
+        # a string or a set is never iterated into ids: a set's order is the hash seed's
+        if self.subset_ids is not None and not isinstance(self.subset_ids, (list, tuple)):
+            raise ValueError(f"subset_ids holds {self.subset_ids!r}; ids are lists or tuples of strings")
         # refused, not stringified: str() would read null as 'None' and 7 as '7'
         for name, ids in (("id", (self.id,)), ("subset_ids", self.subset_ids or ())):
             for s in ids:
@@ -88,12 +91,8 @@ class SynthSpec:
 
     def __post_init__(self):
         counts = ("image_vocab", "text_vocab", "latent_dim", "n_train", "n_val", "n_attributes")
-        # written as `not x >= n` so that a NaN fails too
-        for name in counts:
-            if not getattr(self, name) >= 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not self.noise_sigma >= 0:
-            raise ValueError("noise_sigma must be >= 0")
+        check_bounds("model", self, dict.fromkeys(counts[:2], 1))
+        check_bounds("synth", self, {**dict.fromkeys(counts[2:], 1), "noise_sigma": 0, "seed": 0})
         # refused, not truncated: 2.5 records would reach numpy as a float, and True as 1
         for name in (*counts, "seed"):
             value = getattr(self, name)

@@ -281,8 +281,8 @@ def take_rows(table: Tensor, ids) -> Tensor:
         raise ValueError(f"take_rows: expected a 2-D table and integer ids, got shape {table.shape} "
                          f"and {ids.dtype} ids")
     n = table.shape[0]
-    if ((ids < 0) | (ids >= n)).any():
-        raise ValueError(f"take_rows: ids outside [0, {n})")
+    if (outside := (ids < 0) | (ids >= n)).any():
+        raise ValueError(f"take_rows: id {ids[outside][0]} outside [0, {n})")
 
     def back(g):
         return (_weight_grad((ids[..., None] == np.arange(n)).astype(np.float64), g),)

@@ -169,6 +169,7 @@ def test_string_keys_refuse_other_json_values(key, value):
 
 @pytest.mark.parametrize("key,value", [
     ("epochs", 0), ("epochs", -1), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", -0.01),
+    ("seed", -1),  # numpy would refuse it only when the model is built, without the key
 ])
 def test_training_values_that_train_nothing_rejected(tmp_path, key, value):
     message = f"training.{key} must be"

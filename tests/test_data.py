@@ -52,6 +52,16 @@ def test_record_refuses_token_ids_that_are_not_a_list_or_tuple(field, tokens, he
         TripletRecord("a", **fields)
 
 
+@pytest.mark.parametrize("subset", ["ab", {"a", "b"}, frozenset({"a"}), {"a": 1}, range(2)],
+                         ids=["str", "set", "frozenset", "dict", "range"])
+def test_record_refuses_subset_ids_that_are_not_a_list_or_tuple(subset):
+    # a str would be read as characters, a set in the order of the hash seed
+    message = f"subset_ids holds {subset!r}; ids are lists or tuples of strings"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TripletRecord("a", (1,), (1,), (2,), subset_ids=subset)
+    assert TripletRecord("a", (1,), (1,), (2,), subset_ids=["a", "b"]).subset_ids == ("a", "b")
+
+
 def test_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(n_attributes=7, latent_dim=7)  # no content coordinate left
@@ -66,6 +76,13 @@ def test_spec_validation():
         SynthSpec(noise_sigma=float("nan"))
     with pytest.raises(ValueError, match="n_val must be >= 1"):
         SynthSpec(n_val=float("nan"))
+    # bounds name the run config key: vocabularies are `model.*`, the rest `synth.*`
+    for kwargs, message in (({"n_val": float("nan")}, "synth.n_val must be >= 1, got nan"),
+                            ({"image_vocab": 0}, "model.image_vocab must be >= 1, got 0"),
+                            ({"seed": -1}, "synth.seed must be >= 0, got -1"),
+                            ({"seed": None}, "synth.seed must be >= 0, got None")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            SynthSpec(**kwargs)
     # counts and the seed are refused by type, not truncated or read as 1 by numpy
     for name, value in (("n_val", 2.5), ("seed", 1.5), ("latent_dim", 7.0), ("n_train", True),
                         ("image_vocab", 80.0)):

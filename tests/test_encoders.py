@@ -118,7 +118,7 @@ def test_a_memo_hit_shares_a_fresh_encoders_rows_and_reads_every_weight():
     assert [after - b for after, b in zip(_reads(enc), before)] == [1] * 6
 
 
-@pytest.mark.parametrize("tokens,message", [((4, 9, 32), "outside vocabulary")],
+@pytest.mark.parametrize("tokens,message", [((4, 9, 32), "take_rows: id 32 outside")],
                          ids=["out of vocabulary"])
 def test_a_warm_memo_still_refuses_what_the_encoder_cannot_take(tokens, message):
     # a refused tuple never enters the memo, so asking again is refused again
@@ -148,14 +148,14 @@ def _text(tokens):
 @pytest.mark.parametrize("lookup", [_cold_image, _warm_image, _text],
                          ids=["cold image", "warm image", "text"])
 @pytest.mark.parametrize("tokens,message", [
-    ((4, 9, 32), "token id 32 outside vocabulary [0, 32)"),
-    ((4, -1, 1), "token id -1 outside vocabulary [0, 32)"),
+    ((4, 9, 32), "take_rows: id 32 outside [0, 32)"),
+    ((4, -1, 1), "take_rows: id -1 outside [0, 32)"),
     (tuple(range(17)), "sequence length 17 exceeds maximum 16"),
     ((), "token sequence must be non-empty"),
-    ((4, 9, 1.5), "token ids are float64, not integers"),
+    ((4, 9, 1.5), f"take_rows: expected a 2-D table and integer ids, got shape (32, {DIM}) and float64 ids"),
 ], ids=["out of vocabulary", "negative", "overlong", "empty", "float"])
 def test_every_lookup_refuses_ids_it_cannot_embed(lookup, tokens, message):
-    # one check at the lookup: every encoder path refuses in the same words
+    # lengths at the lookup, ids at the table read: every encoder path refuses in the same words
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         lookup(tokens)
 
@@ -183,7 +183,7 @@ def test_text_encode_shape_and_determinism():
     out = enc.encode([seq])
     assert out.shape == (1, 3, DIM)
     assert np.array_equal(out.data, enc.encode([seq]).data)
-    with pytest.raises(ValueError, match="token ids are object, not integers"):
+    with pytest.raises(ValueError, match="and object ids$"):
         enc.encode([TokenSeq((0,))])  # text is a tuple of ids, never an image's TokenSeq
 
 

@@ -385,12 +385,12 @@ def test_query_embedding_refuses_non_integer_token_ids(ref, text, message):
 
 @pytest.mark.parametrize("tokens, message", [
     ((1, True, 3), "target_embedding: target_tokens: token id True is not an integer"),
-    ([1, 2, 28], "token id 28 outside vocabulary [0, 28)"),
+    ([1, 2, 28], "take_rows: id 28 outside [0, 28)"),
     (tuple(range(17)), "sequence length 17 exceeds maximum 16"),
     ((), "token sequence must be non-empty"),
 ])
 def test_target_embedding_refuses_what_a_record_or_the_lookup_refuses(tokens, message):
-    # the field's integer rule first, then the encoder's vocabulary and length
+    # the field's integer rule first, then the table's rows and the encoder's length
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         RetrievalModel(small_config()).target_embedding(tokens)
 

@@ -514,8 +514,10 @@ def test_reshape_checks_its_arguments():
 
 
 @pytest.mark.parametrize("table,ids,message", [
-    ((4, 3), [0, -1], r"ids outside \[0, 4\)"),  # numpy would wrap a negative id to the last row
-    ((4, 3), [[1, 4]], r"ids outside \[0, 4\)"),
+    ((4, 3), [0, -1], r"id -1 outside \[0, 4\)$"),  # numpy would wrap a negative id to the last row
+    ((4, 3), [[1, 4]], r"id 4 outside \[0, 4\)$"),
+    ((4, 3), [[1, 7], [-2, 4]], r"id 7 outside \[0, 4\)$"),  # the first in row-major order
+    ((4, 3), [-3, 9], r"id -3 outside \[0, 4\)$"),
     ((4, 3), [0.0, 1.0], "integer ids"),
     ((4, 3), [True], "integer ids"),
     ((2, 4, 3), [0, 1], "2-D table"),
