@@ -1,29 +1,45 @@
 """Run configuration: nested dataclasses, strict JSON parsing, dotted overrides.
 
 Unknown keys are rejected everywhere so a typo fails the run instead of
-silently training with a default.
+silently training with a default.  Each section checks itself when built, with
+one `check_bounds` call, so a JSON file, a `--set` override and a section built
+in code meet one rule; parsing only reads a str given for a bool, int or float.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-import math
 import numbers
+import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
-
-def check_bounds(section: str, values, least: dict, above=()):
-    """Refuse a field of `values` that is not a number at or above its least value in `least`
-    (above it, for a key in `above`); `not x >= n` / `not x > n`, so that a NaN fails too."""
-    for key, n in least.items():
-        value, op = getattr(values, key), ">" if key in above else ">="
-        if not (isinstance(value, numbers.Real) and (value > n if op == ">" else value >= n)):
-            raise ValueError(f"{section}.{key} must be {op} {n}, got {value!r}")
+_KINDS = {bool: "a boolean", int: "an integer", float: "a finite number", str: "a string"}
 
 
-@dataclass
+def check_bounds(section: str, values, least: dict | None = None, above=()):
+    """Refuse a field of `values` that has not the type of its default (a bool; an int that is
+    not a bool; a finite real that is not a bool; a str) or is below its least value in `least`
+    (at or below it, for a key in `above`), naming `section.key`.  The fields checked are the
+    keys of `least`, or every field when it is not given.  A float field keeps its value as a
+    float, so a JSON 1 and 1.0 build equal sections."""
+    defaults = {f.name: f.default for f in dataclasses.fields(values)}
+    for key in defaults if least is None else least:
+        value, kind = getattr(values, key), type(defaults[key])
+        # a float is finite: abs() refuses NaN, inf and an int past the float range
+        fits = (isinstance(value, numbers.Real) and abs(value) <= sys.float_info.max
+                if kind is float else isinstance(value, kind))
+        if not fits or isinstance(value, bool) != (kind is bool):
+            raise ValueError(f"{section}.{key}: expected {_KINDS[kind]}, got {value!r}")
+        op = ">" if key in above else ">="
+        if least is not None and not (value > least[key] if op == ">" else value >= least[key]):
+            raise ValueError(f"{section}.{key} must be {op} {least[key]}, got {value!r}")
+        if kind is float:
+            object.__setattr__(values, key, float(value))
+
+
+@dataclass(frozen=True)
 class ModelConfig:
     dim: int = 20
     image_vocab: int = 28
@@ -37,7 +53,7 @@ class ModelConfig:
                                      "prompts": 0, "compositor_layers": 1})
 
 
-@dataclass
+@dataclass(frozen=True)
 class ObjectiveConfig:
     alpha: float = 0.45
     beta: float = 0.1
@@ -47,7 +63,7 @@ class ObjectiveConfig:
         check_bounds("objective", self, {"alpha": 0, "beta": 0, "tau": 0}, above=("tau",))
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainingConfig:
     batch_size: int = 16
     epochs: int = 20
@@ -56,19 +72,22 @@ class TrainingConfig:
     seed: int = 0
 
     def __post_init__(self):
-        check_bounds("training", self, {"batch_size": 1, "epochs": 1, "learning_rate": 0, "seed": 0},
+        check_bounds("training", self, {"batch_size": 2, "epochs": 1, "learning_rate": 0, "seed": 0},
                      above=("learning_rate",))
 
 
-@dataclass
+@dataclass(frozen=True)
 class AblationConfig:
     share_text_projection: bool = True
     attentive_reference: bool = True
     use_alignment: bool = True
     use_reasoning: bool = True
 
+    def __post_init__(self):
+        check_bounds("ablation", self)
 
-@dataclass
+
+@dataclass(frozen=True)
 class SynthConfig:
     latent_dim: int = 7
     n_train: int = 512
@@ -77,14 +96,21 @@ class SynthConfig:
     noise_sigma: float = 0.05
     seed: int = 7
 
+    def __post_init__(self):
+        check_bounds("synth", self, {"latent_dim": 1, "n_train": 1, "n_val": 1, "n_attributes": 1,
+                                     "noise_sigma": 0, "seed": 0})
 
-@dataclass
+
+@dataclass(frozen=True)
 class PathsConfig:
     train_set: str = "data/train.jsonl"
     val_set: str = "data/val.jsonl"
     checkpoint: str = "out/checkpoint.json"
     train_log: str = "out/train_log.jsonl"
     report: str = "out/report.json"
+
+    def __post_init__(self):
+        check_bounds("paths", self)
 
 
 @dataclass
@@ -101,48 +127,29 @@ def _from_dict(cls, data: dict, prefix: str = ""):
     if not isinstance(data, dict):
         where = f"section {prefix[:-1]!r}" if prefix else "top level"
         raise ValueError(f"config {where} must be a JSON object, got {data!r}")
-    unknown = set(data) - {f.name for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = set(data) - set(fields)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(prefix + k for k in unknown)}")
-    kwargs = {}
-    for key, value in data.items():
-        if cls is RunConfig:
-            kwargs[key] = _from_dict(_SECTION_TYPES[key], value, prefix=f"{key}.")
-        else:
-            kwargs[key] = _coerce(value, _FIELD_TYPES[cls][key], prefix + key)
-    return cls(**kwargs)
-
-
-# RunConfig's fields are its sections; a section's fields are scalars typed by their defaults
-_SECTION_TYPES = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
-
-_FIELD_TYPES = {
-    cls: {f.name: f.default.__class__ for f in dataclasses.fields(cls)}
-    for cls in _SECTION_TYPES.values()
-}
+    # RunConfig's fields are its sections; a section's fields are scalars typed by their defaults
+    return cls(**{key: _from_dict(fields[key].default_factory, value, f"{key}.") if cls is RunConfig
+                  else _coerce(value, type(fields[key].default), prefix + key)
+                  for key, value in data.items()})
 
 
 def _coerce(value, expected, key: str):
-    if expected is str:
-        if not isinstance(value, str):  # not str(value): a null checkpoint path named a file 'None'
-            raise ValueError(f"{key}: expected a string, got {value!r}")
+    """`value` parsed as `expected` if it is text for a bool, int or float key, else as given."""
+    if not isinstance(value, str) or expected is str:
         return value
     if expected is bool:
-        if isinstance(value, bool):
-            return value
-        if isinstance(value, str) and value.lower() in ("true", "false"):
+        if value.lower() in ("true", "false"):
             return value.lower() == "true"
         raise ValueError(f"{key}: expected a boolean, got {value!r}")
-    accepted, kind = ((int, str), "an integer") if expected is int else ((int, float, str), "a number")
-    if isinstance(value, bool) or not isinstance(value, accepted):
-        raise ValueError(f"{key}: expected {kind}, got {value!r}")
     try:
-        number = expected(value)
+        return expected(value)
     except ValueError:
-        raise ValueError(f"{key}: expected {kind}, got {value!r}") from None
-    if expected is float and not math.isfinite(number):
-        raise ValueError(f"{key}: expected a finite number, got {value!r}")
-    return number
+        raise ValueError(f"{key}: expected {'an integer' if expected is int else 'a number'}, "
+                         f"got {value!r}") from None
 
 
 def config_from_dict(data: dict) -> RunConfig:

@@ -77,29 +77,15 @@ class TripletRecord:
 
 
 @dataclass(frozen=True)
-class SynthSpec:
-    """Knobs of the synthetic benchmark; the defaults are the run config's."""
+class SynthSpec(SynthConfig):
+    """Knobs of the synthetic benchmark: the run config's `synth` section and its vocabularies."""
 
     image_vocab: int = ModelConfig.image_vocab
     text_vocab: int = ModelConfig.text_vocab
-    latent_dim: int = SynthConfig.latent_dim
-    n_train: int = SynthConfig.n_train
-    n_val: int = SynthConfig.n_val
-    n_attributes: int = SynthConfig.n_attributes
-    noise_sigma: float = SynthConfig.noise_sigma
-    seed: int = SynthConfig.seed
 
     def __post_init__(self):
-        counts = ("image_vocab", "text_vocab", "latent_dim", "n_train", "n_val", "n_attributes")
-        check_bounds("model", self, dict.fromkeys(counts[:2], 1))
-        check_bounds("synth", self, {**dict.fromkeys(counts[2:], 1), "noise_sigma": 0, "seed": 0})
-        # refused, not truncated: 2.5 records would reach numpy as a float, and True as 1
-        for name in (*counts, "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
-        if isinstance(self.noise_sigma, bool):
-            raise ValueError(f"noise_sigma must be a number, got {self.noise_sigma!r}")
+        super().__post_init__()
+        check_bounds("model", self, {"image_vocab": 1, "text_vocab": 1})
         if self.n_attributes >= self.latent_dim:
             raise ValueError("need at least one content coordinate beyond the attribute flags")
         if self.bins < 2:

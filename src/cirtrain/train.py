@@ -65,14 +65,11 @@ def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
     """Run the configured number of epochs; returns per-epoch mean breakdowns.
 
     Aborts, naming the epoch, step and op, if any engine output or Adam
-    moment turns non-finite.  Above a batch size of 1, any batch may draw any
-    records, so the whole set must pass `data.check_batch` ("train_model: ...")
-    before the first step.
+    moment turns non-finite.  Any batch may draw any records, so the whole set
+    must pass `data.check_batch` ("train_model: ...") before the first step.
     """
     tc = cfg.training
-    if tc.batch_size > 1:
-        check_batch("train_model", **{name: [getattr(r, name) for r in records]
-                                      for name in TOKEN_FIELDS})
+    check_batch("train_model", **{name: [getattr(r, name) for r in records] for name in TOKEN_FIELDS})
     optimizer = Adam(model.trainable(), lr=tc.learning_rate)
     history = []
     for epoch in range(tc.epochs):

@@ -351,14 +351,28 @@ def test_train_refuses_dataset_smaller_than_one_batch(tmp_path):
     assert not Path(cfg.paths.train_log).exists()
 
 
-def test_train_with_zero_epochs_writes_no_checkpoint(tmp_path):
+def _train_paths(tmp_path):
     cfg = tiny_config(tmp_path)
     cmd_synth(cfg)
     sets = []
     for key, value in dataclasses.asdict(cfg.paths).items():
         sets += ["--set", f"paths.{key}={value}"]
+    return cfg, sets
+
+
+def test_train_with_zero_epochs_writes_no_checkpoint(tmp_path):
+    cfg, sets = _train_paths(tmp_path)
     with pytest.raises(ValueError, match="training.epochs must be >= 1"):
         main(["train", *sets, "--set", "training.epochs=0"])
+    assert not Path(cfg.paths.checkpoint).exists()
+    assert not Path(cfg.paths.train_log).exists()
+
+
+def test_train_at_batch_size_1_writes_no_file(tmp_path):
+    # a batch of one has no in-batch negatives: every loss is log 1 = 0 and no parameter moves
+    cfg, sets = _train_paths(tmp_path)
+    with pytest.raises(ValueError, match=r"^training\.batch_size must be >= 2, got 1$"):
+        main(["train", *sets, "--set", "training.batch_size=1"])
     assert not Path(cfg.paths.checkpoint).exists()
     assert not Path(cfg.paths.train_log).exists()
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import re
 
 import pytest
@@ -170,6 +171,7 @@ def test_string_keys_refuse_other_json_values(key, value):
 @pytest.mark.parametrize("key,value", [
     ("epochs", 0), ("epochs", -1), ("batch_size", 0), ("learning_rate", 0.0), ("learning_rate", -0.01),
     ("seed", -1),  # numpy would refuse it only when the model is built, without the key
+    ("batch_size", 1),  # no in-batch negatives: every loss is log 1 = 0 and no parameter moves
 ])
 def test_training_values_that_train_nothing_rejected(tmp_path, key, value):
     message = f"training.{key} must be"
@@ -184,9 +186,54 @@ def test_training_values_that_train_nothing_rejected(tmp_path, key, value):
 
 
 def test_nan_learning_rate_rejected_at_construction():
-    # parsing already refuses NaN; the bound check must refuse it too
-    with pytest.raises(ValueError, match="training.learning_rate must be > 0"):
+    # a section built in code meets the same check as a parsed one
+    with pytest.raises(ValueError, match=r"^training\.learning_rate: expected a finite number, got nan$"):
         TrainingConfig(learning_rate=float("nan"))
+
+
+SECTIONS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
+# by the type of a field's default: a bool for a number, 2.5 for an int, a non-finite float or an
+# integer past the float range for a float, text for a bool, null for a str
+WRONG_VALUES = {int: [True, 2.5], float: [True, math.nan, math.inf, -math.inf, 10**400],
+                bool: ["false"], str: [None]}
+KINDS = {int: "an integer", float: "a finite number", bool: "a boolean", str: "a string"}
+WRONG_TYPES = [
+    (f"{section}.{f.name}", KINDS[type(f.default)], value)
+    for section, cls in SECTIONS.items()
+    for f in dataclasses.fields(cls)
+    for value in WRONG_VALUES[type(f.default)]
+]
+
+
+@pytest.mark.parametrize("key,kind,value", WRONG_TYPES,
+                         ids=[f"{key}={'1e400' if value == 10**400 else value!r}"
+                              for key, _, value in WRONG_TYPES])
+def test_every_field_refuses_a_value_of_another_type(key, kind, value):
+    section, name = key.split(".")
+    message = f"^{re.escape(f'{key}: expected {kind}, got {value!r}')}$"
+    with pytest.raises(ValueError, match=message):
+        SECTIONS[section](**{name: value})
+    data = json.loads(json.dumps({section: {name: value}}))  # NaN and Infinity literals, 400 digits
+    if isinstance(value, str):
+        # text is parsed, as an override's is: "false" is False
+        assert getattr(getattr(config_from_dict(data), section), name) is False
+    else:
+        with pytest.raises(ValueError, match=message):
+            config_from_dict(data)
+
+
+def test_parsing_keeps_its_types_and_messages():
+    cfg = config_from_dict(json.loads('{"objective": {"tau": 1}, "training": {"epochs": "5"}}'))
+    assert type(cfg.objective.tau) is float and cfg.objective.tau == 1.0
+    assert type(cfg.training.epochs) is int and cfg.training.epochs == 5
+    with pytest.raises(ValueError, match=r"^training\.epochs: expected an integer, got 'lots'$"):
+        config_from_dict({"training": {"epochs": "lots"}})
+
+
+def test_a_built_section_is_not_changed_past_its_check():
+    cfg = RunConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.training.batch_size = 1
 
 
 @pytest.mark.parametrize("key,value,least", [

@@ -72,23 +72,21 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SynthSpec(noise_sigma=-1.0)
     # a NaN noise would generate a noise-free dataset without a word, since `nan > 0` is False
-    with pytest.raises(ValueError, match="noise_sigma must be >= 0"):
+    with pytest.raises(ValueError, match="noise_sigma: expected a finite number, got nan"):
         SynthSpec(noise_sigma=float("nan"))
-    with pytest.raises(ValueError, match="n_val must be >= 1"):
-        SynthSpec(n_val=float("nan"))
-    # bounds name the run config key: vocabularies are `model.*`, the rest `synth.*`
-    for kwargs, message in (({"n_val": float("nan")}, "synth.n_val must be >= 1, got nan"),
+    # checks name the run config key: vocabularies are `model.*`, the rest `synth.*`
+    for kwargs, message in (({"n_val": float("nan")}, "synth.n_val: expected an integer, got nan"),
                             ({"image_vocab": 0}, "model.image_vocab must be >= 1, got 0"),
                             ({"seed": -1}, "synth.seed must be >= 0, got -1"),
-                            ({"seed": None}, "synth.seed must be >= 0, got None")):
+                            ({"seed": None}, "synth.seed: expected an integer, got None")):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             SynthSpec(**kwargs)
     # counts and the seed are refused by type, not truncated or read as 1 by numpy
-    for name, value in (("n_val", 2.5), ("seed", 1.5), ("latent_dim", 7.0), ("n_train", True),
-                        ("image_vocab", 80.0)):
-        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {value!r}$"):
-            SynthSpec(**{name: value})
-    with pytest.raises(ValueError, match="^noise_sigma must be a number, got True$"):
+    for name, value in (("synth.n_val", 2.5), ("synth.seed", 1.5), ("synth.latent_dim", 7.0),
+                        ("synth.n_train", True), ("model.image_vocab", 80.0)):
+        with pytest.raises(ValueError, match=f"^{name}: expected an integer, got {value!r}$"):
+            SynthSpec(**{name.split(".")[1]: value})
+    with pytest.raises(ValueError, match="^synth.noise_sigma: expected a finite number, got True$"):
         SynthSpec(noise_sigma=True)
     # the spec's defaults are the run config's
     assert SynthSpec() == synth_spec_from_config(RunConfig())

@@ -578,16 +578,6 @@ def _ragged_set_and_config():
     return records, cfg
 
 
-def test_ragged_records_train_on_the_matching_loss_alone(tmp_path):
-    # at batch size 1 each step stacks one record, so token counts may differ
-    # between records; above it they are refused (the test below)
-    records, cfg = _ragged_set_and_config()
-    cfg.training = dataclasses.replace(cfg.training, batch_size=1)
-    cfg.ablation = dataclasses.replace(cfg.ablation, use_alignment=False, use_reasoning=False)
-    history = train_model(RetrievalModel(cfg), records, cfg, log_path=tmp_path / "log.jsonl")
-    assert len(history) == 3 and all(row["alignment"] is None for row in history)
-
-
 def test_ragged_records_are_refused_before_the_first_step(tmp_path):
     records, cfg = _ragged_set_and_config()
     matching_only = dataclasses.replace(cfg, ablation=dataclasses.replace(

@@ -2,8 +2,9 @@
 
     python tools/fingerprint.py <checkout>
 
-`<checkout>` is a directory holding the `src/cirtrain` package.  Two
-checkouts that train, differentiate and evaluate alike print the same
+`<checkout>` is a directory holding the `src/cirtrain` package; a directory
+without it, or a `cirtrain` imported from anywhere else (an earlier entry of
+`PYTHONPATH`, say), is refused with exit status 2.  Two checkouts that train, differentiate and evaluate alike print the same
 bytes, so a change that claims to keep every result can be checked by
 comparing `sha256sum` of this output on the parent and on the change.
 
@@ -148,8 +149,8 @@ def _ragged_tied_report(val) -> dict:
         cli.EVAL_CHUNK = chunk
 
 
-def fingerprint(checkout) -> dict:
-    sys.path.insert(0, str(Path(checkout).resolve() / "src"))
+def fingerprint() -> dict:
+    """The fingerprint of the `cirtrain` that imports."""
     from cirtrain.config import RunConfig
     from cirtrain.data import generate, synth_spec_from_config
     from cirtrain.train import ABLATION_VARIANTS
@@ -168,7 +169,17 @@ def main(argv) -> int:
     if len(argv) != 1:
         print("usage: python tools/fingerprint.py <checkout>", file=sys.stderr)
         return 2
-    print(json.dumps(fingerprint(argv[0]), indent=1, sort_keys=True))
+    package = Path(argv[0]).resolve() / "src" / "cirtrain" / "__init__.py"
+    if not package.is_file():
+        print(f"fingerprint.py: {package} not found; give a checkout of the repository", file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(package.parent.parent))
+    import cirtrain
+
+    if Path(cirtrain.__file__).resolve() != package:
+        print(f"fingerprint.py: imported cirtrain from {cirtrain.__file__}, not {package}", file=sys.stderr)
+        return 2
+    print(json.dumps(fingerprint(), indent=1, sort_keys=True))
     return 0
 
 
