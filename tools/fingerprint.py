@@ -3,10 +3,11 @@
     python tools/fingerprint.py <checkout>
 
 `<checkout>` is a directory holding the `src/cirtrain` package; a directory
-without it, or a `cirtrain` imported from anywhere else (an earlier entry of
-`PYTHONPATH`, say), is refused with exit status 2.  Two checkouts that train, differentiate and evaluate alike print the same
-bytes, so a change that claims to keep every result can be checked by
-comparing `sha256sum` of this output on the parent and on the change.
+without it (where `PYTHONPATH` could supply another tree's), or a `cirtrain`
+already imported from elsewhere, is refused with exit status 2.  Two
+checkouts that train, differentiate and evaluate alike print the same bytes,
+so a change that claims to keep every result can be checked by comparing
+`sha256sum` of this output on the parent and on the change.
 
 For each of the four ablation variants, at the default geometry and at
 dim 8 / batch 8, the document records:
