@@ -39,7 +39,7 @@ def check_bounds(section: str, values, least: dict | None = None, above=()):
             object.__setattr__(values, key, float(value))
 
 
-@dataclass(frozen=True)
+@dataclass
 class ModelConfig:
     dim: int = 20
     image_vocab: int = 28
@@ -53,7 +53,7 @@ class ModelConfig:
                                      "prompts": 0, "compositor_layers": 1})
 
 
-@dataclass(frozen=True)
+@dataclass
 class ObjectiveConfig:
     alpha: float = 0.45
     beta: float = 0.1
@@ -63,7 +63,7 @@ class ObjectiveConfig:
         check_bounds("objective", self, {"alpha": 0, "beta": 0, "tau": 0}, above=("tau",))
 
 
-@dataclass(frozen=True)
+@dataclass
 class TrainingConfig:
     batch_size: int = 16
     epochs: int = 20
@@ -76,7 +76,7 @@ class TrainingConfig:
                      above=("learning_rate",))
 
 
-@dataclass(frozen=True)
+@dataclass
 class AblationConfig:
     share_text_projection: bool = True
     attentive_reference: bool = True
@@ -87,7 +87,7 @@ class AblationConfig:
         check_bounds("ablation", self)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True)  # so that the frozen `data.SynthSpec` can extend it
 class SynthConfig:
     latent_dim: int = 7
     n_train: int = 512
@@ -101,7 +101,7 @@ class SynthConfig:
                                      "noise_sigma": 0, "seed": 0})
 
 
-@dataclass(frozen=True)
+@dataclass
 class PathsConfig:
     train_set: str = "data/train.jsonl"
     val_set: str = "data/val.jsonl"
