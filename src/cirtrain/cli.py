@@ -171,7 +171,11 @@ def main(argv=None) -> int:
     if args.command == "gradcheck":
         return cmd_gradcheck()
     commands = {"synth": cmd_synth, "train": cmd_train, "eval": cmd_eval}
-    return commands[args.command](_resolve_config(args))
+    try:
+        return commands[args.command](_resolve_config(args))
+    except (ValueError, OSError) as err:
+        print(f"cirtrain: {err}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -122,6 +122,11 @@ class RunConfig:
     synth: SynthConfig = field(default_factory=SynthConfig)
     paths: PathsConfig = field(default_factory=PathsConfig)
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if not isinstance(section := getattr(self, f.name), kind := f.default_factory):
+                raise ValueError(f"config section {f.name}: expected a {kind.__name__}, got {section!r}")
+
 
 def _from_dict(cls, data: dict, prefix: str = ""):
     if not isinstance(data, dict):

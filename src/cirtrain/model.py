@@ -9,6 +9,7 @@ auxiliary losses are designed around.
 from __future__ import annotations
 
 import json
+from contextlib import suppress
 from itertools import chain
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .config import RunConfig
 from .data import TOKEN_FIELDS, check_batch, integer_tokens
 from .encoders import CrossEncoder, ImageEncoder, QueryFusion, TextEncoder, TokenSeq
 from .objective import LossBreakdown, matching_loss, total_loss
-from .tensor import Tensor, first_row, l2_normalize_rows
+from .tensor import NonFiniteError, Tensor, first_row, l2_normalize_rows, unchecked
 
 
 class RetrievalModel:
@@ -70,13 +71,21 @@ class RetrievalModel:
     def batch_losses(self, records) -> tuple:
         """Joint loss over one batch; returns (total tensor, LossBreakdown).
 
-        Features are stacked once (B x N x d), so the batch must pass
-        `data.check_batch` ("batch_losses: ..."); only the frozen image
-        encoders run per record.
+        The batch must pass `data.check_batch` ("batch_losses: ...").  The forward runs
+        under `tensor.unchecked`, and again checked, naming the op at fault, if that raises
+        a numpy flag or `NonFiniteError` or leaves a non-finite total or unread tensor.
         """
-        ab, ob = self.cfg.ablation, self.cfg.objective
         ids = {name: [getattr(r, name) for r in records] for name in TOKEN_FIELDS}
         check_batch("batch_losses", **ids)
+        with suppress(FloatingPointError, NonFiniteError), unchecked():
+            total, breakdown, unread = self._forward(ids)
+            if np.isfinite(breakdown.total) and all(np.isfinite(t.data).all() for t in unread):
+                return total, breakdown
+        return self._forward(ids)[:2]
+
+    def _forward(self, ids) -> tuple:
+        """(total, LossBreakdown, the tensors no enabled loss reads); features stack as B x N x d."""
+        ab, ob = self.cfg.ablation, self.cfg.objective
         f_r = _frozen_rows(self.ref_encoder, ids["ref_tokens"])
         f_t = _frozen_rows(self.tgt_encoder, ids["target_tokens"])
         # the reference re-encoded through the image branch, train-time only
@@ -103,7 +112,7 @@ class RetrievalModel:
             reasoning=None if l_reason is None else l_reason.item(),
             total=total.item(),
         )
-        return total, breakdown
+        return total, breakdown, () if l_align is not None and ab.attentive_reference else (f_r_bar,)
 
     # ------------------------------------------------------------------ inference
 

@@ -15,13 +15,15 @@ NLL at the temperature τ it is given as one log-sum-exp op, and
 `attention` is a whole single-head attention block.  Each op does its
 forward arithmetic under `np.errstate` and validates its output, so a NaN
 or Inf fails loudly, as `NonFiniteError` rather than a numpy warning, at
-the op that produced it instead of poisoning the loss.
+the op that produced it instead of poisoning the loss.  Inside `unchecked()`
+the ops skip both, under one errstate raising on overflow, invalid and divide,
+the flags IEEE 754 raises wherever finite inputs give a non-finite value.
 """
 
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 
 import numpy as np
 
@@ -30,6 +32,7 @@ __all__ = [
     "Tensor",
     "Param",
     "no_grad",
+    "unchecked",
     "add",
     "scalar_mul",
     "matmul",
@@ -57,6 +60,7 @@ class NonFiniteError(ArithmeticError):
 
 
 _grad_enabled = True
+_checked = True
 
 
 @contextmanager
@@ -71,6 +75,24 @@ def no_grad():
         _grad_enabled = prev
 
 
+@contextmanager
+def unchecked():
+    """Skip each op's finite check and errstate: one errstate raising on overflow, invalid and
+    divide covers the block (`l2_normalize_rows` keeps its own norm check)."""
+    global _checked
+    prev, _checked = _checked, False
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise", under="ignore"):
+            yield
+    finally:
+        _checked = prev
+
+
+def _errstate(**kwargs):
+    """An op's own `np.errstate`; none under `unchecked`, so that block's raising one holds."""
+    return np.errstate(**kwargs) if _checked else nullcontext()
+
+
 class Tensor:
     """A dense float64 array plus the bookkeeping reverse mode needs.
 
@@ -82,7 +104,7 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf"):
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(self.data).all():
+        if _checked and not np.isfinite(self.data).all():
             raise NonFiniteError(op)
         self.requires_grad = requires_grad
         self.grad = None
@@ -183,14 +205,14 @@ def _softmax_grad(y: np.ndarray, g: np.ndarray) -> np.ndarray:
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ValueError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    with np.errstate(over="ignore"):
+    with _errstate(over="ignore"):
         out_data = a.data + b.data
     return _result(out_data, (a, b), lambda g: (g, g), "add")
 
 
 def scalar_mul(x: Tensor, c: float) -> Tensor:
     c = float(c)
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _errstate(over="ignore", invalid="ignore"):
         out_data = x.data * c
     return _result(out_data, (x,), lambda g: (g * c,), "scalar_mul")
 
@@ -208,7 +230,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul: leading axes disagree, {a.shape} @ {b.shape}")
     if ad.shape[-1] != bd.shape[-2]:
         raise ValueError(f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _errstate(over="ignore", invalid="ignore"):
         out_data = ad @ bd
 
     # d(sum g.C)/dA = g @ B^T, d/dB = A^T @ g; a shared weight sums A^T @ g over every matrix.
@@ -238,7 +260,7 @@ def mean_axis(x: Tensor, axis: int) -> Tensor:
     if not -x.data.ndim <= axis < x.data.ndim:
         raise ValueError(f"mean_axis: axis {axis} out of range for shape {x.shape}")
     n = x.shape[axis]
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _errstate(over="ignore", invalid="ignore"):
         out_data = x.data.mean(axis=axis, keepdims=True)
 
     def back(g):
@@ -308,7 +330,7 @@ def softmax_rows(x: Tensor) -> Tensor:
     _check_rows(x, "softmax_rows")
     if x.shape[-1] == 0:
         raise ValueError(f"softmax_rows: rows have no entries, got shape {x.shape}")
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _errstate(over="ignore", invalid="ignore"):
         y = _softmax(x.data)
     return _result(y, (x,), lambda g: (_softmax_grad(y, g),), "softmax_rows")
 
@@ -317,7 +339,7 @@ def l2_normalize_rows(x: Tensor) -> Tensor:
     """Scale each last-axis row to unit L2 norm; rows with norm < 1e-12 pass through unchanged."""
     _check_rows(x, "l2_normalize_rows")
     # a row whose squares sum past the float range has an inf norm, which would divide it to 0
-    with np.errstate(over="ignore"):
+    with _errstate(over="ignore"):
         norms = np.linalg.norm(x.data, axis=-1, keepdims=True)
     if not np.isfinite(norms).all():
         raise NonFiniteError("l2_normalize_rows")
@@ -343,7 +365,7 @@ def diagonal_nll(x: Tensor, tau: float) -> Tensor:
     b, c = x.shape[0], 1.0 / tau
     # as in softmax_rows, an entry scaled below a finite row max weighs 0; a 1/tau, row max or
     # diagonal entry scaled, or a loss summed, past the float range gives a NaN or inf output
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _errstate(over="ignore", invalid="ignore"):
         scaled = x.data * c
         shifted = scaled - scaled.max(axis=-1, keepdims=True)
         sums = np.exp(shifted).sum(axis=-1, keepdims=True)
@@ -379,7 +401,7 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> 
     if xkv.shape[-2] == 0:
         raise ValueError(f"attention: the key/value side has no rows, got shape {x_kv.shape}")
     c = 1.0 / math.sqrt(wq.shape[1])
-    with np.errstate(over="ignore", invalid="ignore"):
+    with _errstate(over="ignore", invalid="ignore"):
         q, k, v = xq @ wq.data, xkv @ wk.data, xkv @ wv.data
         kt = k.swapaxes(-1, -2).copy()  # contiguous, as `transpose` makes it: BLAS sums alike
         y = _softmax((q @ kt) * c)

@@ -360,19 +360,19 @@ def _train_paths(tmp_path):
     return cfg, sets
 
 
-def test_train_with_zero_epochs_writes_no_checkpoint(tmp_path):
+def test_train_with_zero_epochs_writes_no_checkpoint(tmp_path, capsys):
     cfg, sets = _train_paths(tmp_path)
-    with pytest.raises(ValueError, match="training.epochs must be >= 1"):
-        main(["train", *sets, "--set", "training.epochs=0"])
+    assert main(["train", *sets, "--set", "training.epochs=0"]) == 2
+    assert capsys.readouterr().err == "cirtrain: training.epochs must be >= 1, got 0\n"
     assert not Path(cfg.paths.checkpoint).exists()
     assert not Path(cfg.paths.train_log).exists()
 
 
-def test_train_at_batch_size_1_writes_no_file(tmp_path):
+def test_train_at_batch_size_1_writes_no_file(tmp_path, capsys):
     # a batch of one has no in-batch negatives: every loss is log 1 = 0 and no parameter moves
     cfg, sets = _train_paths(tmp_path)
-    with pytest.raises(ValueError, match=r"^training\.batch_size must be >= 2, got 1$"):
-        main(["train", *sets, "--set", "training.batch_size=1"])
+    assert main(["train", *sets, "--set", "training.batch_size=1"]) == 2
+    assert capsys.readouterr().err == "cirtrain: training.batch_size must be >= 2, got 1\n"
     assert not Path(cfg.paths.checkpoint).exists()
     assert not Path(cfg.paths.train_log).exists()
 
@@ -448,16 +448,22 @@ def test_cli_entry_point_subprocess(tmp_path):
     assert "wrote 8 train records" in result.stdout
 
 
-def test_unknown_override_fails_fast():
-    with pytest.raises(ValueError):
-        main(["synth", "--set", "synth.n_trian=8"])
+def test_missing_dataset_is_reported_not_raised(tmp_path, capsys):
+    missing = tmp_path / "absent.jsonl"
+    assert main(["train", "--set", f"paths.train_set={missing}"]) == 2
+    assert capsys.readouterr().err == f"cirtrain: [Errno 2] No such file or directory: '{missing}'\n"
 
 
-def test_invalid_objective_fails_before_synth_writes(tmp_path):
+def test_unknown_override_fails_fast(capsys):
+    assert main(["synth", "--set", "synth.n_trian=8"]) == 2
+    assert capsys.readouterr().err == "cirtrain: unknown config keys: ['synth.n_trian']\n"
+
+
+def test_invalid_objective_fails_before_synth_writes(tmp_path, capsys):
     train, val = tmp_path / "train.jsonl", tmp_path / "val.jsonl"
-    with pytest.raises(ValueError, match="objective.tau"):
-        main(["synth", "--set", f"paths.train_set={train}", "--set", f"paths.val_set={val}",
-              "--set", "objective.tau=0"])
+    assert main(["synth", "--set", f"paths.train_set={train}", "--set", f"paths.val_set={val}",
+                 "--set", "objective.tau=0"]) == 2
+    assert capsys.readouterr().err == "cirtrain: objective.tau must be > 0, got 0.0\n"
     assert not train.exists() and not val.exists()
 
 

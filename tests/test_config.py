@@ -246,3 +246,10 @@ def test_model_values_out_of_range_rejected(tmp_path, key, value, least):
         load_config(path)
     # the bound itself is a valid setting
     assert getattr(apply_override(RunConfig(), f"model.{key}={least}").model, key) == least
+
+
+@pytest.mark.parametrize("section,value", [("training", None), ("model", TrainingConfig()),
+                                           ("paths", {"report": "r.json"})])
+def test_run_config_refuses_a_section_of_another_type(section, value):
+    with pytest.raises(ValueError, match=f"^config section {section}: expected a "):
+        RunConfig(**{section: value})

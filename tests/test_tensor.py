@@ -274,9 +274,9 @@ def test_gradients_match_finite_differences(name, build, shapes):
     _fd_case(name, build, shapes)
 
 
-# the engine's exports that are not ops: the tensor and parameter types, the error and the
-# two graph controls
-NOT_OPS = {"NonFiniteError", "Tensor", "Param", "no_grad"}
+# the engine's exports that are not ops: the tensor and parameter types, the error, the graph
+# control and the unchecked mode
+NOT_OPS = {"NonFiniteError", "Tensor", "Param", "no_grad", "unchecked"}
 
 
 def test_every_exported_op_has_a_finite_difference_case():
@@ -429,6 +429,28 @@ def test_overflow_raises_the_engine_error_not_a_numpy_warning(op, build):
     # the suite turns warnings into errors, so a numpy RuntimeWarning would fail this test
     with pytest.raises(T.NonFiniteError, match=f"'{op}'"):
         build()
+
+
+@pytest.mark.parametrize("build", [
+    lambda: T.matmul(T.Tensor([[1e200]]), T.Tensor([[1e200]])),
+    lambda: T.attention(*[T.Tensor(np.full((2, 2), 1e200))] * 4 + [T.Tensor(np.eye(2))]),
+    lambda: T.add(T.Tensor([[1e308]]), T.Tensor([[1e308]])),
+    lambda: T.scalar_mul(T.Tensor([[2.0]]), 1e308),
+], ids=["matmul", "attention", "add", "scalar_mul"])
+def test_overflow_under_unchecked_raises_the_numpy_flag(build):
+    # the unchecked forward rests on this: a non-finite result from finite inputs raises a flag
+    with pytest.raises(FloatingPointError, match="overflow"), T.unchecked():
+        build()
+
+
+def test_unchecked_restores_the_mode_and_errstate_after_an_exception():
+    before = np.geterr()
+    with pytest.raises(FloatingPointError), T.unchecked():
+        assert not T._checked and np.geterr()["over"] == "raise"
+        T.matmul(T.Tensor([[1e200]]), T.Tensor([[1e200]]))
+    assert T._checked and np.geterr() == before
+    with pytest.raises(T.NonFiniteError, match="'matmul'"):
+        T.matmul(T.Tensor([[1e200]]), T.Tensor([[1e200]]))
 
 
 def test_gradient_of_composite_expression(rng):
