@@ -56,8 +56,8 @@ class BridgeParams:
 
 
 def cosines(x: Tensor, w_x: Param, y: Tensor, w_y: Param) -> Tensor:
-    """Cosine of every row of x projected by w_x against every row of y projected by w_y:
-    a rows(x) x rows(y) matrix (`alignment_loss` passes a whole batch's words and rows)."""
+    """Cosine of every row of x projected by w_x against every row of y projected by w_y, per
+    matrix of a batched x; y shares x's leading axes or is 2-D (`alignment_loss` passes both)."""
     q = l2_normalize_rows(matmul(x, w_x.tensor))
     k = l2_normalize_rows(matmul(y, w_y.tensor))
     return matmul(q, transpose(k))
@@ -76,13 +76,12 @@ def alignment_loss(f_r_bar: Tensor, f_c: Tensor, f_t: Tensor, p: BridgeParams,
     against candidate j's target row m, never expanded over a second batch
     axis.
     """
-    (b, n, dim), length, m = f_r_bar.shape, f_c.shape[1], f_t.shape[1]
+    (b, n, dim), m = f_r_bar.shape, f_t.shape[1]
 
     # every word of every query against every row of every target in one product, B x L x
     # (B·M) cosines; then B x N x B x M hinge logits, softmaxed over each candidate's M rows
-    a_c2t = cosines(reshape(f_c, (b * length, dim)), p.w_text_query,
-                    reshape(f_t, (b * m, dim)), p.w_target)
-    logits = matmul(cosines(f_r_bar, p.w_ref, f_c, p.w_text), reshape(a_c2t, (b, length, b * m)))
+    a_c2t = cosines(f_c, p.w_text_query, reshape(f_t, (b * m, dim)), p.w_target)
+    logits = matmul(cosines(f_r_bar, p.w_ref, f_c, p.w_text), a_c2t)
     a_r2t = softmax_rows(scalar_mul(reshape(logits, (b, n, b, m)), 1.0 / math.sqrt(dim)))
     # the value product is linear, so pool the N reference rows first; regroup the
     # B x B x M pooled attention by candidate j, (j, i, m), to weigh j's own M values

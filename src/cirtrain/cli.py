@@ -3,6 +3,7 @@
 Configuration comes from built-in defaults, optionally a JSON file
 (--config), then any number of --set section.key=value overrides, applied
 in that order.  Set CIRTRAIN_LOG=debug|info|warning for logging verbosity.
+Refused input exits with status 2, a training abort on a non-finite value with 1.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .data import generate, id_ranks, read_records, synth_spec_from_config, writ
 from .metrics import format_report, rank_gallery, rank_within_subset, summarize
 from .model import RetrievalModel, load_checkpoint, save_checkpoint
 from .objective import score_query_against_gallery
-from .tensor import no_grad
+from .tensor import NonFiniteError, no_grad
 from .train import gradcheck_passed, run_gradient_check, train_model
 
 
@@ -176,6 +177,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"cirtrain: {err}", file=sys.stderr)
         return 2
+    except RuntimeError as err:
+        if not isinstance(err.__cause__, NonFiniteError):  # only train_model's abort is reported
+            raise
+        print(f"cirtrain: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -96,8 +96,8 @@ def _errstate(**kwargs):
 class Tensor:
     """A dense float64 array plus the bookkeeping reverse mode needs.
 
-    `grad` is populated (and accumulated across backward calls) only for
-    tensors created with requires_grad=True or derived from one.
+    `grad` is populated (and accumulated across backward calls) only on leaves
+    with requires_grad=True, parameters and user-built inputs; an op's output keeps None.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_backprop")
@@ -122,10 +122,12 @@ class Tensor:
         return float(self.data.reshape(-1)[0])
 
     def backward(self):
-        """Populate grad on every requires_grad tensor reachable from this scalar loss.
+        """Populate grad on every requires_grad leaf reachable from this scalar loss.
 
-        Grads accumulate across calls; clear them via Param.zero_grad (or set
-        tensor.grad = None) between optimizer steps.
+        An intermediate gradient is dropped once its rule has run.  The rules run under one
+        errstate ignoring overflow, invalid and divide: a non-finite gradient is a value that
+        `Adam.step` refuses, never a numpy warning.  Grads accumulate across calls; clear
+        them via Param.zero_grad (or set tensor.grad = None) between optimizer steps.
         """
         if self.data.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {self.shape}")
@@ -149,19 +151,16 @@ class Tensor:
                     stack.append((p, False))
 
         running = {id(self): np.ones_like(self.data)}
-        for node in reversed(topo):
-            g = running.pop(id(node), None)
-            if g is None:
-                continue
-            node.grad = g if node.grad is None else node.grad + g
-            if node._backprop is None:
-                continue
-            parent_grads = node._backprop(g)
-            for parent, pg in zip(node._parents, parent_grads):
-                if not parent.requires_grad or pg is None:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for node in reversed(topo):
+                g = running.pop(id(node))
+                if node._backprop is None:
+                    node.grad = g if node.grad is None else node.grad + g
                     continue
-                acc = running.get(id(parent))
-                running[id(parent)] = pg if acc is None else acc + pg
+                for parent, pg in zip(node._parents, node._backprop(g)):
+                    if parent.requires_grad:
+                        acc = running.get(id(parent))
+                        running[id(parent)] = pg if acc is None else acc + pg
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"

@@ -79,6 +79,7 @@ def train_model(model: RetrievalModel, records, cfg: RunConfig, log_path=None):
             try:
                 total, breakdown = model.batch_losses(batch)
                 total.backward()
+                del total  # nothing reads its graph now: free it before the next forward
                 optimizer.step()
             except NonFiniteError as err:
                 raise RuntimeError(f"training aborted at epoch {epoch}, step {step}: non-finite "

@@ -47,3 +47,14 @@ def test_document_holds_one_summary_per_workload_in_the_order_given():
     assert doc["workloads"]["eval_gallery"]["metrics"]["t"]["change_wins"] == 2
     assert json.loads(json.dumps(doc)) == doc
 
+
+
+@pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1"])
+def test_a_run_length_that_is_not_finite_and_positive_is_refused_before_archiving(
+        seconds, monkeypatch, capsys):
+    monkeypatch.setattr(abpairs, "archive", lambda rev: pytest.fail("archived a revision"))
+    with pytest.raises(SystemExit) as exit_:
+        abpairs.main(["HEAD", "HEAD", "--workload", "train_full", "--pairs", "1",
+                      "--seconds", seconds])
+    assert exit_.value.code == 2
+    assert "--seconds must be a finite number > 0" in capsys.readouterr().err

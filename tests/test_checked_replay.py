@@ -47,8 +47,7 @@ def step_outcome(model, records):
         total, breakdown = model.batch_losses(records)
     except T.NonFiniteError as err:
         return err.op
-    with np.errstate(all="ignore"):  # backward runs alike in both modes; a poisoned one may overflow
-        total.backward()
+    total.backward()
     return repr(breakdown), {name: None if p.grad is None else p.grad.tobytes()
                              for name, p in model.parameters().items()}
 

@@ -403,6 +403,38 @@ def test_training_aborts_with_diagnostic_on_nonfinite(tmp_path):
     assert not Path(cfg.paths.train_log).exists()
 
 
+def test_main_reports_a_training_abort_with_status_1_and_writes_nothing(tmp_path, capsys):
+    cfg = tiny_config(tmp_path)
+    cmd_synth(cfg)
+    capsys.readouterr()
+    sets = [f"paths.train_set={cfg.paths.train_set}", f"paths.checkpoint={cfg.paths.checkpoint}",
+            f"paths.train_log={cfg.paths.train_log}", "objective.tau=1e-308"]
+    assert main(["train", *(arg for s in sets for arg in ("--set", s))]) == 1
+    assert capsys.readouterr().err == ("cirtrain: training aborted at epoch 0, step 0: non-finite "
+                                       "values in output of op 'diagonal_nll'\n")
+    assert not Path(cfg.paths.checkpoint).exists() and not Path(cfg.paths.train_log).exists()
+
+
+def test_main_lets_any_other_runtime_error_surface(monkeypatch):
+    def fail(cfg):
+        raise RuntimeError("not a training abort")
+
+    monkeypatch.setattr(cli, "cmd_train", fail)
+    with pytest.raises(RuntimeError, match="not a training abort"):
+        main(["train"])
+
+
+def test_main_refuses_an_override_that_is_not_a_boolean(capsys):
+    assert main(["synth", "--set", "ablation.use_alignment=maybe"]) == 2
+    assert capsys.readouterr().err == ("cirtrain: ablation.use_alignment: expected a boolean, "
+                                       "got 'maybe'\n")
+
+
+def test_evaluate_model_refuses_an_empty_validation_set():
+    with pytest.raises(ValueError, match="^validation set is empty$"):
+        evaluate_model(RetrievalModel(RunConfig()), [])
+
+
 def test_main_smoke_via_argv(tmp_path, capsys):
     paths = [
         f"paths.train_set={tmp_path / 'train.jsonl'}",

@@ -348,3 +348,16 @@ def test_batches_cover_dataset_without_repeats():
 def test_batches_empty_dataset_rejected():
     with pytest.raises(ValueError):
         list(batches([], 4, seed=0))
+
+
+def test_batches_refuse_a_batch_size_below_one_at_the_call():
+    train, _ = generate(SPEC)
+    with pytest.raises(ValueError, match="^batch_size must be >= 1$"):
+        batches(train, 0, seed=0)
+
+
+def test_generate_refuses_more_validation_targets_than_the_latent_space_holds():
+    # one content coordinate in 2 bins and one attribute flag leave too few distinct targets
+    spec = SynthSpec(latent_dim=2, n_attributes=1, image_vocab=4, n_train=4, n_val=20)
+    with pytest.raises(ValueError, match="^latent space too small for distinct validation targets$"):
+        generate(spec)

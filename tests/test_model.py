@@ -176,14 +176,14 @@ def _op_census(loss) -> Counter:
 STEP_CENSUS = {
     "baseline": (16, dict(add=3, attention=2, concat=1, diagonal_nll=1, l2_normalize_rows=1,
                           matmul=2, mean_axis=2, reshape=1, take_rows=3)),
-    "+alignment": (50, dict(add=5, attention=3, concat=1, diagonal_nll=2, l2_normalize_rows=7,
-                            matmul=12, mean_axis=4, reshape=6, scalar_mul=2, softmax_rows=1,
+    "+alignment": (48, dict(add=5, attention=3, concat=1, diagonal_nll=2, l2_normalize_rows=7,
+                            matmul=12, mean_axis=4, reshape=4, scalar_mul=2, softmax_rows=1,
                             take_rows=3, transpose=4)),
     "+reasoning": (36, dict(add=5, attention=10, concat=1, diagonal_nll=2, first_row=2,
                             l2_normalize_rows=3, matmul=3, mean_axis=3, reshape=2, scalar_mul=1,
                             take_rows=3, transpose=1)),
-    "full": (70, dict(add=7, attention=11, concat=1, diagonal_nll=3, first_row=2,
-                      l2_normalize_rows=9, matmul=13, mean_axis=5, reshape=7, scalar_mul=3,
+    "full": (68, dict(add=7, attention=11, concat=1, diagonal_nll=3, first_row=2,
+                      l2_normalize_rows=9, matmul=13, mean_axis=5, reshape=5, scalar_mul=3,
                       softmax_rows=1, take_rows=3, transpose=5)),
 }
 
@@ -201,6 +201,23 @@ def test_every_attention_site_is_one_fused_node(variant, use_alignment, use_reas
     assert census == by_op and sum(census.values()) == nodes
     frozen = model.ref_encoder.encode(TokenSeq(records[0].ref_tokens))
     assert not frozen.requires_grad and not frozen._parents
+
+
+@pytest.mark.parametrize("variant,use_alignment,use_reasoning", ABLATION_VARIANTS,
+                         ids=[name for name, *_ in ABLATION_VARIANTS])
+def test_backward_leaves_grads_on_the_reached_params_only(variant, use_alignment, use_reasoning):
+    cfg = RunConfig()
+    cfg.ablation = dataclasses.replace(cfg.ablation, use_alignment=use_alignment,
+                                       use_reasoning=use_reasoning)
+    model = RetrievalModel(cfg)
+    total, _ = model.batch_losses(small_records(4))
+    total.backward()
+    nodes = graph_nodes(total)
+    assert all(node.grad is None for node in nodes if node._backprop is not None)
+    reached = {id(node) for node in nodes if node._backprop is None and node.requires_grad}
+    trainable = model.trainable()
+    assert {id(p._tensor) for p in trainable} >= reached
+    assert [p.name for p in trainable if (p.grad is not None) != (id(p._tensor) in reached)] == []
 
 
 def test_disabled_auxiliaries_leave_their_params_unchanged():
@@ -345,6 +362,18 @@ def test_checkpoint_mismatch_detected(tmp_path):
     other = RetrievalModel(other_cfg)
     with pytest.raises(ValueError):
         load_checkpoint(other, path)
+
+
+def test_checkpoint_with_other_param_names_refused_by_name(tmp_path):
+    # a shared text projection saves no bridge.w_text_query; an unshared model expects one
+    cfg = small_config()
+    cfg.ablation = dataclasses.replace(cfg.ablation, share_text_projection=True)
+    path = tmp_path / "ckpt.json"
+    save_checkpoint(RetrievalModel(cfg), path)
+    cfg.ablation = dataclasses.replace(cfg.ablation, share_text_projection=False)
+    with pytest.raises(ValueError, match=re.escape(
+            "checkpoint mismatch: missing ['bridge.w_text_query'], unexpected []")):
+        load_checkpoint(RetrievalModel(cfg), path)
 
 
 def test_query_and_target_embeddings_unit_norm():

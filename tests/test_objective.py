@@ -160,6 +160,10 @@ class TestGalleryScoring:
         with pytest.raises(ValueError):
             score_query_against_gallery(T.Tensor(np.ones((1, 4))), np.ones((0, 4)))
 
+    def test_query_width_unlike_the_gallery_rejected(self):
+        with pytest.raises(ValueError, match=r"queries of shape \(2, 3\) are not B x 4 like the gallery"):
+            score_query_against_gallery(T.Tensor(np.ones((2, 3))), np.ones((5, 4)))
+
     def test_scoring_builds_no_graph(self):
         q = T.Tensor(np.ones((1, 4)), requires_grad=True)
         scores = score_query_against_gallery(q, np.ones((3, 4)))

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from cirtrain import tensor as T
+from cirtrain.train import Adam
 from graph import graph_nodes
 from oracles import attention_oracle, finite_diff, max_rel_err, np_diagonal_nll
 from scalarize import scalarize
@@ -166,6 +167,39 @@ def test_backward_accumulates_across_calls(rng):
     scalarize(x).backward()
     scalarize(x).backward()
     assert np.allclose(x.grad, 2.0)
+
+
+def test_backward_overflow_is_an_inf_grad_that_adam_refuses_not_a_warning():
+    # a finite forward (1e-300 * 1e300 * 1e10) whose backward product 1e10 * 1e300 overflows
+    x = T.Param("x", [[1e-300]])
+    T.scalar_mul(T.matmul(x.tensor, T.Tensor([[1e300]])), 1e10).backward()
+    assert np.isposinf(x.grad).all()
+    with pytest.raises(T.NonFiniteError, match=r"Adam\.step\[x\]"):
+        Adam([x], lr=0.1).step()
+
+
+def test_backward_on_a_loss_without_grad_leaves_every_grad_none():
+    x = T.Tensor([[2.0]], requires_grad=True)
+    with T.no_grad():
+        loss = T.matmul(x, x)
+    loss.backward()
+    assert x.grad is None and loss.grad is None
+
+
+def test_item_refuses_a_tensor_with_more_than_one_element():
+    with pytest.raises(ValueError, match=r"item\(\) requires a single-element tensor, got shape \(1, 2\)"):
+        T.Tensor([[1.0, 2.0]]).item()
+
+
+@pytest.mark.parametrize("axis", [2, -3])
+def test_mean_axis_refuses_an_axis_out_of_range(axis):
+    with pytest.raises(ValueError, match=rf"mean_axis: axis {axis} out of range for shape \(2, 3\)"):
+        T.mean_axis(T.Tensor(np.ones((2, 3))), axis)
+
+
+def test_concat_refuses_no_parts():
+    with pytest.raises(ValueError, match="concat: need at least one tensor"):
+        T.concat([])
 
 
 def test_backward_rejects_non_scalar(rng):

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -117,6 +118,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    # a NaN or infinite run length would never end a run's closed loop
+    if not 0 < args.seconds < math.inf:
+        parser.error("--seconds must be a finite number > 0")
 
     sides = {"parent": archive(args.parent), "change": archive(args.change)}
     with tarfile.open(fileobj=io.BytesIO(sides["parent"][1])) as parent_tar:
