@@ -48,7 +48,6 @@ def test_document_holds_one_summary_per_workload_in_the_order_given():
     assert json.loads(json.dumps(doc)) == doc
 
 
-
 @pytest.mark.parametrize("seconds", ["nan", "inf", "0", "-1"])
 def test_a_run_length_that_is_not_finite_and_positive_is_refused_before_archiving(
         seconds, monkeypatch, capsys):
