@@ -23,7 +23,6 @@ from .tensor import (
     matmul,
     mean_axis,
     reshape,
-    scalar_mul,
     softmax_rows,
     transpose,
 )
@@ -82,11 +81,11 @@ def alignment_loss(f_r_bar: Tensor, f_c: Tensor, f_t: Tensor, p: BridgeParams,
     # (B·M) cosines; then B x N x B x M hinge logits, softmaxed over each candidate's M rows
     a_c2t = cosines(f_c, p.w_text_query, reshape(f_t, (b * m, dim)), p.w_target)
     logits = matmul(cosines(f_r_bar, p.w_ref, f_c, p.w_text), a_c2t)
-    a_r2t = softmax_rows(scalar_mul(reshape(logits, (b, n, b, m)), 1.0 / math.sqrt(dim)))
+    a_r2t = softmax_rows(reshape(logits, (b, n, b, m)), 1.0 / math.sqrt(dim))
     # the value product is linear, so pool the N reference rows first; regroup the
     # B x B x M pooled attention by candidate j, (j, i, m), to weigh j's own M values
-    pooled = transpose(reshape(mean_axis(a_r2t, axis=1), (b, b, m)), (1, 0, 2))
+    pooled = transpose(mean_axis(a_r2t, axis=1), (1, 0, 2))
     bridge = l2_normalize_rows(matmul(pooled, matmul(f_t, p.w_value.tensor)))
-    # (j, i, d) -> (i, d, j), so query i's pooled reference row meets its B bridged rows
-    pooled_ref = l2_normalize_rows(mean_axis(f_r_bar, axis=1))
+    # (j, i, d) -> (i, d, j), so query i's pooled reference row, as 1 x d, meets its B bridged rows
+    pooled_ref = reshape(l2_normalize_rows(mean_axis(f_r_bar, axis=-2)), (b, 1, dim))
     return diagonal_nll(reshape(matmul(pooled_ref, transpose(bridge, (1, 2, 0))), (b, b)), tau)

@@ -2,7 +2,8 @@
 
 Configuration comes from built-in defaults, optionally a JSON file
 (--config), then any number of --set section.key=value overrides, applied
-in that order.  Set CIRTRAIN_LOG=debug|info|warning for logging verbosity.
+in that order.  Set CIRTRAIN_LOG=debug|info|warning for logging verbosity; a name
+that is not a logging level falls back to warning.
 Refused input exits with status 2, a training abort on a non-finite value with 1.
 """
 
@@ -28,8 +29,9 @@ from .train import gradcheck_passed, run_gradient_check, train_model
 
 
 def _setup_logging():
-    level = os.environ.get("CIRTRAIN_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING),
+    # getLevelName maps a level's name to its number and any other name to a string
+    level = logging.getLevelName(os.environ.get("CIRTRAIN_LOG", "warning").upper())
+    logging.basicConfig(level=level if isinstance(level, int) else logging.WARNING,
                         format="%(levelname)s %(name)s: %(message)s")
 
 

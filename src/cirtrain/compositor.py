@@ -15,18 +15,8 @@ import logging
 import numpy as np
 
 from .encoders import Attention
-from .tensor import (
-    NORM_EPS,
-    Tensor,
-    add,
-    diagonal_nll,
-    first_row,
-    l2_normalize_rows,
-    matmul,
-    mean_axis,
-    reshape,
-    transpose,
-)
+from .objective import matching_loss
+from .tensor import NORM_EPS, Tensor, add, first_row, l2_normalize_rows, mean_axis
 
 log = logging.getLogger(__name__)
 
@@ -71,10 +61,10 @@ def reasoning_loss(f_r_prime: Tensor, f_t: Tensor, f_c: Tensor, p: CompositorPar
     """Contrast each composite visual vector against all in-batch texts.
 
     The features are B x N x d, B x M x d and B x L x d tensors, item i of
-    each belonging to triplet i.  Texts are mean-pooled and L2-normalized;
-    row i of the similarity matrix scores composite i against every text,
-    diagonal matched.
+    each belonging to triplet i.  Texts are mean-pooled and L2-normalized,
+    and the two unit-row sets meet in the matching term's in-batch contrast,
+    composite i matched with text i.
     """
     composites = compose(f_r_prime, f_t, p)
-    texts = reshape(l2_normalize_rows(mean_axis(f_c, axis=1)), (f_c.shape[0], f_c.shape[-1]))
-    return diagonal_nll(matmul(composites, transpose(texts)), tau)
+    texts = l2_normalize_rows(mean_axis(f_c, axis=-2))
+    return matching_loss(composites, texts, tau)

@@ -188,17 +188,17 @@ class QueryFusion:
         self.attn = Attention(name, dim, rng)
 
     def fuse(self, f_c: Tensor, f_r: Tensor) -> Tensor:
-        b, p, length = f_c.shape[0], self.n_prompts, f_c.shape[-2]
+        b, p, (length, dim) = f_c.shape[0], self.n_prompts, f_c.shape[-2:]
         query_side = (concat([take_rows(self.prompts.tensor, np.tile(np.arange(p), (b, 1))), f_c])
                       if p else f_c)
         text_mask = np.zeros((b, p + length, 1))
         text_mask[:, p:] = 1.0
-        return add(self.attn(query_side, f_r), matmul(Tensor(text_mask), mean_axis(f_c, axis=-2)))
+        text_row = reshape(mean_axis(f_c, axis=-2), (b, 1, dim))
+        return add(self.attn(query_side, f_r), matmul(Tensor(text_mask), text_row))
 
     def query_embedding(self, f_c: Tensor, f_r: Tensor) -> Tensor:
         """Mean-pool the fused sequence and L2-normalize: B x d, one query row per item."""
-        pooled = mean_axis(self.fuse(f_c, f_r), axis=-2)
-        return l2_normalize_rows(reshape(pooled, (pooled.shape[0], pooled.shape[-1])))
+        return l2_normalize_rows(mean_axis(self.fuse(f_c, f_r), axis=-2))
 
     def params(self):
         base = [self.prompts] if self.prompts is not None else []

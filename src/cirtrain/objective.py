@@ -21,7 +21,8 @@ class LossBreakdown:
 
 
 def matching_loss(query_embs: Tensor, target_embs: Tensor, tau: float) -> Tensor:
-    """In-batch contrastive loss between pooled query and pooled target embeddings.
+    """In-batch contrastive loss between two unit-row sets, here pooled query and
+    pooled target embeddings; the reasoning term reuses it for composites and texts.
 
     Both inputs are B x d matrices of L2-normalized rows; row i of each
     belongs to triplet i, so the similarity diagonal holds the positives.

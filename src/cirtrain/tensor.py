@@ -5,19 +5,22 @@ identical shapes, which keeps every gradient rule below auditable by eye.
 Tensors may carry leading batch axes: at any rank the last two axes are a
 matrix's rows and columns, which `transpose` (unless given a permutation of
 all axes), `first_row`, `concat`, `softmax_rows` and `l2_normalize_rows` act
-on, `mean_axis` takes any axis, and `matmul` pairs matrices over equal
-leading axes.  There are two broadcasts and no others: scalar times tensor,
-and a 2-D weight right of `matmul` (applied to every matrix on the left; its
-gradient sums over the leading axes).  A 2-D table is read by `take_rows`, a
-gather whose gradient sums the rows each id read.  Two ops are fused,
-each owning its softmax and backward: `diagonal_nll` takes the in-batch
-NLL at the temperature τ it is given as one log-sum-exp op, and
-`attention` is a whole single-head attention block.  Each op does its
-forward arithmetic under `np.errstate` and validates its output, so a NaN
-or Inf fails loudly, as `NonFiniteError` rather than a numpy warning, at
-the op that produced it instead of poisoning the loss.  Inside `unchecked()`
-the ops skip both, under one errstate raising on overflow, invalid and divide,
-the flags IEEE 754 raises wherever finite inputs give a non-finite value.
+on, `mean_axis` takes any axis, and `matmul` pairs matrices over equal leading
+axes.  Reductions drop the axis they reduce, as numpy's do: a pooled row of
+(..., N, d) rows, by `mean_axis` or `first_row`, is (..., d).  There are two
+broadcasts and no others: scalar times tensor, and a 2-D weight right of
+`matmul` (applied to every matrix on the left; its gradient sums over the
+leading axes).  A 2-D table is read by `take_rows`, a gather whose gradient
+sums the rows each id read.  Every softmax owns the scale of its logits,
+forward and backward: `softmax_rows` is given it, and two fused ops own
+theirs: `diagonal_nll` takes the in-batch NLL at the temperature τ it is given
+as one log-sum-exp op, and `attention` is a whole single-head attention block
+at 1/√d.  Each op does its forward arithmetic under `np.errstate` and
+validates its output, so a NaN or Inf fails loudly, as `NonFiniteError` rather
+than a numpy warning, at the op that produced it instead of poisoning the
+loss.  Inside `unchecked()` the ops skip both, under one errstate raising on
+overflow, invalid and divide, the flags IEEE 754 raises wherever finite inputs
+give a non-finite value.
 """
 
 from __future__ import annotations
@@ -255,15 +258,15 @@ def transpose(x: Tensor, axes=None) -> Tensor:
 
 
 def mean_axis(x: Tensor, axis: int) -> Tensor:
-    """Mean over one axis, kept with size 1."""
+    """Mean over one axis, which the result drops."""
     if not -x.data.ndim <= axis < x.data.ndim:
         raise ValueError(f"mean_axis: axis {axis} out of range for shape {x.shape}")
     n = x.shape[axis]
     with _errstate(over="ignore", invalid="ignore"):
-        out_data = x.data.mean(axis=axis, keepdims=True)
+        out_data = x.data.mean(axis=axis)
 
     def back(g):
-        return (np.repeat(g, n, axis=axis) / n,)
+        return (np.repeat(np.expand_dims(g, axis), n, axis=axis) / n,)
 
     return _result(out_data, (x,), back, "mean_axis")
 
@@ -324,14 +327,14 @@ def first_row(x: Tensor) -> Tensor:
     return _result(x.data[..., 0, :].copy(), (x,), back, "first_row")
 
 
-def softmax_rows(x: Tensor) -> Tensor:
-    """Softmax over the last axis with per-row max subtraction for overflow safety."""
+def softmax_rows(x: Tensor, scale: float) -> Tensor:
+    """Softmax over the last axis of the logits `x * scale`, each row shifted by its max."""
     _check_rows(x, "softmax_rows")
     if x.shape[-1] == 0:
         raise ValueError(f"softmax_rows: rows have no entries, got shape {x.shape}")
     with _errstate(over="ignore", invalid="ignore"):
-        y = _softmax(x.data)
-    return _result(y, (x,), lambda g: (_softmax_grad(y, g),), "softmax_rows")
+        y = _softmax(x.data * scale)
+    return _result(y, (x,), lambda g: (_softmax_grad(y, g) * scale,), "softmax_rows")
 
 
 def l2_normalize_rows(x: Tensor) -> Tensor:
@@ -384,8 +387,8 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> 
 
     `x_q` and `x_kv` share their leading axes (`x_q` may be `x_kv`); the three
     2-D weights apply to every matrix, their gradients summed over the leading
-    axes as in `matmul`.  The forward repeats the values of the
-    matmul/transpose/scalar_mul/softmax_rows chain bit for bit.
+    axes as in `matmul`.  The forward repeats the values of the chain
+    `matmul(softmax_rows(matmul(q, transpose(k)), 1/√d), v)` bit for bit.
     """
     xq, xkv = x_q.data, x_kv.data
     if xq.ndim < 2 or xkv.ndim < 2 or {wq.data.ndim, wk.data.ndim, wv.data.ndim} != {2}:
@@ -406,8 +409,8 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> 
         y = _softmax((q @ kt) * c)
         out_data = y @ v
 
-    # the chain's backward rules, in its order: the value product, softmax_rows, the 1/√d
-    # scale, the q kᵀ product and the three projections; an input that takes no gradient
+    # the chain's backward rules, in its order: the value product, softmax_rows at 1/√d,
+    # the q kᵀ product and the three projections; an input that takes no gradient
     # (a frozen feature stack, a frozen weight) gets None instead of its projection
     def back(g):
         gl = _softmax_grad(y, g @ v.swapaxes(-1, -2)) * c

@@ -1,5 +1,8 @@
 import importlib.util
+import io
 import json
+import subprocess
+import tarfile
 from pathlib import Path
 
 import pytest
@@ -8,6 +11,18 @@ _spec = importlib.util.spec_from_file_location(
     "abpairs", Path(__file__).resolve().parent.parent / "tools" / "abpairs.py")
 abpairs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(abpairs)
+
+
+def _archive(rev):
+    """(a made-up commit id, a tar holding only a BENCHMARK.json listing two workloads)."""
+    bench = json.dumps({"workloads": [{"name": "train_full"}, {"name": "eval_gallery"}],
+                        "end_to_end": [], "per_layer": []}).encode()
+    buf = io.BytesIO()
+    with tarfile.open(fileobj=buf, mode="w") as tar:
+        info = tarfile.TarInfo("BENCHMARK.json")
+        info.size = len(bench)
+        tar.addfile(info, io.BytesIO(bench))
+    return rev * 8, buf.getvalue()
 
 
 def _runs(values, failed=0):
@@ -57,3 +72,34 @@ def test_a_run_length_that_is_not_finite_and_positive_is_refused_before_archivin
                       "--seconds", seconds])
     assert exit_.value.code == 2
     assert "--seconds must be a finite number > 0" in capsys.readouterr().err
+
+
+def test_a_workload_the_parent_does_not_list_is_refused_before_any_run(monkeypatch, capsys):
+    monkeypatch.setattr(abpairs, "archive", _archive)
+    monkeypatch.setattr(abpairs, "run_once", lambda *args: pytest.fail("started a run"))
+    with pytest.raises(SystemExit) as exit_:
+        abpairs.main(["abcde", "fghij", "--workload", "train_full", "--workload", "no_such",
+                      "--pairs", "1", "--seconds", "1"])
+    assert exit_.value.code == 2
+    assert ("--workload no_such: the parent's BENCHMARK.json lists only train_full, eval_gallery"
+            in capsys.readouterr().err)
+
+
+def test_a_run_that_exits_non_zero_is_named_on_one_line_before_its_stderr(monkeypatch, capsys):
+    calls = []
+
+    def run_once(tar, workload, seed, seconds, trace):
+        calls.append(seed)
+        if len(calls) == 2:  # pair 1 runs the parent, then the change
+            raise subprocess.CalledProcessError(3, ["cirbench/run.py"], stderr="Traceback\nboom\n")
+        return {"attempted": 1, "failed": 0, "metrics": {"t": {"value": 1.0}}}
+
+    monkeypatch.setattr(abpairs, "archive", _archive)
+    monkeypatch.setattr(abpairs, "run_once", run_once)
+    assert abpairs.main(["abcde", "fghij", "--workload", "eval_gallery", "--pairs", "2",
+                         "--seconds", "1"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.endswith("abpairs: eval_gallery pair 1 change: cirbench/run.py exited with 3\n"
+                        "Traceback\nboom\n")
+    assert calls == [1, 1]

@@ -108,7 +108,7 @@ def test_c3_invariant_suite():
     d = 6
 
     # softmax rows normalized
-    s = T.softmax_rows(T.Tensor(rng.normal(size=(5, 7))))
+    s = T.softmax_rows(T.Tensor(rng.normal(size=(5, 7))), 1.0)
     assert np.allclose(s.data.sum(axis=1), 1.0, atol=1e-9)
 
     # cosine bounds on both association matrices

@@ -94,7 +94,7 @@ def test_association_entries_bounded_by_cosine():
 def hinge(a_r2c, a_c2t):
     """One (query, candidate) pair's hinge attention, the chain `alignment_loss` runs on its
     whole grid: the two-hop product scaled by 1/sqrt(d), softmaxed over the target rows."""
-    return T.softmax_rows(T.scalar_mul(T.matmul(a_r2c, a_c2t), 1.0 / math.sqrt(DIM)))
+    return T.softmax_rows(T.matmul(a_r2c, a_c2t), 1.0 / math.sqrt(DIM))
 
 
 def test_hinge_single_word_uniform_rows():

@@ -464,20 +464,43 @@ def test_config_file_plus_override(tmp_path):
     assert len(read_records(cfg.paths.train_set)) == 16
 
 
-def test_cli_entry_point_subprocess(tmp_path):
-    # one end-to-end through the installed console script path; the child finds
-    # the package where this process did, installed or not
+def _cli_subprocess(*args, **env):
+    """`python -m cirtrain.cli *args` in a child process with `env` added to this one's
+    environment; the child finds the package where this process did, installed or not."""
     src = str(Path(cirtrain.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    result = subprocess.run(
-        [sys.executable, "-m", "cirtrain.cli", "synth",
-         "--set", f"paths.train_set={tmp_path / 't.jsonl'}",
-         "--set", f"paths.val_set={tmp_path / 'v.jsonl'}",
-         "--set", "synth.n_train=8", "--set", "synth.n_val=6"],
-        capture_output=True, text=True, env=env,
-    )
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", "cirtrain.cli", *args],
+                          capture_output=True, text=True, env=env)
+
+
+def test_cli_entry_point_subprocess(tmp_path):
+    # one end-to-end through the installed console script path
+    result = _cli_subprocess("synth",
+                             "--set", f"paths.train_set={tmp_path / 't.jsonl'}",
+                             "--set", f"paths.val_set={tmp_path / 'v.jsonl'}",
+                             "--set", "synth.n_train=8", "--set", "synth.n_val=6")
     assert result.returncode == 0, result.stderr
     assert "wrote 8 train records" in result.stdout
+
+
+@pytest.mark.parametrize("name,logs_epochs", [("basic_format", False), ("no_such_level", False),
+                                              ("info", True)])
+def test_a_log_name_that_is_not_a_level_falls_back_to_warning(name, logs_epochs, tmp_path):
+    # in a child process: pytest's logging plugin gives this process's root logger
+    # handlers, so `basicConfig` here would never read the level
+    sets = []
+    for assignment in [f"paths.train_set={tmp_path / 't.jsonl'}",
+                       f"paths.val_set={tmp_path / 'v.jsonl'}",
+                       f"paths.checkpoint={tmp_path / 'ckpt.json'}",
+                       f"paths.train_log={tmp_path / 'log.jsonl'}",
+                       "synth.n_train=8", "synth.n_val=6", "model.dim=8",
+                       "training.epochs=1", "training.batch_size=8"]:
+        sets += ["--set", assignment]
+    assert main(["synth"] + sets) == 0
+    result = _cli_subprocess("train", *sets, CIRTRAIN_LOG=name)
+    assert result.returncode == 0, result.stderr
+    assert ("INFO cirtrain.train: epoch 0" in result.stderr) is logs_epochs, result.stderr
 
 
 def test_missing_dataset_is_reported_not_raised(tmp_path, capsys):

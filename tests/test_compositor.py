@@ -12,6 +12,7 @@ from cirtrain.compositor import (
     reasoning_loss,
 )
 from cirtrain.config import ModelConfig, RunConfig, apply_override
+from cirtrain.objective import matching_loss
 from oracles import (
     compose_oracle,
     finite_diff,
@@ -220,6 +221,24 @@ def test_loss_matches_brute_force_oracle():
             triplets, branch_arrays(p.target_branch),
             branch_arrays(p.reference_branch), p.layers, tau=TAU)
         assert abs(loss.item() - expected) < 1e-9
+
+
+def test_loss_is_the_matching_contrast_of_composites_and_pooled_texts_bitwise():
+    rng = np.random.default_rng(20)
+    p = make_params(seed=21, layers=2)
+    f_r_prime, f_t, f_c = as_tensors(_random_triplets(rng, 4))
+    grads = []
+    for build in (lambda: reasoning_loss(f_r_prime, f_t, f_c, p, TAU),
+                  lambda: matching_loss(compose(f_r_prime, f_t, p),
+                                        T.l2_normalize_rows(T.mean_axis(f_c, axis=1)), TAU)):
+        for param in p.params():
+            param.zero_grad()
+        loss = build()
+        loss.backward()
+        grads.append((loss.data, [param.grad for param in p.params()]))
+    (loss_a, grads_a), (loss_b, grads_b) = grads
+    assert np.array_equal(loss_a, loss_b)
+    assert all(np.array_equal(a, b) for a, b in zip(grads_a, grads_b, strict=True))
 
 
 def test_loss_batch_permutation_invariance():

@@ -315,12 +315,13 @@ class TestQueryFusion:
     @pytest.mark.parametrize("n_prompts,prompt_ops", [(0, []), (2, ["concat", "take_rows"])])
     def test_fuse_adds_the_pooled_text_without_slicing(self, n_prompts, prompt_ops):
         # only the prompt read and the query side's join come before the attention; the
-        # pooled text goes in through a row mask, with no row picked or sliced out
+        # pooled text, a 1 x d matrix per item, goes in through a row mask, with no row
+        # picked or sliced out
         fusion = QueryFusion("q", DIM, n_prompts=n_prompts, rng=self.rng)
         f_c = T.Tensor(self.rng.normal(size=(1, 3, DIM)), requires_grad=True)
         f_r = T.Tensor(self.rng.normal(size=(1, 4, DIM)))
         ops = sorted(node.op for node in graph_nodes(fusion.fuse(f_c, f_r)) if node.op != "leaf")
-        assert ops == sorted(["add", "attention", "matmul", "mean_axis"] + prompt_ops)
+        assert ops == sorted(["add", "attention", "matmul", "mean_axis", "reshape"] + prompt_ops)
 
     @pytest.mark.parametrize("n_prompts", [0, 2])
     def test_dim_mismatch_rejected(self, n_prompts):
@@ -331,7 +332,7 @@ class TestQueryFusion:
             with pytest.raises(ValueError, match="concat|attention"):
                 fusion.fuse(f_c, f_r)
 
-    @pytest.mark.parametrize("n_prompts,op", [(0, "add"), (2, "concat")])
+    @pytest.mark.parametrize("n_prompts,op", [(0, "reshape"), (2, "concat")])
     def test_unbatched_rows_rejected(self, n_prompts, op):
         # fuse has no unbatched form: L x d rows are refused by the engine, not fused
         fusion = QueryFusion("q", DIM, n_prompts=n_prompts, rng=self.rng)

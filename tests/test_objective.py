@@ -117,7 +117,7 @@ def test_total_gradient_is_weighted_sum_of_term_gradients():
     def terms(t):
         m = scalarize(T.matmul(t, T.transpose(t)))
         a = scalarize(T.l2_normalize_rows(t), x)
-        r = scalarize(T.softmax_rows(t), x.T)
+        r = scalarize(T.softmax_rows(t, 1.0), x.T)
         return m, a, r
 
     # three separate backward passes, one per term

@@ -43,18 +43,18 @@ def test_matmul_shape_mismatch():
 
 
 def test_softmax_symmetric_rows():
-    out = T.softmax_rows(T.Tensor([[0.0, 0.0]]))
+    out = T.softmax_rows(T.Tensor([[0.0, 0.0]]), 1.0)
     assert np.allclose(out.data, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_softmax_huge_logits_no_overflow():
-    out = T.softmax_rows(T.Tensor([[1000.0, 1000.0]]))
+    out = T.softmax_rows(T.Tensor([[1000.0, 1000.0]]), 1.0)
     assert np.allclose(out.data, [[0.5, 0.5]], atol=1e-12)
 
 
 def test_softmax_rows_wider_than_the_float_range():
     # the row-max shift overflows to -inf, which exp takes to exactly 0, without a warning
-    out = T.softmax_rows(T.Tensor([[1e308, -1e308]]))
+    out = T.softmax_rows(T.Tensor([[1e308, -1e308]]), 1.0)
     assert out.data.tolist() == [[1.0, 0.0]]
 
 
@@ -65,21 +65,24 @@ def test_l2_normalize_rows_whose_norm_overflows_rejected():
 
 
 def test_softmax_closed_form():
-    out = T.softmax_rows(T.Tensor([[0.0, math.log(3.0)]]))
+    out = T.softmax_rows(T.Tensor([[0.0, math.log(3.0)]]), 1.0)
+    assert np.allclose(out.data, [[0.25, 0.75]], atol=1e-12)
+    # the logits are the entries times the scale
+    out = T.softmax_rows(T.Tensor([[0.0, math.log(9.0)]]), 0.5)
     assert np.allclose(out.data, [[0.25, 0.75]], atol=1e-12)
 
 
 def test_softmax_rows_sum_to_one_and_shift_invariant(rng):
     x = rng.normal(size=(5, 7))
-    out = T.softmax_rows(T.Tensor(x))
+    out = T.softmax_rows(T.Tensor(x), 1.0)
     assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
-    shifted = T.softmax_rows(T.Tensor(x + 3.25))
+    shifted = T.softmax_rows(T.Tensor(x + 3.25), 1.0)
     assert np.allclose(out.data, shifted.data, atol=1e-9)
 
 
 def test_softmax_rows_without_entries_rejected():
     with pytest.raises(ValueError, match="softmax_rows: rows have no entries"):
-        T.softmax_rows(T.Tensor(np.ones((3, 0))))
+        T.softmax_rows(T.Tensor(np.ones((3, 0))), 1.0)
 
 
 @pytest.mark.parametrize("b,scale", [(1, 1.0), (3, 1.0), (5, 10.0), (8, 100.0)])
@@ -197,6 +200,17 @@ def test_mean_axis_refuses_an_axis_out_of_range(axis):
         T.mean_axis(T.Tensor(np.ones((2, 3))), axis)
 
 
+@pytest.mark.parametrize("axis", [0, 1, 2, -1, -2, -3])
+def test_mean_axis_drops_the_axis_it_averages(axis, rng):
+    x = T.Tensor(rng.normal(size=(2, 3, 4)), requires_grad=True)
+    out = T.mean_axis(x, axis)
+    assert out.shape == tuple(np.delete([2, 3, 4], axis))
+    assert np.array_equal(out.data, x.data.mean(axis=axis))
+    scalarize(out).backward()
+    assert x.grad.shape == x.shape
+    assert np.array_equal(x.grad, np.full(x.shape, 1.0 / x.shape[axis]))
+
+
 def test_backward_rejects_non_scalar(rng):
     x = T.Tensor(rng.normal(size=(2, 2)), requires_grad=True)
     with pytest.raises(ValueError):
@@ -216,7 +230,7 @@ def test_non_finite_output_raises():
 
 def test_grad_shapes_match_data(rng):
     x = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
-    scalarize(T.softmax_rows(x)).backward()
+    scalarize(T.softmax_rows(x, 1.0)).backward()
     assert x.grad.shape == x.data.shape
 
 
@@ -253,10 +267,9 @@ FD_CASES = [
     ("concat0", lambda a, b: T.concat([a, b]), [(2, 3), (4, 3)]),
     ("concat1", lambda a, b: T.concat([a, b]), [(1, 4), (3, 4)]),
     ("take_rows", lambda t: T.take_rows(t, [2, 0, 2, 3]), [(4, 3)]),
-    ("attention", lambda q, k, v: T.matmul(
-        T.softmax_rows(T.scalar_mul(T.matmul(q, T.transpose(k)), 0.5)), v),
+    ("attention", lambda q, k, v: T.matmul(T.softmax_rows(T.matmul(q, T.transpose(k)), 0.5), v),
      [(3, 4), (5, 4), (5, 2)]),
-    ("softmax_rows", lambda a: T.softmax_rows(a), [(3, 5)]),
+    ("softmax_rows", lambda a: T.softmax_rows(a, 1.0), [(3, 5)]),
     ("l2_normalize", lambda a: T.l2_normalize_rows(a), [(4, 5)]),
     ("scalar_mul3", lambda a: T.scalar_mul(a, 0.75), [(2, 3, 4)]),
     # leading batch axes: each generalised or new op at rank 3 and rank 4
@@ -269,14 +282,13 @@ FD_CASES = [
     # a table read at ids of rank 2 and 3, ids repeated so one row's gradient sums several reads
     ("take_rows2", lambda t: T.take_rows(t, [[1, 1, 0], [3, 1, 1]]), [(4, 3)]),
     ("take_rows3", lambda t: T.take_rows(t, [[[0, 2], [2, 2]], [[1, 0], [2, 1]]]), [(3, 4)]),
-    # the model's two poolings: a CLS row and a row mean, the latter with its kept axis dropped
+    # the model's two poolings: a CLS row and a row mean, each dropping the row axis
     ("pooled_cls_row", lambda a: T.l2_normalize_rows(T.first_row(a)), [(2, 3, 4)]),
-    ("pooled_mean", lambda a: T.l2_normalize_rows(T.reshape(T.mean_axis(a, -2), (2, 4))),
-     [(2, 3, 4)]),
+    ("pooled_mean", lambda a: T.l2_normalize_rows(T.mean_axis(a, -2)), [(2, 3, 4)]),
     ("reshape3", lambda a: T.reshape(a, (2, 6)), [(2, 3, 2)]),
     ("reshape4", lambda a: T.reshape(a, (2, 1, 3, 2)), [(3, 4)]),
-    ("softmax_rows3", lambda a: T.softmax_rows(a), [(2, 3, 5)]),
-    ("softmax_rows4", lambda a: T.softmax_rows(a), [(2, 2, 3, 4)]),
+    ("softmax_rows3", lambda a: T.softmax_rows(a, 1.0), [(2, 3, 5)]),
+    ("softmax_rows4", lambda a: T.softmax_rows(a, 1.0), [(2, 2, 3, 4)]),
     ("l2_normalize3", lambda a: T.l2_normalize_rows(a), [(2, 4, 5)]),
     ("l2_normalize4", lambda a: T.l2_normalize_rows(a), [(2, 2, 3, 4)]),
     ("mean_axis2_rank3", lambda a: T.mean_axis(a, 2), [(2, 3, 4)]),
@@ -295,6 +307,8 @@ FD_CASES = [
     ("transpose_axes3", lambda a: T.transpose(a, (1, 2, 0)), [(2, 3, 4)]),
     ("transpose_axes4", lambda a: T.transpose(a, (2, 0, 3, 1)), [(2, 3, 4, 5)]),
     ("first_row", lambda a: T.first_row(a), [(4, 3)]),
+    # a softmax at a scale other than 1: its backward carries the scale, as the forward does
+    ("softmax_rows_scale", lambda a: T.softmax_rows(a, 0.37), [(3, 5)]),
 ]
 
 
@@ -369,8 +383,7 @@ def test_every_top_level_name_is_loaded_outside_its_definition():
 def _attention_chain(x_q, x_kv, wq, wk, wv):
     """The primitive chain that `attention` fuses."""
     q, k, v = T.matmul(x_q, wq), T.matmul(x_kv, wk), T.matmul(x_kv, wv)
-    logits = T.scalar_mul(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[-1]))
-    return T.matmul(T.softmax_rows(logits), v)
+    return T.matmul(T.softmax_rows(T.matmul(q, T.transpose(k)), 1.0 / math.sqrt(q.shape[-1])), v)
 
 
 @pytest.mark.parametrize("q_shape,kv_shape", [((4, 5), None), ((3, 5), (6, 5)),
@@ -489,8 +502,8 @@ def test_gradient_of_composite_expression(rng):
 
     def build(ta, tb):
         prod = T.l2_normalize_rows(T.matmul(ta, tb))
-        att = T.softmax_rows(T.scalar_mul(T.matmul(prod, T.transpose(prod)), 3.0))
-        centre = T.matmul(T.Tensor(np.ones((4, 1))), T.mean_axis(prod, 0))
+        att = T.softmax_rows(T.matmul(prod, T.transpose(prod)), 3.0)
+        centre = T.matmul(T.Tensor(np.ones((4, 1))), T.reshape(T.mean_axis(prod, 0), (1, 6)))
         mixed = T.add(T.matmul(att, prod), centre)
         return T.diagonal_nll(T.matmul(mixed, T.transpose(prod)), 1.0)
 
@@ -537,11 +550,11 @@ def test_matmul_leading_axes_must_match():
 def test_batched_ops_equal_their_2d_slices_bitwise(rng):
     a, b, w = rng.normal(size=(3, 4, 5)), rng.normal(size=(3, 5, 2)), rng.normal(size=(5, 5))
     batched = [T.matmul(T.Tensor(a), T.Tensor(b)), T.matmul(T.Tensor(a), T.Tensor(w)),
-               T.softmax_rows(T.Tensor(a)), T.l2_normalize_rows(T.Tensor(a)),
+               T.softmax_rows(T.Tensor(a), 1.0), T.l2_normalize_rows(T.Tensor(a)),
                T.transpose(T.Tensor(a)), T.mean_axis(T.Tensor(a), 1), T.first_row(T.Tensor(a))]
     for i in range(3):
         x = T.Tensor(a[i])
-        single = [T.matmul(x, T.Tensor(b[i])), T.matmul(x, T.Tensor(w)), T.softmax_rows(x),
+        single = [T.matmul(x, T.Tensor(b[i])), T.matmul(x, T.Tensor(w)), T.softmax_rows(x, 1.0),
                   T.l2_normalize_rows(x), T.transpose(x), T.mean_axis(x, 0), T.first_row(x)]
         for whole, part in zip(batched, single):
             assert np.array_equal(whole.data[i], part.data), whole.op

@@ -9,7 +9,11 @@ reaches it, and runs that copy's `cirbench/run.py`.  Pair i runs both sides
 with seed i + 1; the parent runs first in even pairs and the change first
 in odd ones, so a drift of the host over time weighs on both sides alike.
 Given more than once, `--workload` runs all pairs of one workload, then all
-of the next, in the order given.  Nothing is written into the repository.
+of the next, in the order given.  A workload the parent's `BENCHMARK.json`
+does not list is refused with status 2 before any run; a run that exits
+non-zero ends the script with status 1, naming the workload, pair and side
+on one line followed by that run's stderr.  Nothing is written into the
+repository.
 
 The document names both commits and the run settings, and holds one summary
 per workload under "workloads".  A summary gives, per metric, every run's
@@ -46,7 +50,8 @@ def archive(rev: str) -> tuple:
 
 
 def run_once(tar: bytes, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The result line of one `cirbench/run.py` run in a fresh copy of `tar`."""
+    """The result line of one `cirbench/run.py` run in a fresh copy of `tar`; a run that
+    exits non-zero raises `subprocess.CalledProcessError`, holding its stderr."""
     with tempfile.TemporaryDirectory(prefix="abpairs-") as tmp:
         with tarfile.open(fileobj=io.BytesIO(tar)) as archive_file:
             archive_file.extractall(tmp, filter="data")
@@ -55,8 +60,7 @@ def run_once(tar: bytes, workload: str, seed: int, seconds: float, trace: int) -
              "--seconds", str(seconds), "--trace", str(trace)],
             cwd=tmp, capture_output=True, text=True,
         )
-    if proc.returncode != 0:
-        raise RuntimeError(f"cirbench/run.py exited with {proc.returncode}:\n{proc.stderr}")
+    proc.check_returncode()
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
@@ -125,13 +129,22 @@ def main(argv=None) -> int:
     sides = {"parent": archive(args.parent), "change": archive(args.change)}
     with tarfile.open(fileobj=io.BytesIO(sides["parent"][1])) as parent_tar:
         bench = json.loads(parent_tar.extractfile("BENCHMARK.json").read())
+    listed = [w["name"] for w in bench["workloads"]]
+    if unknown := [w for w in args.workload if w not in listed]:
+        parser.error(f"--workload {', '.join(unknown)}: the parent's BENCHMARK.json lists only "
+                     f"{', '.join(listed)}")
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
     runs = {workload: {"parent": [], "change": []} for workload in args.workload}
     for workload, results in runs.items():
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
-                result = run_once(sides[side][1], workload, pair + 1, args.seconds, args.trace)
+                try:
+                    result = run_once(sides[side][1], workload, pair + 1, args.seconds, args.trace)
+                except subprocess.CalledProcessError as failed:
+                    print(f"abpairs: {workload} pair {pair + 1} {side}: cirbench/run.py exited "
+                          f"with {failed.returncode}\n{failed.stderr}", end="", file=sys.stderr)
+                    return 1
                 results[side].append(result)
                 print(f"{workload} pair {pair + 1}/{args.pairs} {side}: failed {result['failed']} "
                       f"of {result['attempted']}", file=sys.stderr)
