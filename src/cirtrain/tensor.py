@@ -20,12 +20,24 @@ validates its output, so a NaN or Inf fails loudly, as `NonFiniteError` rather
 than a numpy warning, at the op that produced it instead of poisoning the
 loss.  Inside `unchecked()` the ops skip both, under one errstate raising on
 overflow, invalid and divide, the flags IEEE 754 raises wherever finite inputs
-give a non-finite value.
+give a non-finite value; a product OpenBLAS may split across worker threads,
+whose flags that errstate never sees, still has its output checked.
+
+Memory policy: on glibc, importing this module fixes malloc's mmap threshold
+at 32 MiB and its trim threshold at 64 MiB, where glibc's own dynamic rule
+ends up once a 32 MiB mapped block is freed.  At the default 128 KiB trim
+threshold each step handed its freed heap top back to the OS and faulted it
+in again (about 175 minor faults a `train_matching` step and 1,300 a warm
+eval pass), and a run was fast only if some earlier free had raised the
+threshold.  The freed heap now stays in the process, for about 1% more peak
+resident memory.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from contextlib import contextmanager, nullcontext
 
 import numpy as np
@@ -52,6 +64,23 @@ __all__ = [
 ]
 
 NORM_EPS = 1e-12
+# OpenBLAS's gemm runs on the calling thread up to m·n·k = SMP_THRESHOLD_MIN (65536) times
+# GEMM_MULTITHREAD_THRESHOLD (4)
+BLAS_SINGLE_THREAD_MNK = 1 << 18
+
+
+def _keep_freed_heap() -> bool:
+    """Set the malloc thresholds the module docstring gives, on glibc; True once both hold."""
+    try:
+        if os.confstr("CS_GNU_LIBC_VERSION"):
+            mallopt = ctypes.CDLL(None).mallopt  # M_MMAP_THRESHOLD is -3, M_TRIM_THRESHOLD -1
+            return mallopt(-3, 32 << 20) == 1 and mallopt(-1, 64 << 20) == 1
+    except (AttributeError, ValueError, OSError):
+        pass
+    return False
+
+
+_keep_freed_heap()
 
 
 class NonFiniteError(ArithmeticError):
@@ -184,6 +213,16 @@ def _check_rows(x: Tensor, op: str):
         raise ValueError(f"{op}: expected at least 2 axes, got shape {x.shape}")
 
 
+def _product(a: np.ndarray, b: np.ndarray, op: str) -> np.ndarray:
+    """a @ b.  Inside `unchecked`, a product of m·n·k above 2^18, which OpenBLAS may split
+    across worker threads, has its output checked: a worker's overflow sets no flag here."""
+    out = a @ b
+    if (not _checked and a.shape[-2] * a.shape[-1] * b.shape[-1] > BLAS_SINGLE_THREAD_MNK
+            and not np.isfinite(out).all()):
+        raise NonFiniteError(op)
+    return out
+
+
 def _weight_grad(a: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of a 2-D weight W in a @ W: aᵀ @ g summed over every leading axis."""
     return a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, g.shape[-1])
@@ -233,7 +272,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if ad.shape[-1] != bd.shape[-2]:
         raise ValueError(f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}")
     with _errstate(over="ignore", invalid="ignore"):
-        out_data = ad @ bd
+        out_data = _product(ad, bd, "matmul")
 
     # d(sum g.C)/dA = g @ B^T, d/dB = A^T @ g; a shared weight sums A^T @ g over every matrix.
     # An operand that takes no gradient (a mask on the left) gets None, not a product.
@@ -404,10 +443,11 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> 
         raise ValueError(f"attention: the key/value side has no rows, got shape {x_kv.shape}")
     c = 1.0 / math.sqrt(wq.shape[1])
     with _errstate(over="ignore", invalid="ignore"):
-        q, k, v = xq @ wq.data, xkv @ wk.data, xkv @ wv.data
+        q = _product(xq, wq.data, "attention")
+        k, v = _product(xkv, wk.data, "attention"), _product(xkv, wv.data, "attention")
         kt = k.swapaxes(-1, -2).copy()  # contiguous, as `transpose` makes it: BLAS sums alike
-        y = _softmax((q @ kt) * c)
-        out_data = y @ v
+        y = _softmax(_product(q, kt, "attention") * c)
+        out_data = _product(y, v, "attention")
 
     # the chain's backward rules, in its order: the value product, softmax_rows at 1/√d,
     # the q kᵀ product and the three projections; an input that takes no gradient
