@@ -127,21 +127,17 @@ def relative_error(analytic: float, numeric: float) -> float:
     return abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
 
 
-def run_gradient_check(cfg: RunConfig | None = None, corrupt: str | None = None):
+def run_gradient_check(cfg: RunConfig | None = None):
     """Compare every trainable parameter's analytic gradient of the joint loss
     against central finite differences on one small batch.
 
     Returns a list of report rows {name, status, max_rel_err}.  Frozen
-    parameter groups are reported as skipped.  `corrupt` names a parameter
-    whose analytic gradient is deliberately perturbed (a fault-injection
-    hook for tests of the checker itself).
+    parameter groups are reported as skipped.
     """
     cfg = gradcheck_config() if cfg is None else cfg
     train_records, _ = generate(synth_spec_from_config(cfg))
     batch = train_records[: cfg.training.batch_size]
     model = RetrievalModel(cfg)
-    if corrupt is not None and corrupt not in [p.name for p in model.trainable()]:
-        raise ValueError(f"unknown parameter {corrupt!r}")
 
     model.zero_grad()
     total, _ = model.batch_losses(batch)
@@ -162,8 +158,6 @@ def run_gradient_check(cfg: RunConfig | None = None, corrupt: str | None = None)
         flat = p.data.reshape(-1)
         # the sweep runs under no_grad, so it leaves every gradient as backward wrote it
         grads = np.zeros(flat.size) if p.grad is None else p.grad.reshape(-1)
-        if name == corrupt:
-            grads = grads + 1e-2
         for i in range(flat.size):
             original = flat[i]
             flat[i] = original + FD_STEP

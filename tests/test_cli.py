@@ -538,7 +538,7 @@ def test_gradcheck_exit_codes(monkeypatch, capsys):
     monkeypatch.setattr(cli, "run_gradient_check", fake_rows("FAIL", 1.0))
     assert main(["gradcheck"]) == 1
     assert "FAIL" in capsys.readouterr().out
-    # fault injection stays a library hook, not a command-line flag
+    # faults are injected from outside the library, never through a command-line flag
     with pytest.raises(SystemExit) as exc:
         main(["gradcheck", "--corrupt", "bridge.w_ref"])
     assert exc.value.code == 2

@@ -26,7 +26,7 @@ from cirtrain.model import RetrievalModel, _batch, load_checkpoint, save_checkpo
 from cirtrain.objective import score_query_against_gallery
 from cirtrain.tensor import no_grad
 from cirtrain.train import ABLATION_VARIANTS, Adam, train_model
-from graph import graph_nodes
+from graph import STEP_CENSUS, graph_nodes
 
 
 def small_config(**training_kw):
@@ -167,26 +167,6 @@ def test_batch_returns_the_ids_integer_tokens_returns(ids):
 def _op_census(loss) -> Counter:
     """Recorded graph nodes reachable from `loss`, counted by op."""
     return Counter(node.op for node in graph_nodes(loss) if node.requires_grad and node.op != "leaf")
-
-
-# one step's recorded graph at the default geometry, nodes by op: text, cross and fusion
-# attention plus 4 layers in each compositor branch, and matching only reads the text
-# encoder and fusion; each loss is one diagonal_nll node, the bridge's hinge is the only
-# softmax left outside the fused attention op and scales its own logits, so scalar_mul only
-# weighs the auxiliary terms in the total
-STEP_CENSUS = {
-    "baseline": (16, dict(add=3, attention=2, concat=1, diagonal_nll=1, l2_normalize_rows=1,
-                          matmul=2, mean_axis=2, reshape=1, take_rows=3)),
-    "+alignment": (47, dict(add=5, attention=3, concat=1, diagonal_nll=2, l2_normalize_rows=7,
-                            matmul=12, mean_axis=4, reshape=4, scalar_mul=1, softmax_rows=1,
-                            take_rows=3, transpose=4)),
-    "+reasoning": (35, dict(add=5, attention=10, concat=1, diagonal_nll=2, first_row=2,
-                            l2_normalize_rows=3, matmul=3, mean_axis=3, reshape=1, scalar_mul=1,
-                            take_rows=3, transpose=1)),
-    "full": (66, dict(add=7, attention=11, concat=1, diagonal_nll=3, first_row=2,
-                      l2_normalize_rows=9, matmul=13, mean_axis=5, reshape=4, scalar_mul=2,
-                      softmax_rows=1, take_rows=3, transpose=5)),
-}
 
 
 @pytest.mark.parametrize("variant,use_alignment,use_reasoning", ABLATION_VARIANTS,

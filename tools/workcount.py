@@ -2,97 +2,59 @@
 
     python tools/workcount.py <checkout> [<workload>]
 
-`<checkout>` holds `src/cirtrain` and `cirbench/spec.json`; a directory
-without them, or a `cirtrain` imported from elsewhere, is refused with exit
-status 2.  The `train_full`, `train_matching` and `eval_gallery` workloads run
-on seed 1 at their `cirbench/spec.json` configs, each in its own child
-interpreter, since glibc's malloc thresholds move with what a process freed
-before (given a `<workload>`, the script runs it in-process and prints its
-row alone).  Training counts two epochs of steps after one of warm-up; eval
-counts three `evaluate_model` passes over its validation set after one.  Per
-step or pass it prints the mean of:
+`<checkout>` holds `src/cirtrain`, `cirbench/spec.json` and
+`cirbench/workloads.py`; a directory without them, or a `cirtrain` imported
+from elsewhere, is refused with exit status 2.  Every workload of
+`spec.json` runs on seed 1, set up by the benchmark's own `workloads.set_up`
+(eval on the checkpoint-loaded model), in its own child interpreter, since
+glibc's malloc thresholds move with what a process freed before (given a
+`<workload>`, the script runs it in-process and prints its row alone).  A
+failed child, a non-finite step included, ends the script with status 1: one
+line naming the workload, then the child's stderr.  Training counts two
+epochs of `workloads.Trainer` steps after one of warm-up; eval counts three
+`evaluate_model` passes after one.  Per step or pass it prints the mean of:
 - `nodes`: recorded graph nodes reachable from the loss, by op (each op
   `tensor.__all__` exports; an eval pass records none);
+- `reads`: `Param.tensor` reads, by parameter group;
 - `tensors`: `Tensor` constructions;
 - `minor_faults`: minor page faults (`ru_minflt`) inside the step or pass.
-Node and tensor counts repeat from run to run; fault counts depend on the host.
+Node, read and tensor counts repeat from run to run; fault counts depend on the host.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
-import resource
 import subprocess
 import sys
+import tempfile
 from collections import Counter
 from pathlib import Path
+from resource import RUSAGE_SELF, getrusage
 
 SEED = 1
-WORKLOADS = ("train_full", "train_matching", "eval_gallery")
 WARM_EPOCHS, COUNTED_EPOCHS = 1, 2
 WARM_PASSES, COUNTED_PASSES = 1, 3
 
 
-def _census(loss) -> Counter:
-    """Recorded graph nodes reachable from `loss` by op, counted as `tools/fingerprint.py` does."""
-    counts, seen, todo = Counter(), set(), [loss]
-    while todo:
-        node = todo.pop()
-        if id(node) in seen or not node.requires_grad:
-            continue
-        seen.add(id(node))
-        counts[node.op] += node.op != "leaf"
-        todo.extend(node._parents)
-    return counts
-
-
-def _minor_faults() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-
-
-def _config(spec: dict, workload: str):
-    from cirtrain.config import RunConfig, apply_override
-
-    cfg = RunConfig()
-    for assignment in [*spec["workloads"][workload]["overrides"], f"synth.seed={SEED}",
-                       f"training.seed={SEED}"]:
-        cfg = apply_override(cfg, assignment)
-    return cfg
-
-
-def _operations(cfg, workload: str) -> tuple:
-    """(warm-up, counted) calls of the workload: optimizer steps returning their loss, or
-    eval passes."""
-    from cirtrain.cli import evaluate_model
-    from cirtrain.data import batches, generate, synth_spec_from_config
-    from cirtrain.model import RetrievalModel
-    from cirtrain.train import Adam
-
-    train, val = generate(synth_spec_from_config(cfg))
-    model = RetrievalModel(cfg)
-    if workload == "eval_gallery":
-        passes = [lambda: evaluate_model(model, val)] * (WARM_PASSES + COUNTED_PASSES)
-        return passes[:WARM_PASSES], passes[WARM_PASSES:]
-    optimizer = Adam(model.trainable(), lr=cfg.training.learning_rate)
-
-    def step(batch):
-        model.zero_grad()
-        total = model.batch_losses(batch)[0]
-        total.backward()
-        optimizer.step()
-        return total
-
-    def epochs(first, count):
-        return [lambda b=b: step(b) for e in range(first, first + count)
-                for b in batches(train, cfg.training.batch_size, cfg.training.seed, e)]
-
-    return epochs(0, WARM_EPOCHS), epochs(WARM_EPOCHS, COUNTED_EPOCHS)
-
-
-def workcount(spec: dict, workload: str) -> dict:
-    """The work counts of one workload of the `cirtrain` that imports, at its config in `spec`."""
+def workcount(workload: str, kind: str) -> dict:
+    """The work counts of one workload, set up and run as the benchmark's `workloads` runs it."""
+    import workloads
     from cirtrain import tensor
+    from cirtrain.cli import evaluate_model
+    from spans import graph_census, read_totals
 
+    with tempfile.TemporaryDirectory() as tmp:
+        setup = workloads.set_up(workload, workloads.make_config(workload, SEED), Path(tmp),
+                                 workloads.NULL_TRACER)
+    if kind == "eval":
+        warm = WARM_PASSES
+        ops = [lambda: evaluate_model(setup.model, setup.val)] * (WARM_PASSES + COUNTED_PASSES)
+    else:
+        trainer = workloads.Trainer(setup)
+        warm = trainer.steps_per_epoch * WARM_EPOCHS
+        ops = [lambda pair=pair: trainer.step(*pair) for pair in itertools.islice(
+            trainer.epoch_batches(0), warm + trainer.steps_per_epoch * COUNTED_EPOCHS)]
     made = [0]
     init = tensor.Tensor.__init__
 
@@ -100,48 +62,63 @@ def workcount(spec: dict, workload: str) -> dict:
         made[0] += 1
         init(t, *args, **kwargs)
 
-    warm, counted = _operations(_config(spec, workload), workload)
-    for op in warm:
+    for op in ops[:warm]:
         op()
     tensor.Tensor.__init__ = counting_init
-    nodes, tensors, faults = Counter(), 0, 0
-    for op in counted:
-        before = made[0], _minor_faults()
-        out = op()
-        faults += _minor_faults() - before[1]
+    nodes, reads, tensors, faults = Counter(), Counter(), 0, 0
+    for op in ops[warm:]:
+        reads.subtract(read_totals(setup.model))
+        before = made[0], getrusage(RUSAGE_SELF).ru_minflt
+        out = op()  # a step's loss, None on a NonFiniteError, or a pass's report
+        faults += getrusage(RUSAGE_SELF).ru_minflt - before[1]
         tensors += made[0] - before[0]
+        reads.update(read_totals(setup.model))
         if isinstance(out, tensor.Tensor):
-            nodes += _census(out)
+            nodes += graph_census(out)
         del out  # as in the benchmark's loop, a step's graph is freed before the next step
-    ops = [name for name in tensor.__all__ if name[0].islower() and name not in ("no_grad", "unchecked")]
-    n = len(counted)
-    return {"counted": n, "nodes": {op: nodes[op] / n for op in ops}, "tensors": tensors / n,
-            "minor_faults": faults / n}
+    if kind == "train" and trainer.failed:
+        raise SystemExit(f"workcount.py: {workload}: {trainer.failed} steps raised NonFiniteError")
+    n = len(ops) - warm
+    names = [name for name in tensor.__all__ if name[0].islower() and name not in ("no_grad", "unchecked")]
+    return {"counted": n, "nodes": {op: nodes[op] / n for op in names},
+            "reads": {group: count / n for group, count in sorted(reads.items())},
+            "tensors": tensors / n, "minor_faults": faults / n}
 
 
 def main(argv) -> int:
-    if not 1 <= len(argv) <= 2 or argv[1:] and argv[1] not in WORKLOADS:
-        print(f"usage: python tools/workcount.py <checkout> [{' | '.join(WORKLOADS)}]", file=sys.stderr)
+    if not 1 <= len(argv) <= 2:
+        print("usage: python tools/workcount.py <checkout> [<workload>]", file=sys.stderr)
         return 2
     root = Path(argv[0]).resolve()
-    package, spec = root / "src" / "cirtrain" / "__init__.py", root / "cirbench" / "spec.json"
-    for path in (package, spec):
+    package, bench = root / "src" / "cirtrain" / "__init__.py", root / "cirbench"
+    for path in (package, bench / "spec.json", bench / "workloads.py"):
         if not path.is_file():
             print(f"workcount.py: {path} not found; give a checkout of the repository", file=sys.stderr)
             return 2
+    spec = json.loads((bench / "spec.json").read_text(encoding="utf-8"))
+    kinds = {workload: entry["kind"] for workload, entry in spec["workloads"].items()}
+    if argv[1:] and argv[1] not in kinds:
+        print(f"usage: python tools/workcount.py <checkout> [{' | '.join(kinds)}]", file=sys.stderr)
+        return 2
     if len(argv) == 1:
-        rows = {w: json.loads(subprocess.run([sys.executable, __file__, str(root), w], check=True,
-                                             capture_output=True, text=True).stdout)
-                for w in WORKLOADS}
+        rows = {}
+        for workload in kinds:
+            child = subprocess.run([sys.executable, __file__, str(root), workload],
+                                   capture_output=True, text=True)
+            if child.returncode:
+                print(f"workcount.py: {workload}: child exited with {child.returncode}\n{child.stderr}",
+                      end="", file=sys.stderr)
+                return 1
+            rows[workload] = json.loads(child.stdout)
         print(json.dumps({"seed": SEED, **rows}, indent=1, sort_keys=True))
         return 0
-    sys.path.insert(0, str(package.parent.parent))
+    sys.path[:0] = [str(package.parent.parent), str(bench)]
     import cirtrain
 
     if Path(cirtrain.__file__).resolve() != package:
         print(f"workcount.py: imported cirtrain from {cirtrain.__file__}, not {package}", file=sys.stderr)
         return 2
-    print(json.dumps(workcount(json.loads(spec.read_text(encoding="utf-8")), argv[1]), sort_keys=True))
+    print(json.dumps(workcount(argv[1], kinds[argv[1]]), sort_keys=True))
     return 0
 
 
