@@ -31,7 +31,10 @@ SUBSET_SIZE = 5
 
 
 def integer_tokens(name: str, tokens) -> tuple:
-    """`tokens`, a list or tuple of ints, as a tuple; bytes or a set is never iterated into ids."""
+    """`tokens`, a list or tuple of ints, as a tuple; bytes or a set is never iterated into ids.
+    A tuple of exact ints, what records hold, passes on one type scan; the rest is walked."""
+    if type(tokens) is tuple and {*map(type, tokens)} <= {int}:
+        return tokens
     if not isinstance(tokens, (list, tuple)):
         held = "a numpy array" if isinstance(tokens, np.ndarray) else repr(tokens)
         raise ValueError(f"{name} holds {held}; token ids are lists or tuples of ints")
@@ -58,10 +61,11 @@ class TripletRecord:
         if self.subset_ids is not None and not isinstance(self.subset_ids, (list, tuple)):
             raise ValueError(f"subset_ids holds {self.subset_ids!r}; ids are lists or tuples of strings")
         # refused, not stringified: str() would read null as 'None' and 7 as '7'
-        for name, ids in (("id", (self.id,)), ("subset_ids", self.subset_ids or ())):
-            for s in ids:
-                if not isinstance(s, str):
-                    raise ValueError(f"{name}: {s!r} is not a string")
+        if not {type(self.id), *map(type, self.subset_ids or ())} <= {str}:  # exact strs pass
+            for name, ids in (("id", (self.id,)), ("subset_ids", self.subset_ids or ())):
+                for s in ids:
+                    if not isinstance(s, str):
+                        raise ValueError(f"{name}: {s!r} is not a string")
         for name in TOKEN_FIELDS:
             value = integer_tokens(name, getattr(self, name))
             if not value:
@@ -125,16 +129,15 @@ def _sample_triplet(rng: np.random.Generator, spec: SynthSpec):
     direction raises exactly one of them to 1, so the +1 step always stays
     in range.  Content coordinates are uniform over the available bins.
     """
-    bins = spec.bins
-    attr = int(rng.integers(0, spec.n_attributes))
-    ref = np.zeros(spec.latent_dim, dtype=int)
-    ref[spec.n_attributes:] = rng.integers(0, bins, size=spec.latent_dim - spec.n_attributes)
-    target = ref.astype(float)
-    target[attr] += 1.0
+    bins, flags = spec.bins, spec.n_attributes
+    attr = int(rng.integers(0, flags))
+    ref = (0,) * flags + tuple(rng.integers(0, bins, size=spec.latent_dim - flags).tolist())
+    target = [float(v + (j == attr)) for j, v in enumerate(ref)]
     if spec.noise_sigma > 0:
-        target = target + rng.normal(0.0, spec.noise_sigma, size=spec.latent_dim)
-    target = np.clip(np.rint(target), 0, bins - 1).astype(int)
-    return tuple(int(v) for v in ref), attr, tuple(int(v) for v in target)
+        noise = rng.normal(0.0, spec.noise_sigma, size=spec.latent_dim).tolist()
+        target = [t + e for t, e in zip(target, noise)]
+    # round() takes halves to even, as np.rint did
+    return ref, attr, tuple(min(max(round(t), 0), bins - 1) for t in target)
 
 
 def generate(spec: SynthSpec):

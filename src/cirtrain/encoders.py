@@ -11,10 +11,12 @@ B x L x d, in training and evaluation alike (one item is a batch of one).
 A frozen encode is a pure function of the token tuple and the frozen
 weights, so each image encoder computes it once per tuple and keeps the
 read-only rows in an instance memo.  The memo is valid only for the weight
-tensor objects it was built from: every call reads them afresh, and the memo
-is dropped when any tensor is not the one it was built from.  A frozen array
+tensor objects it was built from: every call loads the six params' stored
+tensors (`Param._tensor`, not the counting `Param.tensor`) and drops the memo
+when any is not, by identity, the one it was built from.  A frozen array
 cannot be written in place, and `Param.assign` installs a new tensor, so a
-stale row cannot be returned.
+stale row cannot be returned.  A hit is one dict lookup; neither a hit nor a
+miss ticks `Param.reads`, so the frozen encoders' groups read 0.
 
 Token ids are checked once, by `take_rows` (integers, rows of the table);
 `_embed` adds only sequence lengths.  A memo hit checks nothing, because a
@@ -25,7 +27,6 @@ raw-id entries refuse non-integer ids by field name first (`integer_tokens`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,11 +44,13 @@ from .tensor import (
 )
 
 
-@dataclass(frozen=True)
 class TokenSeq:
-    """The token id tuple of one image (reference or target)."""
+    """The token id tuple of one image (reference or target); a slotted holder, built per lookup."""
 
-    tokens: tuple
+    __slots__ = ("tokens",)
+
+    def __init__(self, tokens: tuple):
+        self.tokens = tokens
 
 
 def _embed(encoder, ids, table: Tensor) -> Tensor:
@@ -90,9 +93,10 @@ class ImageEncoder:
     `encode` memoizes its (N + 1) x d output by the token tuple alone, so a
     reference and a target image with one tuple share rows.  Only a miss runs
     the lookup and its id checks.  The memo holds rows for the six weight
-    tensors of its last build and is dropped when any changes (`Param.assign`,
-    as `load_checkpoint` does).  Rows are read-only because every caller of
-    one tuple shares them.
+    tensors of its last build, compared by identity on every call without
+    counting a read, and is dropped when any changes (`Param.assign`, as
+    `load_checkpoint` does).  Rows are read-only because every caller of one
+    tuple shares them.
     """
 
     def __init__(self, name: str, vocab: int, dim: int, max_tokens: int, rng: np.random.Generator):
@@ -111,8 +115,8 @@ class ImageEncoder:
         self._weights, self._rows = (), {}
 
     def encode(self, seq: TokenSeq) -> Tensor:
-        weights = (self.embedding.tensor, self.cls.tensor, self.positions.tensor,
-                   self.attn.wq.tensor, self.attn.wk.tensor, self.attn.wv.tensor)
+        weights = (self.embedding._tensor, self.cls._tensor, self.positions._tensor,
+                   self.attn.wq._tensor, self.attn.wk._tensor, self.attn.wv._tensor)
         if weights != self._weights:
             self._weights, self._rows = weights, {}
         out = self._rows.get(seq.tokens)

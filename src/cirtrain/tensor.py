@@ -475,9 +475,10 @@ class Param:
     a new `Tensor`, so whoever keeps results computed from the old tensor
     object (the image encoders' memo) sees that they are stale.  Trainable
     arrays stay writable for the optimizer and finite differences.  The
-    `reads` counter ticks on every forward access through `tensor`, a memo
-    hit's weight check included, which lets tests assert that the inference
-    path never touches training-only parameters.
+    `reads` counter ticks on every forward access through `tensor`, which
+    lets tests assert that the inference path never touches training-only
+    parameters.  The frozen image encoders load `_tensor` directly, for the
+    memo's identity check and a miss alike, so their params read 0.
     """
 
     def __init__(self, name: str, values, frozen: bool = False):

@@ -1,3 +1,4 @@
+import enum
 import hashlib
 import json
 import re
@@ -10,11 +11,13 @@ from cirtrain.config import RunConfig
 from cirtrain.data import (
     SUBSET_SIZE,
     SynthSpec,
+    TOKEN_FIELDS,
     TripletRecord,
     _nearest_subsets,
     batches,
     generate,
     id_ranks,
+    integer_tokens,
     read_records,
     synth_spec_from_config,
     text_tokens_of_attribute,
@@ -60,6 +63,41 @@ def test_record_refuses_subset_ids_that_are_not_a_list_or_tuple(subset):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         TripletRecord("a", (1,), (1,), (2,), subset_ids=subset)
     assert TripletRecord("a", (1,), (1,), (2,), subset_ids=["a", "b"]).subset_ids == ("a", "b")
+
+
+class _Token(enum.IntEnum):
+    A = 1
+
+
+class _Name(str):
+    pass
+
+
+def test_int_subclass_ids_and_str_subclass_ids_are_walked_and_accepted():
+    # only exact ints and strs pass on the one type scan; a subclass is read id by id, as before
+    assert integer_tokens("ref_tokens", (_Token.A, 2)) == (_Token.A, 2)
+    record = TripletRecord(_Name("a"), (_Token.A,), (1,), (2,), subset_ids=("a", _Name("b")))
+    assert (record.ref_tokens, record.subset_ids) == ((_Token.A,), ("a", "b"))
+
+
+@pytest.mark.parametrize("tokens, shown", [((1, True), "True"), ((1, 2.0), "2.0"), ((1.5,), "1.5")],
+                         ids=["bool", "float", "only a float"])
+@pytest.mark.parametrize("field", TOKEN_FIELDS)
+def test_record_refuses_a_tuple_holding_a_bool_or_float_id(field, tokens, shown):
+    fields = {"ref_tokens": (1,), "text_tokens": (0,), "target_tokens": (2,), field: tokens}
+    with pytest.raises(ValueError, match=f"^{field}: token id {re.escape(shown)} is not an integer$"):
+        TripletRecord("a", **fields)
+
+
+@pytest.mark.parametrize("name, subset, message", [
+    (7, None, "id: 7 is not a string"),
+    (None, ("a",), "id: None is not a string"),
+    ("a", ("a", 7), "subset_ids: 7 is not a string"),
+    ("a", ["a", b"b"], "subset_ids: b'b' is not a string"),
+], ids=["integer id", "null id", "integer subset member", "bytes subset member"])
+def test_record_refuses_an_id_that_is_not_a_string(name, subset, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TripletRecord(name, (1,), (1,), (2,), subset_ids=subset)
 
 
 def test_spec_validation():

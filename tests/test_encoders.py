@@ -105,17 +105,31 @@ def test_permuting_tokens_permutes_rows_without_positions():
         assert np.allclose(out[1 + i], out_perm[1 + j], atol=1e-12)
 
 
-def _reads(enc):
-    return [p.reads for p in enc.params()]
-
-
-def test_a_memo_hit_shares_a_fresh_encoders_rows_and_reads_every_weight():
+def test_a_memo_hit_returns_the_same_rows_and_reads_no_weight():
     enc, seq = make_image_encoder(), TokenSeq((4, 9, 1))
     first = enc.encode(seq)
     assert np.array_equal(first.data, make_image_encoder().encode(seq).data)
-    before = _reads(enc)
     assert enc.encode(TokenSeq((4, 9, 1))) is first  # keyed by the tuple, not the object
-    assert [after - b for after, b in zip(_reads(enc), before)] == [1] * 6
+    # the memo's weight check compares tensor objects; it is not a forward read
+    assert [p.reads for p in enc.params()] == [0] * 6
+
+
+FROZEN_WEIGHTS = ["embedding", "cls", "positions", "attn.wq", "attn.wk", "attn.wv"]
+
+
+@pytest.mark.parametrize("name", FROZEN_WEIGHTS)
+def test_assigning_any_one_frozen_weight_drops_the_memo(name):
+    # the memo is valid only for the six tensor objects it was built from, each checked
+    enc, seq = make_image_encoder(), TokenSeq((4, 9, 1))
+    stale = enc.encode(seq)
+    param = {p.name: p for p in enc.params()}[f"enc.{name}"]
+    values = np.random.default_rng(5).normal(0.0, 0.5, param.shape)
+    fresh = make_image_encoder()
+    for target in (param, {p.name: p for p in fresh.params()}[f"enc.{name}"]):
+        target.assign(values)
+    rows = enc.encode(seq)
+    assert np.array_equal(rows.data, fresh.encode(seq).data)
+    assert not np.array_equal(rows.data, stale.data)
 
 
 @pytest.mark.parametrize("tokens,message", [((4, 9, 32), "take_rows: id 32 outside")],

@@ -142,11 +142,11 @@ NUMPY_IDS = [
                          ids=[f"{entry}-{case}" for case, entry, *_ in UNSTACKABLE + NUMPY_IDS])
 def test_every_entry_refuses_an_unstackable_batch_by_entry_and_field(entry, args, message):
     # one id rule, data.integer_tokens, and one batch rule, data.check_batch, applied before
-    # a frozen encoder reads any weight
+    # a frozen encoder computes any rows
     model = RetrievalModel(small_config())
     with pytest.raises(ValueError, match=f"^{entry}: {message}"):
         getattr(model, entry)(*args)
-    assert [p.reads for p in model.ref_encoder.params() + model.tgt_encoder.params()] == [0] * 12
+    assert model.ref_encoder._rows == model.tgt_encoder._rows == {}
 
 
 class _Token(enum.IntEnum):

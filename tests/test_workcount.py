@@ -40,16 +40,19 @@ def test_a_failed_child_is_reported_with_its_stderr(monkeypatch, capsys):
     assert captured.err == "workcount.py: train_full: child exited with 1\nImportError: broken model\n"
 
 
-def test_two_runs_count_the_same_nodes_reads_and_tensors():
-    # the matching-only step at B=64: the baseline census, six reads per frozen-row lookup
-    # (three lookups per triplet), and 25 tensors a step
+def test_two_runs_count_the_same_nodes_reads_frozen_rows_and_tensors():
+    # the matching-only step at B=64: the baseline census, no counted read of a frozen weight,
+    # three frozen-row lookups per triplet, all served from the warm-up epoch's memo, and
+    # 25 tensors a step
     rows = [json.loads(subprocess.run(
         [sys.executable, str(ROOT / "tools" / "workcount.py"), str(ROOT), "train_matching"],
         check=True, capture_output=True, text=True).stdout) for _ in range(2)]
-    exact = [{key: row[key] for key in ("counted", "nodes", "reads", "tensors")} for row in rows]
+    exact = [{key: row[key] for key in ("counted", "nodes", "reads", "frozen_rows", "tensors")}
+             for row in rows]
     assert exact[0] == exact[1]
     nodes = {op: n for op, n in rows[0]["nodes"].items() if n}
     assert nodes == STEP_CENSUS["baseline"][1]
     assert rows[0]["reads"] == dict(bridge=0, compositor=0, cross_encoder=3, fusion=4,
-                                    ref_encoder=384, text_encoder=5, tgt_encoder=768)
+                                    ref_encoder=0, text_encoder=5, tgt_encoder=0)
+    assert rows[0]["frozen_rows"] == dict(computed=0, served=192)
     assert (rows[0]["counted"], rows[0]["tensors"]) == (16, 25)

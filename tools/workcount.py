@@ -15,10 +15,14 @@ epochs of `workloads.Trainer` steps after one of warm-up; eval counts three
 `evaluate_model` passes after one.  Per step or pass it prints the mean of:
 - `nodes`: recorded graph nodes reachable from the loss, by op (each op
   `tensor.__all__` exports; an eval pass records none);
-- `reads`: `Param.tensor` reads, by parameter group;
+- `reads`: `Param.tensor` reads, by parameter group (the frozen image
+  encoders read their weights uncounted, so theirs stay 0);
+- `frozen_rows`: frozen image rows `served` (`ImageEncoder.encode` calls) and
+  `computed` (the growth of the two encoders' memos);
 - `tensors`: `Tensor` constructions;
 - `minor_faults`: minor page faults (`ru_minflt`) inside the step or pass.
-Node, read and tensor counts repeat from run to run; fault counts depend on the host.
+Node, read, frozen-row and tensor counts repeat from run to run; fault counts
+depend on the host.
 """
 
 from __future__ import annotations
@@ -42,6 +46,7 @@ def workcount(workload: str, kind: str) -> dict:
     import workloads
     from cirtrain import tensor
     from cirtrain.cli import evaluate_model
+    from cirtrain.encoders import ImageEncoder
     from spans import graph_census, read_totals
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -55,23 +60,30 @@ def workcount(workload: str, kind: str) -> dict:
         warm = trainer.steps_per_epoch * WARM_EPOCHS
         ops = [lambda pair=pair: trainer.step(*pair) for pair in itertools.islice(
             trainer.epoch_batches(0), warm + trainer.steps_per_epoch * COUNTED_EPOCHS)]
-    made = [0]
-    init = tensor.Tensor.__init__
+    init, encode = tensor.Tensor.__init__, ImageEncoder.encode
+    made = Counter()  # Tensor constructions, frozen rows served and the memos' size
 
     def counting_init(t, *args, **kwargs):
-        made[0] += 1
+        made["tensors"] += 1
         init(t, *args, **kwargs)
+
+    def counting_encode(encoder, seq):
+        made["served"] += 1
+        return encode(encoder, seq)
+
+    def counts():
+        memos = len(setup.model.ref_encoder._rows) + len(setup.model.tgt_encoder._rows)
+        return Counter(made, computed=memos, minor_faults=getrusage(RUSAGE_SELF).ru_minflt)
 
     for op in ops[:warm]:
         op()
-    tensor.Tensor.__init__ = counting_init
-    nodes, reads, tensors, faults = Counter(), Counter(), 0, 0
+    tensor.Tensor.__init__, ImageEncoder.encode = counting_init, counting_encode
+    nodes, reads, work = Counter(), Counter(), Counter()
     for op in ops[warm:]:
         reads.subtract(read_totals(setup.model))
-        before = made[0], getrusage(RUSAGE_SELF).ru_minflt
+        work.subtract(counts())
         out = op()  # a step's loss, None on a NonFiniteError, or a pass's report
-        faults += getrusage(RUSAGE_SELF).ru_minflt - before[1]
-        tensors += made[0] - before[0]
+        work.update(counts())
         reads.update(read_totals(setup.model))
         if isinstance(out, tensor.Tensor):
             nodes += graph_census(out)
@@ -82,7 +94,8 @@ def workcount(workload: str, kind: str) -> dict:
     names = [name for name in tensor.__all__ if name[0].islower() and name not in ("no_grad", "unchecked")]
     return {"counted": n, "nodes": {op: nodes[op] / n for op in names},
             "reads": {group: count / n for group, count in sorted(reads.items())},
-            "tensors": tensors / n, "minor_faults": faults / n}
+            "frozen_rows": {key: work[key] / n for key in ("computed", "served")},
+            "tensors": work["tensors"] / n, "minor_faults": work["minor_faults"] / n}
 
 
 def main(argv) -> int:
