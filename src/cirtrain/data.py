@@ -136,7 +136,7 @@ def _sample_triplet(rng: np.random.Generator, spec: SynthSpec):
     if spec.noise_sigma > 0:
         noise = rng.normal(0.0, spec.noise_sigma, size=spec.latent_dim).tolist()
         target = [t + e for t, e in zip(target, noise)]
-    # round() takes halves to even, as np.rint did
+    # round() takes halves to even (np.rint's rule), which the pinned datasets were drawn with
     return ref, attr, tuple(min(max(round(t), 0), bins - 1) for t in target)
 
 

@@ -61,7 +61,7 @@ def workcount(workload: str, kind: str) -> dict:
         ops = [lambda pair=pair: trainer.step(*pair) for pair in itertools.islice(
             trainer.epoch_batches(0), warm + trainer.steps_per_epoch * COUNTED_EPOCHS)]
     init, encode = tensor.Tensor.__init__, ImageEncoder.encode
-    made = Counter()  # Tensor constructions, frozen rows served and the memos' size
+    made = Counter()  # Tensor constructions and frozen rows served
 
     def counting_init(t, *args, **kwargs):
         made["tensors"] += 1
