@@ -31,14 +31,13 @@ SUBSET_SIZE = 5
 
 
 def integer_tokens(name: str, tokens) -> tuple:
-    """`tokens`, a list or tuple of ints, as a tuple; bytes or a set is never iterated into ids.
-    A tuple of exact ints, what records hold, passes on one type scan; the rest is walked."""
-    if type(tokens) is tuple and {*map(type, tokens)} <= {int}:
-        return tokens
+    """`tokens`, a list or tuple of ints, as a tuple; bytes or a set is never iterated into ids."""
     if not isinstance(tokens, (list, tuple)):
         held = "a numpy array" if isinstance(tokens, np.ndarray) else repr(tokens)
         raise ValueError(f"{name} holds {held}; token ids are lists or tuples of ints")
     value = tuple(tokens)
+    if {*map(type, value)} <= {int}:  # exact ints pass on one type scan; the rest is walked
+        return value
     # refused, not rounded: int() would read 1.7 as 1, true as 1 and "3" as 3
     for t in value:
         if isinstance(t, bool) or not isinstance(t, int):
@@ -61,11 +60,10 @@ class TripletRecord:
         if self.subset_ids is not None and not isinstance(self.subset_ids, (list, tuple)):
             raise ValueError(f"subset_ids holds {self.subset_ids!r}; ids are lists or tuples of strings")
         # refused, not stringified: str() would read null as 'None' and 7 as '7'
-        if not {type(self.id), *map(type, self.subset_ids or ())} <= {str}:  # exact strs pass
-            for name, ids in (("id", (self.id,)), ("subset_ids", self.subset_ids or ())):
-                for s in ids:
-                    if not isinstance(s, str):
-                        raise ValueError(f"{name}: {s!r} is not a string")
+        for name, ids in (("id", (self.id,)), ("subset_ids", self.subset_ids or ())):
+            for s in ids:
+                if not isinstance(s, str):
+                    raise ValueError(f"{name}: {s!r} is not a string")
         for name in TOKEN_FIELDS:
             value = integer_tokens(name, getattr(self, name))
             if not value:
@@ -136,8 +134,9 @@ def _sample_triplet(rng: np.random.Generator, spec: SynthSpec):
     if spec.noise_sigma > 0:
         noise = rng.normal(0.0, spec.noise_sigma, size=spec.latent_dim).tolist()
         target = [t + e for t, e in zip(target, noise)]
-    # round() takes halves to even (np.rint's rule), which the pinned datasets were drawn with
-    return ref, attr, tuple(min(max(round(t), 0), bins - 1) for t in target)
+    # clipped first, so infinite noise lands on an end bin; round() takes halves to even
+    # (np.rint's rule), which the pinned datasets were drawn with
+    return ref, attr, tuple(round(min(max(t, 0.0), bins - 1.0)) for t in target)
 
 
 def generate(spec: SynthSpec):
