@@ -49,9 +49,9 @@ class BridgeParams:
         self.w_value = Param("bridge.w_value", rng.normal(0.0, scale, (dim, dim)))
 
     def params(self):
-        # keyed by identity, so a shared w_text_query is listed once
-        every = (self.w_ref, self.w_text, self.w_text_query, self.w_target, self.w_value)
-        return list({id(w): w for w in every}.values())
+        # a shared w_text_query is listed once: params hash by identity
+        return list(dict.fromkeys((self.w_ref, self.w_text, self.w_text_query, self.w_target,
+                                   self.w_value)))
 
 
 def cosines(x: Tensor, w_x: Param, y: Tensor, w_y: Param) -> Tensor:

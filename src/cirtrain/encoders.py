@@ -11,12 +11,12 @@ B x L x d, in training and evaluation alike (one item is a batch of one).
 A frozen encode is a pure function of the token tuple and the frozen
 weights, so each image encoder computes it once per tuple and keeps the
 read-only rows in an instance memo.  The memo is valid only for the weight
-tensor objects it was built from: every call loads the six params' stored
-tensors (`Param._tensor`, not the counting `Param.tensor`) and drops the memo
-when any is not, by identity, the one it was built from.  A frozen array
-cannot be written in place, and `Param.assign` installs a new tensor, so a
-stale row cannot be returned.  A hit is one dict lookup; neither a hit nor a
-miss ticks `Param.reads`, so the frozen encoders' groups read 0.
+versions it was built from: every call compares the six params' `version`s
+and drops the memo when any has moved.  A frozen array cannot be written in
+place, and `Param.assign` counts up its version, so a stale row cannot be
+returned.  A hit is one dict lookup; a miss passes the params to its ops
+directly, not through the counting `Param.tensor`, so the frozen encoders'
+groups read 0.
 
 Token ids are checked once, by `take_rows` (integers, rows of the table);
 `_embed` adds only sequence lengths.  A memo hit checks nothing, because a
@@ -93,10 +93,9 @@ class ImageEncoder:
     `encode` memoizes its (N + 1) x d output by the token tuple alone, so a
     reference and a target image with one tuple share rows.  Only a miss runs
     the lookup and its id checks.  The memo holds rows for the six weight
-    tensors of its last build, compared by identity on every call without
-    counting a read, and is dropped when any changes (`Param.assign`, as
-    `load_checkpoint` does).  Rows are read-only because every caller of one
-    tuple shares them.
+    versions of its last build, compared on every call without counting a
+    read, and is dropped when any moves (`Param.assign`, as `load_checkpoint`
+    does).  Rows are read-only because every caller of one tuple shares them.
     """
 
     def __init__(self, name: str, vocab: int, dim: int, max_tokens: int, rng: np.random.Generator):
@@ -112,19 +111,18 @@ class ImageEncoder:
             f"{name}.positions", rng.normal(0.0, 0.1, (max_tokens + 1, dim)), frozen=True
         )
         self.attn = Attention(f"{name}.attn", dim, rng, frozen=True, scale_qk=0.25 / math.sqrt(dim))
-        self._weights, self._rows = (), {}
+        self._versions, self._rows = (), {}
 
     def encode(self, seq: TokenSeq) -> Tensor:
-        weights = (self.embedding._tensor, self.cls._tensor, self.positions._tensor,
-                   self.attn.wq._tensor, self.attn.wk._tensor, self.attn.wv._tensor)
-        if weights != self._weights:
-            self._weights, self._rows = weights, {}
+        versions = (self.embedding.version, self.cls.version, self.positions.version,
+                    self.attn.wq.version, self.attn.wk.version, self.attn.wv.version)
+        if versions != self._versions:
+            self._versions, self._rows = versions, {}
         out = self._rows.get(seq.tokens)
         if out is None:
-            embedding, cls, positions, wq, wk, wv = weights
-            rows = concat([cls, _embed(self, seq.tokens, embedding)])
-            rows = add(rows, take_rows(positions, np.arange(len(seq.tokens) + 1)))
-            out = self._rows[seq.tokens] = add(rows, attention(rows, rows, wq, wk, wv))
+            rows = concat([self.cls, _embed(self, seq.tokens, self.embedding)])
+            rows = add(rows, take_rows(self.positions, np.arange(len(seq.tokens) + 1)))
+            out = self._rows[seq.tokens] = add(rows, attention(rows, rows, *self.attn.params()))
             out.data.flags.writeable = False
         return out
 

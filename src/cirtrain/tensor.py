@@ -135,9 +135,10 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "op", "_parents", "_backprop")
 
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf"):
-        self.data = np.asarray(data, dtype=np.float64)
-        if _checked and not np.isfinite(self.data).all():
-            raise NonFiniteError(op)
+        data = np.asarray(data, dtype=np.float64)
+        if _checked and not np.isfinite(data).all():
+            raise NonFiniteError(op)  # before any write, so a refused `Param.assign` changes nothing
+        self.data = data
         self.requires_grad = requires_grad
         self.grad = None
         self.op = op
@@ -159,7 +160,8 @@ class Tensor:
         An intermediate gradient is dropped once its rule has run.  The rules run under one
         errstate ignoring overflow, invalid and divide: a non-finite gradient is a value that
         `Adam.step` refuses, never a numpy warning.  Grads accumulate across calls; clear
-        them via Param.zero_grad (or set tensor.grad = None) between optimizer steps.
+        them by setting grad = None between optimizer steps.  The walk keys nodes by the
+        tensors themselves, which hash by identity (`Tensor` defines no `__eq__`).
         """
         if self.data.size != 1:
             raise ValueError(f"backward: loss must be scalar, got shape {self.shape}")
@@ -174,25 +176,25 @@ class Tensor:
             if done:
                 topo.append(node)
                 continue
-            if id(node) in visited:
+            if node in visited:
                 continue
-            visited.add(id(node))
+            visited.add(node)
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited and p.requires_grad:
+                if p not in visited and p.requires_grad:
                     stack.append((p, False))
 
-        running = {id(self): np.ones_like(self.data)}
+        running = {self: np.ones_like(self.data)}
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for node in reversed(topo):
-                g = running.pop(id(node))
+                g = running.pop(node)
                 if node._backprop is None:
                     node.grad = g if node.grad is None else node.grad + g
                     continue
                 for parent, pg in zip(node._parents, node._backprop(g)):
                     if parent.requires_grad:
-                        acc = running.get(id(parent))
-                        running[id(parent)] = pg if acc is None else acc + pg
+                        acc = running.get(parent)
+                        running[parent] = pg if acc is None else acc + pg
 
     def __repr__(self):
         return f"Tensor(shape={self.shape}, op={self.op!r}, requires_grad={self.requires_grad})"
@@ -466,56 +468,43 @@ def attention(x_q: Tensor, x_kv: Tensor, wq: Tensor, wk: Tensor, wv: Tensor) -> 
     return _result(out_data, (x_q, x_kv, wq, wk, wv), back, "attention")
 
 
-class Param:
-    """A named, shaped, trainable array with a gradient buffer and frozen flag.
+class Param(Tensor):
+    """A named leaf tensor with a frozen flag, a read counter and a version.
 
-    Frozen params opt out of the graph entirely (requires_grad=False), so the
-    optimizer and gradient checks can skip them by flag alone.  A frozen
-    param's array is read-only: `assign` is its one writer, and it installs
-    a new `Tensor`, so whoever keeps results computed from the old tensor
-    object (the image encoders' memo) sees that they are stale.  Trainable
-    arrays stay writable for the optimizer and finite differences.  The
-    `reads` counter ticks on every forward access through `tensor`, which
-    lets tests assert that the inference path never touches training-only
-    parameters.  The frozen image encoders load `_tensor` directly, for the
-    memo's identity check and a miss alike, so their params read 0.
+    Ops record the param itself, so backward leaves its gradient there.  Frozen
+    params opt out of the graph (requires_grad=False), so the optimizer and
+    gradient checks skip them by flag alone.  A frozen param's array is
+    read-only: `assign` is its one writer and counts up `version`, so whoever
+    keeps results computed from older values (the image encoders' memo) sees
+    that they are stale.  Trainable arrays stay writable for the optimizer and
+    finite differences.  `reads` ticks on every forward access through
+    `tensor`, which lets tests assert that the inference path never touches
+    training-only parameters; the frozen image encoders pass their params to
+    their ops directly, so their groups read 0.
     """
 
+    __slots__ = ("name", "frozen", "reads", "version")
+
     def __init__(self, name: str, values, frozen: bool = False):
-        self.name = name
-        self.frozen = frozen
-        self.reads = 0
-        self._tensor = None
+        self.name, self.frozen, self.reads, self.version = name, frozen, 0, -1
         self.assign(values)
 
     def assign(self, values):
-        """Install a float64 copy of `values` as a new tensor of the same shape; its grad
-        starts empty, and a frozen param's copy is read-only."""
+        """Re-initialise this leaf with a float64 copy of `values`, of its shape once it has one,
+        and count up `version` (0 after construction); its grad starts empty, and a frozen
+        param's copy is read-only.  A refused shape or non-finite value changes nothing."""
         data = np.array(values, dtype=np.float64)
-        if self._tensor is not None and data.shape != self.shape:
+        if self.version >= 0 and data.shape != self.shape:
             raise ValueError(f"{self.name}: cannot assign shape {data.shape} to {self.shape}")
         data.flags.writeable = not self.frozen
-        self._tensor = Tensor(data, requires_grad=not self.frozen)
+        super().__init__(data, requires_grad=not self.frozen)
+        self.version += 1
 
     @property
     def tensor(self) -> Tensor:
+        """The param itself, as a counted forward read."""
         self.reads += 1
-        return self._tensor
-
-    @property
-    def data(self) -> np.ndarray:
-        return self._tensor.data
-
-    @property
-    def grad(self):
-        return self._tensor.grad
-
-    @property
-    def shape(self) -> tuple:
-        return self._tensor.shape
-
-    def zero_grad(self):
-        self._tensor.grad = None
+        return self
 
     def __repr__(self):
         return f"Param({self.name!r}, shape={self.shape}, frozen={self.frozen})"

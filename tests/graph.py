@@ -7,8 +7,8 @@ def graph_nodes(out) -> list:
     nodes, seen, stack = [], set(), [out]
     while stack:
         node = stack.pop()
-        if id(node) not in seen:
-            seen.add(id(node))
+        if node not in seen:  # tensors hash by identity
+            seen.add(node)
             nodes.append(node)
             stack.extend(node._parents)
     return nodes

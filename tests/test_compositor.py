@@ -232,7 +232,7 @@ def test_loss_is_the_matching_contrast_of_composites_and_pooled_texts_bitwise():
                   lambda: matching_loss(compose(f_r_prime, f_t, p),
                                         T.l2_normalize_rows(T.mean_axis(f_c, axis=1)), TAU)):
         for param in p.params():
-            param.zero_grad()
+            param.grad = None
         loss = build()
         loss.backward()
         grads.append((loss.data, [param.grad for param in p.params()]))

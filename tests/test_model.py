@@ -197,8 +197,8 @@ def test_backward_leaves_grads_on_the_reached_params_only(variant, use_alignment
     assert all(node.grad is None for node in nodes if node._backprop is not None)
     reached = {id(node) for node in nodes if node._backprop is None and node.requires_grad}
     trainable = model.trainable()
-    assert {id(p._tensor) for p in trainable} >= reached
-    assert [p.name for p in trainable if (p.grad is not None) != (id(p._tensor) in reached)] == []
+    assert {id(p) for p in trainable} >= reached
+    assert [p.name for p in trainable if (p.grad is not None) != (id(p) in reached)] == []
 
 
 def test_disabled_auxiliaries_leave_their_params_unchanged():

@@ -535,8 +535,59 @@ def test_param_frozen_flag_and_reads_counter():
     assert q.tensor.requires_grad
     scalarize(q.tensor).backward()
     assert q.grad is not None
-    q.zero_grad()
+    q.grad = None
     assert q.grad is None
+
+
+def test_a_param_is_a_tensor_and_each_read_is_counted_once():
+    p = T.Param("w", np.ones((2, 3)))
+    assert isinstance(p, T.Tensor) and p.shape == (2, 3)
+    for reads in (1, 2, 3):
+        assert p.tensor is p
+        assert p.reads == reads
+
+
+def test_a_param_is_itself_the_leaf_its_loss_reaches():
+    p, x = T.Param("w", np.ones((3, 2))), T.Tensor(np.ones((2, 3)))
+    loss = scalarize(T.matmul(x, p.tensor))
+    leaves = [node for node in graph_nodes(loss) if node._backprop is None and node.requires_grad]
+    assert len(leaves) == 1 and leaves[0] is p
+    loss.backward()
+    assert np.array_equal(p.grad, np.full((3, 2), 2.0))
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
+@pytest.mark.parametrize("values, error, message", [
+    (np.full((2, 2), np.nan), T.NonFiniteError, "output of 'leaf'"),
+    (np.full((2, 2), np.inf), T.NonFiniteError, "output of 'leaf'"),
+    (np.zeros((2, 3)), ValueError, r"^w: cannot assign shape \(2, 3\) to \(2, 2\)$"),
+    (np.zeros(4), ValueError, r"^w: cannot assign shape \(4,\) to \(2, 2\)$"),
+], ids=["nan", "inf", "wider", "flat"])
+def test_a_refused_assign_changes_nothing(frozen, values, error, message):
+    p = T.Param("w", [[1.0, 2.0], [3.0, 4.0]], frozen=frozen)
+    if not frozen:
+        scalarize(p.tensor).backward()
+    data, grad, version = p.data, p.grad, p.version
+    with pytest.raises(error, match=message):
+        p.assign(values)
+    assert p.data is data and np.array_equal(data, [[1.0, 2.0], [3.0, 4.0]])
+    assert p.grad is grad and p.version == version == 0
+    assert p.requires_grad is not frozen and p.data.flags.writeable is not frozen
+
+
+def test_version_counts_accepted_assigns_only():
+    p = T.Param("w", np.zeros((2, 2)))
+    scalarize(p.tensor).backward()
+    assert p.version == 0 and p.grad is not None
+    for values, version in [(np.ones((2, 2)), 1), (np.ones((1, 2)), 1), (np.full((2, 2), np.nan), 1),
+                            (np.full((2, 2), 2.0), 2)]:
+        try:
+            p.assign(values)
+        except (ValueError, T.NonFiniteError):
+            pass
+        assert p.version == version
+    # an accepted assign installs a fresh copy with an empty gradient
+    assert np.array_equal(p.data, np.full((2, 2), 2.0)) and p.grad is None
 
 
 def test_matmul_leading_axes_must_match():

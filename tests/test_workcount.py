@@ -47,7 +47,8 @@ def test_two_runs_count_the_same_nodes_reads_frozen_rows_and_tensors():
     rows = [json.loads(subprocess.run(
         [sys.executable, str(ROOT / "tools" / "workcount.py"), str(ROOT), "train_matching"],
         check=True, capture_output=True, text=True).stdout) for _ in range(2)]
-    exact = [{key: row[key] for key in ("counted", "nodes", "reads", "frozen_rows", "tensors")}
+    exact = [{key: row[key] for key in ("counted", "nodes", "reads", "frozen_rows", "tensors",
+                                        "calls")}
              for row in rows]
     assert exact[0] == exact[1]
     nodes = {op: n for op, n in rows[0]["nodes"].items() if n}

@@ -56,9 +56,9 @@ def _census(loss) -> dict:
     counts, seen, todo = Counter(), set(), [loss]
     while todo:
         node = todo.pop()
-        if id(node) in seen or not node.requires_grad:
+        if node in seen or not node.requires_grad:  # tensors hash by identity
             continue
-        seen.add(id(node))
+        seen.add(node)
         counts[node.op] += node.op != "leaf"
         todo.extend(node._parents)
     return {op: n for op, n in sorted(counts.items()) if n}

@@ -20,9 +20,12 @@ epochs of `workloads.Trainer` steps after one of warm-up; eval counts three
 - `frozen_rows`: frozen image rows `served` (`ImageEncoder.encode` calls) and
   `computed` (the growth of the two encoders' memos);
 - `tensors`: `Tensor` constructions;
+- `calls`: Python and C function calls (`sys.setprofile` `call` and `c_call`
+  events) inside the step or pass, the script's own wrapper frames and the
+  calls they make left out;
 - `minor_faults`: minor page faults (`ru_minflt`) inside the step or pass.
-Node, read, frozen-row and tensor counts repeat from run to run; fault counts
-depend on the host.
+Node, read, frozen-row, tensor and call counts repeat from run to run; fault
+counts depend on the host.
 """
 
 from __future__ import annotations
@@ -61,7 +64,12 @@ def workcount(workload: str, kind: str) -> dict:
         ops = [lambda pair=pair: trainer.step(*pair) for pair in itertools.islice(
             trainer.epoch_batches(0), warm + trainer.steps_per_epoch * COUNTED_EPOCHS)]
     init, encode = tensor.Tensor.__init__, ImageEncoder.encode
-    made = Counter()  # Tensor constructions and frozen rows served
+    made = Counter(tensors=0, served=0, calls=0)  # preset: no `Counter.__missing__` call
+    tool = workcount.__code__.co_filename
+
+    def count_call(frame, event, arg):
+        if event in ("call", "c_call") and frame.f_code.co_filename != tool:
+            made["calls"] += 1
 
     def counting_init(t, *args, **kwargs):
         made["tensors"] += 1
@@ -82,7 +90,9 @@ def workcount(workload: str, kind: str) -> dict:
     for op in ops[warm:]:
         reads.subtract(read_totals(setup.model))
         work.subtract(counts())
+        sys.setprofile(count_call)
         out = op()  # a step's loss, None on a NonFiniteError, or a pass's report
+        sys.setprofile(None)
         work.update(counts())
         reads.update(read_totals(setup.model))
         if isinstance(out, tensor.Tensor):
@@ -95,7 +105,8 @@ def workcount(workload: str, kind: str) -> dict:
     return {"counted": n, "nodes": {op: nodes[op] / n for op in names},
             "reads": {group: count / n for group, count in sorted(reads.items())},
             "frozen_rows": {key: work[key] / n for key in ("computed", "served")},
-            "tensors": work["tensors"] / n, "minor_faults": work["minor_faults"] / n}
+            "tensors": work["tensors"] / n, "calls": work["calls"] / n,
+            "minor_faults": work["minor_faults"] / n}
 
 
 def main(argv) -> int:
