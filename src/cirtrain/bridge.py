@@ -57,8 +57,8 @@ class BridgeParams:
 def cosines(x: Tensor, w_x: Param, y: Tensor, w_y: Param) -> Tensor:
     """Cosine of every row of x projected by w_x against every row of y projected by w_y, per
     matrix of a batched x; y shares x's leading axes or is 2-D (`alignment_loss` passes both)."""
-    q = l2_normalize_rows(matmul(x, w_x.tensor))
-    k = l2_normalize_rows(matmul(y, w_y.tensor))
+    q = l2_normalize_rows(matmul(x, w_x))
+    k = l2_normalize_rows(matmul(y, w_y))
     return matmul(q, transpose(k))
 
 
@@ -85,7 +85,7 @@ def alignment_loss(f_r_bar: Tensor, f_c: Tensor, f_t: Tensor, p: BridgeParams,
     # the value product is linear, so pool the N reference rows first; regroup the
     # B x B x M pooled attention by candidate j, (j, i, m), to weigh j's own M values
     pooled = transpose(mean_axis(a_r2t, axis=1), (1, 0, 2))
-    bridge = l2_normalize_rows(matmul(pooled, matmul(f_t, p.w_value.tensor)))
+    bridge = l2_normalize_rows(matmul(pooled, matmul(f_t, p.w_value)))
     # (j, i, d) -> (i, d, j), so query i's pooled reference row, as 1 x d, meets its B bridged rows
     pooled_ref = reshape(l2_normalize_rows(mean_axis(f_r_bar, axis=-2)), (b, 1, dim))
     return diagonal_nll(reshape(matmul(pooled_ref, transpose(bridge, (1, 2, 0))), (b, b)), tau)

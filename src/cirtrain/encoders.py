@@ -14,9 +14,9 @@ read-only rows in an instance memo.  The memo is valid only for the weight
 versions it was built from: every call compares the six params' `version`s
 and drops the memo when any has moved.  A frozen array cannot be written in
 place, and `Param.assign` counts up its version, so a stale row cannot be
-returned.  A hit is one dict lookup; a miss passes the params to its ops
-directly, not through the counting `Param.tensor`, so the frozen encoders'
-groups read 0.
+returned.  A hit is one dict lookup.  Every encoder passes its params to
+its ops, which count a read per trainable operand (`Param`), so the frozen
+encoders' groups read 0.
 
 Token ids are checked once, by `take_rows` (integers, rows of the table);
 `_embed` adds only sequence lengths.  A memo hit checks nothing, because a
@@ -53,14 +53,15 @@ class TokenSeq:
         self.tokens = tokens
 
 
-def _embed(encoder, ids, table: Tensor) -> Tensor:
-    """The (..., N, d) rows of `table` at (..., N) ids; `take_rows` refuses ids it cannot read."""
+def _embed(encoder, ids) -> Tensor:
+    """The (..., N, d) rows of `encoder.embedding` at (..., N) ids; `take_rows` refuses ids it
+    cannot read."""
     ids = np.asarray(ids)
     if ids.shape[-1] == 0:
         raise ValueError("token sequence must be non-empty")
     if ids.shape[-1] > encoder.max_tokens:
         raise ValueError(f"sequence length {ids.shape[-1]} exceeds maximum {encoder.max_tokens}")
-    return take_rows(table, ids)
+    return take_rows(encoder.embedding, ids)
 
 
 class Attention:
@@ -81,7 +82,7 @@ class Attention:
         self.wv = Param(f"{name}.wv", rng.normal(0.0, base, (dim, dim)), frozen)
 
     def __call__(self, x_q: Tensor, x_kv: Tensor) -> Tensor:
-        return attention(x_q, x_kv, self.wq.tensor, self.wk.tensor, self.wv.tensor)
+        return attention(x_q, x_kv, self.wq, self.wk, self.wv)
 
     def params(self):
         return [self.wq, self.wk, self.wv]
@@ -92,10 +93,11 @@ class ImageEncoder:
 
     `encode` memoizes its (N + 1) x d output by the token tuple alone, so a
     reference and a target image with one tuple share rows.  Only a miss runs
-    the lookup and its id checks.  The memo holds rows for the six weight
-    versions of its last build, compared on every call without counting a
-    read, and is dropped when any moves (`Param.assign`, as `load_checkpoint`
-    does).  Rows are read-only because every caller of one tuple shares them.
+    the lookup and its id checks, through the same `Attention` as every
+    other site.  The memo holds rows for the six weight versions of its last
+    build, compared on every call, and is dropped when any moves
+    (`Param.assign`, as `load_checkpoint` does).  Rows are read-only because
+    every caller of one tuple shares them.
     """
 
     def __init__(self, name: str, vocab: int, dim: int, max_tokens: int, rng: np.random.Generator):
@@ -120,9 +122,9 @@ class ImageEncoder:
             self._versions, self._rows = versions, {}
         out = self._rows.get(seq.tokens)
         if out is None:
-            rows = concat([self.cls, _embed(self, seq.tokens, self.embedding)])
+            rows = concat([self.cls, _embed(self, seq.tokens)])
             rows = add(rows, take_rows(self.positions, np.arange(len(seq.tokens) + 1)))
-            out = self._rows[seq.tokens] = add(rows, attention(rows, rows, *self.attn.params()))
+            out = self._rows[seq.tokens] = add(rows, self.attn(rows, rows))
             out.data.flags.writeable = False
         return out
 
@@ -150,9 +152,9 @@ class TextEncoder:
     def encode(self, ids) -> Tensor:
         """A list of B id tuples of one length L gives B x L x d rows; the model's
         entries refuse any other batch first (`data.check_batch`)."""
-        rows = _embed(self, ids, self.embedding.tensor)
+        rows = _embed(self, ids)
         b, length = rows.shape[:2]
-        rows = add(rows, take_rows(self.positions.tensor, np.tile(np.arange(length), (b, 1))))
+        rows = add(rows, take_rows(self.positions, np.tile(np.arange(length), (b, 1))))
         return add(rows, self.attn(rows, rows))
 
     def params(self):
@@ -191,7 +193,7 @@ class QueryFusion:
 
     def fuse(self, f_c: Tensor, f_r: Tensor) -> Tensor:
         b, p, (length, dim) = f_c.shape[0], self.n_prompts, f_c.shape[-2:]
-        query_side = (concat([take_rows(self.prompts.tensor, np.tile(np.arange(p), (b, 1))), f_c])
+        query_side = (concat([take_rows(self.prompts, np.tile(np.arange(p), (b, 1))), f_c])
                       if p else f_c)
         text_mask = np.zeros((b, p + length, 1))
         text_mask[:, p:] = 1.0

@@ -137,7 +137,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False, op: str = "leaf"):
         data = np.asarray(data, dtype=np.float64)
         if _checked and not np.isfinite(data).all():
-            raise NonFiniteError(op)  # before any write, so a refused `Param.assign` changes nothing
+            raise NonFiniteError(op)
         self.data = data
         self.requires_grad = requires_grad
         self.grad = None
@@ -201,10 +201,18 @@ class Tensor:
 
 
 def _result(data, parents, backprop, op: str) -> Tensor:
-    """Wrap an op output, recording the graph edge only when grads can flow."""
-    track = _grad_enabled and any(p.requires_grad for p in parents)
-    out = Tensor(data, requires_grad=track, op=op)
-    if track:
+    """Wrap an op output, recording the graph edge only when grads can flow.
+
+    Each operand that takes a gradient marks the edge, and a trainable `Param` among them
+    counts one read, whether or not the edge is recorded."""
+    track = False
+    for p in parents:
+        if p.requires_grad:
+            track = True
+            if p.__class__ is Param:  # an attribute test: no call, unlike isinstance
+                p.reads += 1
+    out = Tensor(data, requires_grad=_grad_enabled and track, op=op)
+    if out.requires_grad:
         out._parents = tuple(parents)
         out._backprop = backprop
     return out
@@ -477,10 +485,11 @@ class Param(Tensor):
     read-only: `assign` is its one writer and counts up `version`, so whoever
     keeps results computed from older values (the image encoders' memo) sees
     that they are stale.  Trainable arrays stay writable for the optimizer and
-    finite differences.  `reads` ticks on every forward access through
-    `tensor`, which lets tests assert that the inference path never touches
-    training-only parameters; the frozen image encoders pass their params to
-    their ops directly, so their groups read 0.
+    finite differences.  `reads` counts the ops that took this param as an
+    operand, one per operand, with or without a recorded graph (`no_grad`
+    and `unchecked` alike), which lets tests assert that the inference path
+    never touches training-only parameters.  A frozen param counts no read,
+    so the frozen image encoders' groups read 0.
     """
 
     __slots__ = ("name", "frozen", "reads", "version")
@@ -496,15 +505,11 @@ class Param(Tensor):
         data = np.array(values, dtype=np.float64)
         if self.version >= 0 and data.shape != self.shape:
             raise ValueError(f"{self.name}: cannot assign shape {data.shape} to {self.shape}")
+        if not np.isfinite(data).all():  # refused inside `unchecked` too
+            raise NonFiniteError("leaf")
         data.flags.writeable = not self.frozen
         super().__init__(data, requires_grad=not self.frozen)
         self.version += 1
-
-    @property
-    def tensor(self) -> Tensor:
-        """The param itself, as a counted forward read."""
-        self.reads += 1
-        return self
 
     def __repr__(self):
         return f"Param({self.name!r}, shape={self.shape}, frozen={self.frozen})"

@@ -129,7 +129,7 @@ def test_full_chain_matches_oracle():
     # the chain alignment_loss builds for one (query, candidate) pair, from its public hops
     a_r2c = cosines(T.Tensor(f_r_bar), p.w_ref, T.Tensor(f_c), p.w_text)
     a_r2t = hinge(a_r2c, cosines(T.Tensor(f_c), p.w_text_query, T.Tensor(f_t), p.w_target))
-    out = T.matmul(a_r2t, T.matmul(T.Tensor(f_t), p.w_value.tensor))
+    out = T.matmul(a_r2t, T.matmul(T.Tensor(f_t), p.w_value))
     expected = bridged_chain(f_r_bar, f_c, f_t, *weight_arrays(p))
     assert np.allclose(out.data, expected, atol=1e-12)
 

@@ -271,6 +271,7 @@ def test_inference_never_reads_training_only_params():
     model = RetrievalModel(small_config())
     records = small_records(4)
     training_only = model.bridge.params() + model.compositor.params()
+    query_side = model.text_encoder.params() + model.fusion.params()
     baseline = {p.name: p.reads for p in training_only}
 
     with no_grad():
@@ -283,6 +284,8 @@ def test_inference_never_reads_training_only_params():
 
     for p in training_only:
         assert p.reads == baseline[p.name], p.name
+    # the query side is read once per query call, though no graph is recorded
+    assert {p.name: p.reads for p in query_side} == {p.name: len(records) + 1 for p in query_side}
     # sanity: a training step does read them
     total, _ = model.batch_losses(records[:3])
     assert any(p.reads > baseline[p.name] for p in training_only)

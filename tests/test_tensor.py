@@ -1,6 +1,7 @@
 import ast
 import math
 import zlib
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +176,7 @@ def test_backward_accumulates_across_calls(rng):
 def test_backward_overflow_is_an_inf_grad_that_adam_refuses_not_a_warning():
     # a finite forward (1e-300 * 1e300 * 1e10) whose backward product 1e10 * 1e300 overflows
     x = T.Param("x", [[1e-300]])
-    T.scalar_mul(T.matmul(x.tensor, T.Tensor([[1e300]])), 1e10).backward()
+    T.scalar_mul(T.matmul(x, T.Tensor([[1e300]])), 1e10).backward()
     assert np.isposinf(x.grad).all()
     with pytest.raises(T.NonFiniteError, match=r"Adam\.step\[x\]"):
         Adam([x], lr=0.1).step()
@@ -527,29 +528,50 @@ def test_no_grad_disables_recording(rng):
     assert out2.requires_grad
 
 
-def test_param_frozen_flag_and_reads_counter():
-    p = T.Param("w", np.ones((2, 2)), frozen=True)
-    assert not p.tensor.requires_grad
-    assert p.reads == 1
-    q = T.Param("v", np.ones((2, 2)))
-    assert q.tensor.requires_grad
-    scalarize(q.tensor).backward()
-    assert q.grad is not None
-    q.grad = None
-    assert q.grad is None
+def test_a_param_is_a_tensor_and_its_frozen_flag_opts_it_out_of_the_graph():
+    p, q = T.Param("w", np.ones((2, 2)), frozen=True), T.Param("v", np.ones((2, 2)))
+    assert isinstance(p, T.Tensor) and p.shape == (2, 2)
+    assert not p.requires_grad and q.requires_grad
+    scalarize(q).backward()
+    assert p.grad is None and q.grad is not None
 
 
-def test_a_param_is_a_tensor_and_each_read_is_counted_once():
-    p = T.Param("w", np.ones((2, 3)))
-    assert isinstance(p, T.Tensor) and p.shape == (2, 3)
-    for reads in (1, 2, 3):
-        assert p.tensor is p
-        assert p.reads == reads
+def test_each_trainable_param_operand_counts_one_read(rng):
+    p, x = T.Param("w", np.eye(2)), T.Tensor(rng.normal(size=(3, 2)))
+    T.attention(x, x, p, p, p)
+    assert p.reads == 3
+    T.matmul(x, p)
+    assert p.reads == 4
+
+
+def test_a_frozen_param_or_a_plain_tensor_counts_no_read(rng):
+    p, x = T.Param("w", np.eye(2), frozen=True), T.Tensor(rng.normal(size=(3, 2)), requires_grad=True)
+    q = T.Param("v", np.eye(2))
+    T.attention(x, x, p, p, p)
+    T.add(q, T.Tensor(np.eye(2)))
+    assert p.reads == 0 and q.reads == 1
+
+
+@pytest.mark.parametrize("guard", [T.no_grad, T.unchecked], ids=["no_grad", "unchecked"])
+def test_reads_count_with_or_without_a_recorded_graph(guard, rng):
+    p, x = T.Param("w", np.eye(2)), T.Tensor(rng.normal(size=(3, 2)))
+    with guard():
+        out = T.attention(x, x, p, p, p)
+    assert p.reads == 3 and out.requires_grad is (guard is T.unchecked)
+
+
+def test_an_op_that_refuses_its_inputs_counts_no_read():
+    p = T.Param("w", np.eye(2))
+    with pytest.raises(ValueError, match="inner dimensions disagree"):
+        T.matmul(T.Tensor(np.ones((3, 4))), p)
+    with pytest.raises(ValueError, match="feature dims"):
+        T.attention(T.Tensor(np.ones((3, 4))), T.Tensor(np.ones((3, 4))), p, p, p)
+    assert p.reads == 0
 
 
 def test_a_param_is_itself_the_leaf_its_loss_reaches():
     p, x = T.Param("w", np.ones((3, 2))), T.Tensor(np.ones((2, 3)))
-    loss = scalarize(T.matmul(x, p.tensor))
+    loss = scalarize(T.matmul(x, p))
     leaves = [node for node in graph_nodes(loss) if node._backprop is None and node.requires_grad]
     assert len(leaves) == 1 and leaves[0] is p
     loss.backward()
@@ -557,18 +579,20 @@ def test_a_param_is_itself_the_leaf_its_loss_reaches():
 
 
 @pytest.mark.parametrize("frozen", [False, True], ids=["trainable", "frozen"])
-@pytest.mark.parametrize("values, error, message", [
-    (np.full((2, 2), np.nan), T.NonFiniteError, "output of 'leaf'"),
-    (np.full((2, 2), np.inf), T.NonFiniteError, "output of 'leaf'"),
-    (np.zeros((2, 3)), ValueError, r"^w: cannot assign shape \(2, 3\) to \(2, 2\)$"),
-    (np.zeros(4), ValueError, r"^w: cannot assign shape \(4,\) to \(2, 2\)$"),
-], ids=["nan", "inf", "wider", "flat"])
-def test_a_refused_assign_changes_nothing(frozen, values, error, message):
+@pytest.mark.parametrize("values, error, message, guard", [
+    (np.full((2, 2), np.nan), T.NonFiniteError, "output of 'leaf'", nullcontext),
+    (np.full((2, 2), np.inf), T.NonFiniteError, "output of 'leaf'", nullcontext),
+    (np.zeros((2, 3)), ValueError, r"^w: cannot assign shape \(2, 3\) to \(2, 2\)$", nullcontext),
+    (np.zeros(4), ValueError, r"^w: cannot assign shape \(4,\) to \(2, 2\)$", nullcontext),
+    (np.full((2, 2), np.nan), T.NonFiniteError, "output of 'leaf'", T.unchecked),
+    (np.full((2, 2), -np.inf), T.NonFiniteError, "output of 'leaf'", T.unchecked),
+], ids=["nan", "inf", "wider", "flat", "nan_unchecked", "inf_unchecked"])
+def test_a_refused_assign_changes_nothing(frozen, values, error, message, guard):
     p = T.Param("w", [[1.0, 2.0], [3.0, 4.0]], frozen=frozen)
     if not frozen:
-        scalarize(p.tensor).backward()
+        scalarize(p).backward()
     data, grad, version = p.data, p.grad, p.version
-    with pytest.raises(error, match=message):
+    with pytest.raises(error, match=message), guard():
         p.assign(values)
     assert p.data is data and np.array_equal(data, [[1.0, 2.0], [3.0, 4.0]])
     assert p.grad is grad and p.version == version == 0
@@ -577,7 +601,7 @@ def test_a_refused_assign_changes_nothing(frozen, values, error, message):
 
 def test_version_counts_accepted_assigns_only():
     p = T.Param("w", np.zeros((2, 2)))
-    scalarize(p.tensor).backward()
+    scalarize(p).backward()
     assert p.version == 0 and p.grad is not None
     for values, version in [(np.ones((2, 2)), 1), (np.ones((1, 2)), 1), (np.full((2, 2), np.nan), 1),
                             (np.full((2, 2), 2.0), 2)]:

@@ -26,7 +26,7 @@ def test_adam_minimizes_quadratic():
     opt = Adam([p], lr=0.1)
     for _ in range(200):
         p.grad = None
-        x = p.tensor
+        x = p
         loss = T.matmul(x, T.transpose(x))  # the squared norm of the 1 x 2 row
         loss.backward()
         opt.step()
@@ -38,7 +38,7 @@ def test_adam_skips_frozen_and_gradless():
     idle = T.Param("i", np.ones((2, 2)))
     active = T.Param("a", np.ones((2, 2)))
     opt = Adam([frozen, idle, active], lr=0.5)
-    scalarize(active.tensor).backward()
+    scalarize(active).backward()
     opt.step()
     assert np.array_equal(frozen.data, np.ones((2, 2)))
     assert np.array_equal(idle.data, np.ones((2, 2)))
@@ -50,7 +50,7 @@ def test_adam_names_an_overflowed_moment_and_writes_nothing(at):
     # 1e200 squared overflows the second moment; its update would silently be 0
     params = [T.Param(f"p{i}", np.ones((i + 1, 2))) for i in range(3)]
     for i, p in enumerate(params):
-        scalarize(T.scalar_mul(p.tensor, 1e200 if i == at else 1.0)).backward()
+        scalarize(T.scalar_mul(p, 1e200 if i == at else 1.0)).backward()
     opt = Adam(params, lr=0.1)
     with pytest.raises(T.NonFiniteError, match=rf"output of 'Adam.step\[p{at}\]'$"):
         opt.step()
@@ -92,8 +92,8 @@ def test_adam_matches_a_per_group_reference_bit_for_bit():
         for p, q in zip(flat[:-1], ref[:-1]):
             # gradients of very different sizes, the same for both optimizers
             w = rng.normal(size=p.data.size) * 10.0 ** rng.integers(-6, 4)
-            scalarize(p.tensor, w).backward()
-            scalarize(q.tensor, w).backward()
+            scalarize(p, w).backward()
+            scalarize(q, w).backward()
         opt.step()
         ref_opt.step()
     assert all(np.array_equal(p.data, q.data) for p, q in zip(flat, ref))
@@ -112,7 +112,7 @@ def test_a_param_whose_gradient_disappears_moves_by_its_momentum():
     fading, idle = T.Param("fading", np.zeros((2, 3))), T.Param("idle", np.zeros((2, 3)))
     w = np.array([1.0, -2.0, 3.0, -4.0, 5.0, -6.0])
     opt = Adam([fading, idle], lr=0.1)
-    scalarize(fading.tensor, w).backward()
+    scalarize(fading, w).backward()
     opt.step()
     after_one = fading.data.copy()
     fading.grad = None

@@ -12,11 +12,14 @@ glibc's malloc thresholds move with what a process freed before (given a
 failed child, a non-finite step included, ends the script with status 1: one
 line naming the workload, then the child's stderr.  Training counts two
 epochs of `workloads.Trainer` steps after one of warm-up; eval counts three
-`evaluate_model` passes after one.  Per step or pass it prints the mean of:
+`evaluate_model` passes after two, since the second pass still faults in
+heap the first left unmapped (on seed 1, four passes took about 2,100, 240,
+0 and 0 minor faults).  Per step or pass it prints the mean of:
 - `nodes`: recorded graph nodes reachable from the loss, by op (each op
   `tensor.__all__` exports; an eval pass records none);
-- `reads`: `Param.tensor` reads, by parameter group (the frozen image
-  encoders read their weights uncounted, so theirs stay 0);
+- `reads`: `Param.reads`, by parameter group: one per trainable param an
+  op takes as an operand, recorded or not (a frozen param counts none, so
+  the image encoders' groups stay 0);
 - `frozen_rows`: frozen image rows `served` (`ImageEncoder.encode` calls) and
   `computed` (the growth of the two encoders' memos);
 - `tensors`: `Tensor` constructions;
@@ -41,7 +44,7 @@ from resource import RUSAGE_SELF, getrusage
 
 SEED = 1
 WARM_EPOCHS, COUNTED_EPOCHS = 1, 2
-WARM_PASSES, COUNTED_PASSES = 1, 3
+WARM_PASSES, COUNTED_PASSES = 2, 3
 
 
 def workcount(workload: str, kind: str) -> dict:
