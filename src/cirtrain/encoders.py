@@ -14,9 +14,8 @@ read-only rows in an instance memo.  The memo is valid only for the weight
 versions it was built from: every call compares the six params' `version`s
 and drops the memo when any has moved.  A frozen array cannot be written in
 place, and `Param.assign` counts up its version, so a stale row cannot be
-returned.  A hit is one dict lookup.  Every encoder passes its params to
-its ops, which count a read per trainable operand (`Param`), so the frozen
-encoders' groups read 0.
+returned.  A hit is one dict lookup; a miss runs the ops any encoder runs,
+and frozen params count no read, so the frozen encoders' groups read 0.
 
 Token ids are checked once, by `take_rows` (integers, rows of the table);
 `_embed` adds only sequence lengths.  A memo hit checks nothing, because a
@@ -54,8 +53,7 @@ class TokenSeq:
 
 
 def _embed(encoder, ids) -> Tensor:
-    """The (..., N, d) rows of `encoder.embedding` at (..., N) ids; `take_rows` refuses ids it
-    cannot read."""
+    """The (..., N, d) embedding rows at (..., N) ids; `take_rows` refuses ids it cannot read."""
     ids = np.asarray(ids)
     if ids.shape[-1] == 0:
         raise ValueError("token sequence must be non-empty")
@@ -92,12 +90,10 @@ class ImageEncoder:
     """Frozen patch-token encoder: CLS row + embedded tokens through one attention block.
 
     `encode` memoizes its (N + 1) x d output by the token tuple alone, so a
-    reference and a target image with one tuple share rows.  Only a miss runs
-    the lookup and its id checks, through the same `Attention` as every
-    other site.  The memo holds rows for the six weight versions of its last
-    build, compared on every call, and is dropped when any moves
-    (`Param.assign`, as `load_checkpoint` does).  Rows are read-only because
-    every caller of one tuple shares them.
+    reference and a target image with one tuple share rows, read-only for that
+    reason.  Only a miss runs the lookup, its id checks and `self.attn`.  Every
+    call compares the six weights' `version`s and drops the memo when any moved
+    (`Param.assign`, as `load_checkpoint` does).
     """
 
     def __init__(self, name: str, vocab: int, dim: int, max_tokens: int, rng: np.random.Generator):

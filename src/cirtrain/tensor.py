@@ -201,10 +201,8 @@ class Tensor:
 
 
 def _result(data, parents, backprop, op: str) -> Tensor:
-    """Wrap an op output, recording the graph edge only when grads can flow.
-
-    Each operand that takes a gradient marks the edge, and a trainable `Param` among them
-    counts one read, whether or not the edge is recorded."""
+    """Wrap an op output, recording the graph edge only when an operand takes a gradient and
+    grads can flow; each trainable `Param` operand counts one read, recorded or not."""
     track = False
     for p in parents:
         if p.requires_grad:
@@ -485,11 +483,9 @@ class Param(Tensor):
     read-only: `assign` is its one writer and counts up `version`, so whoever
     keeps results computed from older values (the image encoders' memo) sees
     that they are stale.  Trainable arrays stay writable for the optimizer and
-    finite differences.  `reads` counts the ops that took this param as an
-    operand, one per operand, with or without a recorded graph (`no_grad`
-    and `unchecked` alike), which lets tests assert that the inference path
-    never touches training-only parameters.  A frozen param counts no read,
-    so the frozen image encoders' groups read 0.
+    finite differences.  `reads` counts each op operand that is this trainable
+    param, recorded or not (`no_grad`, `unchecked`), so tests can assert that
+    inference never touches training-only params; a frozen param reads 0.
     """
 
     __slots__ = ("name", "frozen", "reads", "version")
