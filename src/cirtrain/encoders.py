@@ -17,10 +17,10 @@ place, and `Param.assign` counts up its version, so a stale row cannot be
 returned.  A hit is one dict lookup; a miss runs the ops any encoder runs,
 and frozen params count no read, so the frozen encoders' groups read 0.
 
-Token ids are checked once, by `take_rows` (integers, rows of the table);
-`_embed` adds only sequence lengths.  A memo hit checks nothing, because a
-tuple enters the memo only after its lookup passed.  Records and the model's
-raw-id entries refuse non-integer ids by field name first (`integer_tokens`).
+Token ids are checked by `take_rows` (integers, rows of the table); `_embed`
+adds lengths, and an image miss the bool ids numpy reads as ints.  A memo hit
+checks nothing: a tuple enters the memo only after its lookup passed.  Records
+and the model's raw-id entries refuse non-integer ids first (`integer_tokens`).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ import math
 
 import numpy as np
 
+from .data import integer_tokens
 from .tensor import (
     Param,
     Tensor,
@@ -87,14 +88,7 @@ class Attention:
 
 
 class ImageEncoder:
-    """Frozen patch-token encoder: CLS row + embedded tokens through one attention block.
-
-    `encode` memoizes its (N + 1) x d output by the token tuple alone, so a
-    reference and a target image with one tuple share rows, read-only for that
-    reason.  Only a miss runs the lookup, its id checks and `self.attn`.  Every
-    call compares the six weights' `version`s and drops the memo when any moved
-    (`Param.assign`, as `load_checkpoint` does).
-    """
+    """Frozen patch-token encoder: CLS row + embedded tokens through one attention block."""
 
     def __init__(self, name: str, vocab: int, dim: int, max_tokens: int, rng: np.random.Generator):
         self.name = name
@@ -112,6 +106,12 @@ class ImageEncoder:
         self._versions, self._rows = (), {}
 
     def encode(self, seq: TokenSeq) -> Tensor:
+        """The (N + 1) x d rows of `seq`, memoized by the token tuple alone: a reference and a
+        target with one tuple share rows, read-only for that reason.  Only a miss runs the lookup,
+        its id checks (a bool id too, by the records' `integer_tokens` rule) and `self.attn`.  A hit
+        scans no types, so (4, 9, 1.0) after (4, 9, 1) gets its rows: a scan costs 0.6 us an 8-id
+        tuple, 8% of an eval pass's 2,048 hits; ROADMAP item 2's id arrays drop the key.  Every call
+        compares the six weights' `version`s and drops the memo when any moved (`Param.assign`)."""
         versions = (self.embedding.version, self.cls.version, self.positions.version,
                     self.attn.wq.version, self.attn.wk.version, self.attn.wv.version)
         if versions != self._versions:
@@ -119,6 +119,7 @@ class ImageEncoder:
         out = self._rows.get(seq.tokens)
         if out is None:
             rows = concat([self.cls, _embed(self, seq.tokens)])
+            integer_tokens(self.name, seq.tokens)  # after _embed, whose words refuse a float id
             rows = add(rows, take_rows(self.positions, np.arange(len(seq.tokens) + 1)))
             out = self._rows[seq.tokens] = add(rows, self.attn(rows, rows))
             out.data.flags.writeable = False

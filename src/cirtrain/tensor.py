@@ -240,8 +240,12 @@ def _softmax(x: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, each row shifted by its max; call under np.errstate.
 
     A row spanning more than the float range overflows the shift to -inf, which exp maps to 0.
+    The max runs down the columns of one transposed copy, as a last-axis max loops once per row:
+    the copy wins on short rows, not on long ones as (4, 1000) or on square logits (`diagonal_nll`
+    keeps its own).  A max's order sets no bit; the sum's pairwise order does from 8 entries on.
     """
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    m = x.reshape(-1, x.shape[-1]).T.copy().max(axis=0).reshape(x.shape[:-1] + (1,))
+    e = np.exp(x - m)
     return e / e.sum(axis=-1, keepdims=True)
 
 

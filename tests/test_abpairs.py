@@ -103,3 +103,41 @@ def test_a_run_that_exits_non_zero_is_named_on_one_line_before_its_stderr(monkey
     assert err.endswith("abpairs: eval_gallery pair 1 change: cirbench/run.py exited with 3\n"
                         "Traceback\nboom\n")
     assert calls == [1, 1]
+
+
+def _lines(**metrics):
+    """Result lines of one side, run i holding the i-th value of each named metric."""
+    runs = zip(*metrics.values())
+    return [{"attempted": 10, "failed": 0,
+             "metrics": {name: {"value": v} for name, v in zip(metrics, values)}}
+            for values in runs]
+
+
+PARENT = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]  # quartile distance 0.175
+
+
+@pytest.mark.parametrize("change,better,resolved", [
+    ([v - 1.0 for v in PARENT[:9]] + [10.5], "lower", True),  # 9 of 10, median -1.0
+    ([v - 1.0 for v in PARENT[:9]] + [PARENT[9]], "lower", True),  # the tie counts for no side
+    ([v - 1.0 for v in PARENT[:8]] + PARENT[8:], "lower", False),  # 8 of 10, two ties
+    ([v - 0.1 for v in PARENT], "lower", False),  # 10 of 10, but within the parent's spread
+    ([v + 1.0 for v in PARENT[:9]] + [9.0], "higher", True),
+    ([v - 1.0 for v in PARENT], "higher", False),
+], ids=["nine wins", "nine wins one tie", "eight wins", "within the spread", "higher wins",
+        "higher loses"])
+def test_a_gain_resolves_on_nine_in_ten_pairs_beyond_the_parent_spread(change, better, resolved):
+    metric = abpairs.summarize(_lines(m=PARENT), _lines(m=change), {"m": better})["metrics"]["m"]
+    assert metric["parent_iqr"] == pytest.approx(0.175)
+    assert metric["gain_resolved"] is resolved
+
+
+def test_beyond_bound_compares_the_medians_with_an_end_to_end_bound_only():
+    parent = _lines(slow=[1.0, 1.0, 1.0], ok=[1.0, 1.0, 1.0], fast=[10.0, 10.0, 10.0],
+                    layer=[1.0, 1.0, 1.0])
+    change = _lines(slow=[1.3, 1.3, 1.3], ok=[1.2, 1.2, 1.2], fast=[7.0, 7.0, 7.0],
+                    layer=[9.0, 9.0, 9.0])
+    metrics = abpairs.summarize(parent, change, {"fast": "higher"},
+                                {"slow": 0.25, "ok": 0.25, "fast": 0.25})["metrics"]
+    assert [metrics[name]["beyond_bound"] for name in ("slow", "ok", "fast", "layer")] == [
+        True, False, True, None]  # a per-layer metric has no bound
+    assert metrics["layer"]["gain_resolved"] is False

@@ -143,6 +143,18 @@ def test_a_warm_memo_still_refuses_what_the_encoder_cannot_take(tokens, message)
             enc.encode(TokenSeq(tokens))
 
 
+@pytest.mark.parametrize("tokens,message", [
+    ((1, True, 3), "enc: token id True is not an integer"),
+    ((1, 2.0, 3), f"take_rows: expected a 2-D table and integer ids, got shape (32, {DIM}) and float64 ids"),
+], ids=["bool", "float"])
+def test_a_cold_miss_refuses_a_bool_or_float_id_and_memoizes_nothing(tokens, message):
+    # numpy reads (1, True, 3) as the ints (1, 1, 3), so the records' rule refuses the bool
+    enc = make_image_encoder()
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        enc.encode(TokenSeq(tokens))
+    assert enc._rows == {}
+
+
 def _cold_image(tokens):
     return make_image_encoder().encode(TokenSeq(tokens))
 

@@ -10,7 +10,7 @@ import pytest
 from cirtrain import tensor as T
 from cirtrain.train import Adam
 from graph import graph_nodes
-from oracles import attention_oracle, finite_diff, max_rel_err, np_diagonal_nll
+from oracles import attention_oracle, finite_diff, max_rel_err, np_diagonal_nll, np_softmax_rows
 from scalarize import scalarize
 
 
@@ -79,6 +79,31 @@ def test_softmax_rows_sum_to_one_and_shift_invariant(rng):
     assert np.allclose(out.data.sum(axis=1), 1.0, atol=1e-9)
     shifted = T.softmax_rows(T.Tensor(x + 3.25), 1.0)
     assert np.allclose(out.data, shifted.data, atol=1e-9)
+
+
+def _with_inf_entries(x):
+    x[::2, ::3] = -np.inf  # every other row holds -inf beside finite entries
+    return x
+
+
+_ROW_MAX_RNG = np.random.default_rng(40)
+
+
+@pytest.mark.parametrize("x,context", [
+    (_ROW_MAX_RNG.normal(0.0, 3.0, (16, 8, 16, 8)), nullcontext),
+    (_ROW_MAX_RNG.normal(0.0, 3.0, (256, 10, 9)), nullcontext),
+    (_ROW_MAX_RNG.normal(0.0, 3.0, (3, 1)), nullcontext),
+    (np.ones((2, 0, 5)), nullcontext),
+    # rows of 7: numpy sums a strided row of 8 or more in another order than a contiguous one
+    (_ROW_MAX_RNG.normal(0.0, 3.0, (4, 7, 12)).swapaxes(-1, -2), nullcontext),
+    (_with_inf_entries(_ROW_MAX_RNG.normal(0.0, 3.0, (6, 9))), T.unchecked),
+], ids=["bridge grid", "eval fusion", "one entry", "no rows", "transposed view", "-inf entries"])
+def test_softmax_rows_matches_the_row_oracle_bit_for_bit(x, context):
+    # the row max runs down the columns of a transposed copy; a max's order sets no bit
+    with context():
+        out = T.softmax_rows(T.Tensor(x), 1.0).data
+    n = x.shape[-1]
+    assert np.array_equal(out, np_softmax_rows(x.reshape(-1, n)).reshape(x.shape))
 
 
 def test_softmax_rows_without_entries_rejected():

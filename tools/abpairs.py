@@ -20,7 +20,13 @@ per workload under "workloads".  A summary gives, per metric, every run's
 value, each side's median and quartiles, the parent's quartile distance (its
 run-to-run spread), the relative change of the median, and in how many pairs
 the change was better (ties count for neither side), plus the attempted and
-failed operations of every run.
+failed operations of every run.  Two fields state the benchmark's rules:
+`gain_resolved` is true when the change was better in at least 90% of the
+pairs and its median moved the better way by more than the parent's quartile
+distance (the rule a claimed gain must meet), and `beyond_bound`, for an
+end-to-end metric, is true when the change's median is worse than the
+parent's by more than the metric's `bound` in the parent's `BENCHMARK.json`
+(null for a per-layer metric, which has no bound).
 With `--trace 1` the metrics are the benchmark's per-layer ones.
 """
 
@@ -72,18 +78,21 @@ def quartiles(values) -> tuple:
     return q1, q2, q3
 
 
-def summarize(parent_runs, change_runs, better: dict) -> dict:
-    """Per-metric medians, quartiles and pair wins of paired result lines.
+def summarize(parent_runs, change_runs, better: dict, bounds=None) -> dict:
+    """Per-metric medians, quartiles, pair wins and the two rule fields of paired result lines.
 
     `better` maps a metric name to "lower" or "higher"; a metric it does
-    not name counts as lower-is-better.
+    not name counts as lower-is-better.  `bounds` maps an end-to-end metric
+    to its relative bound; a metric it does not name gets `beyond_bound` null.
     """
+    bounds = bounds or {}
     metrics = {}
     for name in parent_runs[0]["metrics"]:
         a = [run["metrics"][name]["value"] for run in parent_runs]
         b = [run["metrics"][name]["value"] for run in change_runs]
         sign = -1.0 if better.get(name, "lower") == "higher" else 1.0
         (pq1, pmed, pq3), (cq1, cmed, cq3) = quartiles(a), quartiles(b)
+        wins, worse_by = sum(sign * (y - x) < 0 for x, y in zip(a, b)), sign * (cmed - pmed)
         metrics[name] = {
             "better": better.get(name, "lower"),
             "parent": {"median": pmed, "q1": pq1, "q3": pq3},
@@ -91,8 +100,10 @@ def summarize(parent_runs, change_runs, better: dict) -> dict:
             "runs": {"parent": a, "change": b},
             "parent_iqr": pq3 - pq1,
             "median_delta_frac": (cmed - pmed) / pmed if pmed else None,
-            "change_wins": sum(sign * (y - x) < 0 for x, y in zip(a, b)),
+            "change_wins": wins,
             "ties": sum(x == y for x, y in zip(a, b)),
+            "gain_resolved": 10 * wins >= 9 * len(a) and -worse_by > pq3 - pq1,
+            "beyond_bound": (worse_by > bounds[name] * abs(pmed)) if name in bounds else None,
         }
     return {
         "metrics": metrics,
@@ -103,12 +114,13 @@ def summarize(parent_runs, change_runs, better: dict) -> dict:
     }
 
 
-def document(runs: dict, better: dict, **header) -> dict:
+def document(runs: dict, better: dict, bounds=None, **header) -> dict:
     """The printed JSON object: the `header` entries (both commits and the run
     settings), then under "workloads" one summary per workload of `runs`, which
     maps a workload to its {"parent": [...], "change": [...]} result lines."""
-    return {**header, "workloads": {workload: summarize(sides["parent"], sides["change"], better)
-                                    for workload, sides in runs.items()}}
+    return {**header, "workloads": {
+        workload: summarize(sides["parent"], sides["change"], better, bounds)
+        for workload, sides in runs.items()}}
 
 
 def main(argv=None) -> int:
@@ -134,6 +146,7 @@ def main(argv=None) -> int:
         parser.error(f"--workload {', '.join(unknown)}: the parent's BENCHMARK.json lists only "
                      f"{', '.join(listed)}")
     better = {m["name"]: m["better"] for m in bench["end_to_end"] + bench["per_layer"]}
+    bounds = {m["name"]: m["bound"] for m in bench["end_to_end"]}
     runs = {workload: {"parent": [], "change": []} for workload in args.workload}
     for workload, results in runs.items():
         for pair in range(args.pairs):
@@ -148,8 +161,9 @@ def main(argv=None) -> int:
                 results[side].append(result)
                 print(f"{workload} pair {pair + 1}/{args.pairs} {side}: failed {result['failed']} "
                       f"of {result['attempted']}", file=sys.stderr)
-    print(json.dumps(document(runs, better, parent=sides["parent"][0], change=sides["change"][0],
-                              pairs=args.pairs, seconds=args.seconds, trace=args.trace), indent=1))
+    print(json.dumps(document(runs, better, bounds, parent=sides["parent"][0],
+                              change=sides["change"][0], pairs=args.pairs, seconds=args.seconds,
+                              trace=args.trace), indent=1))
     return 0
 
 
